@@ -14,13 +14,12 @@ from .exact_algebra import (
     bilinear_form,
     eval_at,
     h_of_weight,
-    hyperplane_member,
     reduce_mod,
     rho,
     sample_hyperplane,
     symbolic_weight,
 )
-from .pbw import GLAlgebra, UEAElement, gl, multiply, normal_order, superbracket
+from .pbw import GLAlgebra, UEAElement, gl, normal_order, superbracket
 from .verma import VermaVector, act, is_highest_weight, vacuum, weight_basis
 from .shuffles import Shuffle, diagram_data, enumerate_shuffles, simple_roots
 from .hessenberg import (

@@ -266,7 +266,11 @@ def build_parser():
         description="compute, compare and verify Shapovalov elements for gl(m) and gl(m,n)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_samples = int(os.environ.get("SHAPOVALOV_SAMPLES", "5"))
+    env_samples = os.environ.get("SHAPOVALOV_SAMPLES", "5")
+    try:
+        default_samples = int(env_samples)
+    except ValueError:
+        raise ValueError(f"SHAPOVALOV_SAMPLES must be an integer, got {env_samples!r}") from None
 
     def common(p, root_required=True):
         p.add_argument("--algebra", required=True, help="dimensions m,n (n may be 0)")
@@ -329,11 +333,12 @@ def build_parser():
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
+    except ValueError as exc:  # a bad SHAPOVALOV_SAMPLES
+        return _usage_error(str(exc))
     try:
         return args.func(args)
     except SystemExit as exc:

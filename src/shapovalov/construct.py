@@ -71,13 +71,7 @@ class ShapovalovElement:
     @property
     def body(self) -> UEAElement:
         if self._body is None:
-            total = UEAElement.zero(self.alg)
-            for word, factors in self.terms:
-                # the Cartan factors sit to the right of the whole word, so
-                # they go through the straightener (for non-distinguished
-                # Borels the word's normal form has positive parts)
-                total = total + normal_order(self.alg, list(word) + list(factors))
-            self._body = total
+            self._body = _sum_terms(self.alg, self.terms)
         return self._body
 
     def hyperplane(self) -> Hyperplane:
@@ -336,6 +330,9 @@ class CaseDecomposition:
 def _sum_terms(alg, terms) -> UEAElement:
     total = UEAElement.zero(alg)
     for word, factors in terms:
+        # the Cartan factors sit to the right of the whole word, so they go
+        # through the straightener (for non-distinguished Borels the word's
+        # normal form has positive parts)
         total = total + normal_order(alg, list(word) + list(factors))
     return total
 

@@ -454,11 +454,8 @@ class Hyperplane:
         return f"Hyperplane(eta={self.eta}, mult={self.mult})"
 
 
-def hyperplane_member(lam: Weight, hp: Hyperplane) -> bool:
-    return hp.member(lam)
-
-
 _SAMPLE_BOUND = 1000
+_DRAW_BOUND = 24  # free coordinates are drawn as a/b, |a| <= 24, 1 <= b <= 5
 
 
 def sample_hyperplane(hp: Hyperplane, seed: int, count: int) -> list:
@@ -473,12 +470,17 @@ def sample_hyperplane(hp: Hyperplane, seed: int, count: int) -> list:
     pivot = next(i for i, c in enumerate(coeffs) if c)
     r = rho(m, n)
     target = hp.rhs() - bilinear_form(r, eta)  # required value of (lam, eta)
+    # the pivot coordinate is (target - partial) / coeff with |partial| <= spread;
+    # when that range misses [-bound, bound], no draw can ever be accepted
+    spread = _DRAW_BOUND * sum(abs(c) for i, c in enumerate(coeffs) if i != pivot)
+    if abs(target) - spread > _SAMPLE_BOUND * abs(coeffs[pivot]):
+        raise ValueError(f"{hp} has no sample point with coordinates bounded by {_SAMPLE_BOUND}")
     rng = random.Random(seed)
     points = []
     seen = set()
     while len(points) < count:
         coords = [
-            Fraction(rng.randint(-24, 24), rng.randint(1, 5)) for _ in range(m + n)
+            Fraction(rng.randint(-_DRAW_BOUND, _DRAW_BOUND), rng.randint(1, 5)) for _ in range(m + n)
         ]
         partial = sum(
             (coeffs[i] * coords[i] for i in range(m + n) if i != pivot),

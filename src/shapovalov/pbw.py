@@ -8,12 +8,23 @@ form of an element of U(gl(m,n)) is a sum of monomials
     (negative factors, sorted) * (polynomial in the x_i = e_{ii}) * (positive factors, sorted)
 
 with negative factors e_{ij}, i > j ordered by (j, i) ascending, and odd
-factors appearing with exponent at most one.  Normal ordering rewrites any
-word of generators and Cartan polynomials into this form using
+factors appearing with exponent at most one.  Two rules do all the work:
 
     [e_{ab}, e_{cd}] = d_{bc} e_{ad} - (-1)^{p(e_ab) p(e_cd)} d_{da} e_{cb}
+    H(x) e_{ij} = e_{ij} H(x + w),  w = +1 at i, -1 at j.
 
-and the shift rule H(x) e_{ij} = e_{ij} H(x + w) where w is +1 at i, -1 at j.
+The straightening kernel _nf_atoms rewrites words made only of generators.
+The Cartan element x_i -+ x_j that a bracket [e_ij, e_ji] leaves behind is
+moved to the right end of the word in one constant shift and carried beside
+the word; it is put between the negative and positive parts when the word
+is ordered.  Everything else goes through one splice: the product of terms
+(n1 h1 p1)(n2 h2 p2) moves h1 to the far left and h2 to the far right,
+straightens the generator word n1 p1 n2 p2 once, and puts each Cartan part
+back with a single shift.  The UEA product, normal_order (a free word with
+Cartan atoms is the product of its runs) and the Verma action all use it.
+A straightened word is cached only when the spliced Cartan parts are
+constant: those words recur across sample points, while Cartan-carrying
+products would fill the cache with words that are rarely met again.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_algebra import Poly, Weight, rho
+from .exact_algebra import Poly, Weight, eval_at, rho
 
 
 @lru_cache(maxsize=None)
@@ -52,10 +63,6 @@ class GLAlgebra:
 
     def gen_weight(self, i: int, j: int) -> Weight:
         return self.basis_weight(i) - self.basis_weight(j)
-
-    def coord_shift(self, i: int, j: int) -> dict:
-        """Offsets picked up by a Cartan polynomial moving right past e_{ij}."""
-        return {i: 1, j: -1}
 
     def negative_gens(self):
         """All e_{ij} with i > j, in the canonical (j, i)-ascending order."""
@@ -118,17 +125,13 @@ def superbracket(alg: GLAlgebra, a, b) -> "UEAElement":
         if isinstance(a, Poly) and isinstance(b, Poly):
             return UEAElement.zero(alg)
         h, e, flip = (a, b, 1) if isinstance(a, Poly) else (b, a, -1)
-        shift = alg.coord_shift(*e)
-        delta = h.shifted(shift) - h
+        delta = h.shifted({e[0]: 1, e[1]: -1}) - h
         if not delta.is_constant():
             raise ValueError("bracket of non-linear Cartan polynomial with a generator")
-        return word_element(alg, [e]) * (delta.constant_value() * flip)
+        return normal_order(alg, [e]) * (delta.constant_value() * flip)
     out = UEAElement.zero(alg)
     for item, c in sbracket_gens(alg, a, b):
-        if isinstance(item, Poly):
-            out = out + UEAElement.from_cartan(alg, item * c)
-        else:
-            out = out + word_element(alg, [item]) * c
+        out = out + normal_order(alg, [item]) * c
     return out
 
 
@@ -177,22 +180,10 @@ DISTINGUISHED = PBWOrder()
 # ---------------------------------------------------------------------------
 # normal ordering
 
-def _violation(alg, atoms, order):
-    """Index of the first adjacent pair out of canonical order, or None."""
-    for k in range(len(atoms) - 1):
-        a, b = atoms[k], atoms[k + 1]
-        a_poly = isinstance(a, Poly)
-        b_poly = isinstance(b, Poly)
-        if a_poly and b_poly:
-            continue
-        if a_poly:
-            if order.is_negative(*b):  # Cartan left of a negative generator
-                return k
-            continue
-        if b_poly:
-            if not order.is_negative(*a):  # positive generator left of a Cartan
-                return k
-            continue
+def _violation(alg, word, order, last=False):
+    """Index of the first (or last) adjacent pair out of canonical order, or None."""
+    for k in range(len(word) - 2, -1, -1) if last else range(len(word) - 1):
+        a, b = word[k], word[k + 1]
         ka = (0,) + order.neg_key(*a) if order.is_negative(*a) else (2,) + order.pos_key(*a)
         kb = (0,) + order.neg_key(*b) if order.is_negative(*b) else (2,) + order.pos_key(*b)
         if ka > kb:
@@ -202,84 +193,141 @@ def _violation(alg, atoms, order):
     return None
 
 
-def _fold(alg, atoms, coeff, out, order):
-    """Accumulate an already-ordered word into the terms dict."""
+def _offsets(off, part, sign):
+    """Add sign * wt(part) to the coordinate offsets off; part holds (i, j, exp)."""
+    for i, j, e in part:
+        off[i] = off.get(i, 0) + sign * e
+        off[j] = off.get(j, 0) - sign * e
+    return off
+
+
+def _accumulate(acc, key, val):
+    s = acc.get(key)
+    s = val if s is None else s + val
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
+
+
+def _fold(alg, word, coeff, cart, out, order):
+    """Accumulate an ordered word, times the Cartan part cart carried at its
+    right end (None for 1), into the terms dict."""
     neg = []
     pos = []
-    cart = Poly.one()
-    for a in atoms:
-        if isinstance(a, Poly):
-            cart = cart * a
-        elif order.is_negative(*a):
-            if neg and neg[-1][0] == a[0] and neg[-1][1] == a[1]:
-                neg[-1][2] += 1
-            else:
-                neg.append([a[0], a[1], 1])
+    for a in word:
+        part = neg if order.is_negative(*a) else pos
+        if part and part[-1][0] == a[0] and part[-1][1] == a[1]:
+            part[-1][2] += 1
         else:
-            if pos and pos[-1][0] == a[0] and pos[-1][1] == a[1]:
-                pos[-1][2] += 1
-            else:
-                pos.append([a[0], a[1], 1])
+            part.append([a[0], a[1], 1])
     key = (tuple(tuple(t) for t in neg), tuple(tuple(t) for t in pos))
-    val = out.get(key, Poly.zero()) + cart * coeff
-    if val.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = val
+    if cart is None:
+        _accumulate(out, key, Poly.const(coeff))
+    else:  # pos H = H(x - wt pos) pos
+        _accumulate(out, key, (cart.shifted(_offsets({}, key[1], -1)) if pos else cart) * coeff)
 
 
 _NF_CACHE: dict = {}
 
 
-def _nf_atoms(alg: GLAlgebra, atoms, pick_last: bool = False, order: PBWOrder = DISTINGUISHED) -> dict:
-    """Straighten a word; returns {(neg, pos): Poly}.
+def _nf_atoms(alg: GLAlgebra, atoms, pick_last: bool = False, order: PBWOrder = DISTINGUISHED,
+              store: bool = True) -> dict:
+    """Straighten a word of generator pairs; returns {(neg, pos): Poly}.
 
-    atoms is a sequence of generator pairs and Poly objects.  pick_last
-    rewrites the last violation instead of the first (used to test that the
-    normal form is independent of the rewriting strategy).
+    The Cartan part x_i -+ x_j of a bracket [e_ij, e_ji] moves to the right
+    end of the word, shifted by the weight it passes, and rides there until
+    the word is ordered.  The cache is read for every word and written only
+    when store is set.  pick_last rewrites the last violation instead of the
+    first and bypasses the cache (the normal form must not depend on it).
     """
-    pure = all(not isinstance(a, Poly) for a in atoms)
     key = None
-    if pure and not pick_last:
+    if not pick_last:
         key = (alg.m, alg.n, order.tag, tuple(atoms))
         hit = _NF_CACHE.get(key)
         if hit is not None:
             return hit
     out: dict = {}
-    stack = [(tuple(atoms), Fraction(1))]
+    stack = [(tuple(atoms), Fraction(1), None)]
     while stack:
-        word, coeff = stack.pop()
-        k = _violation(alg, word, order)
-        if pick_last and k is not None:
-            kk = k
-            for k2 in range(len(word) - 2, k, -1):
-                if _violation(alg, word[k2:k2 + 2], order) is not None:
-                    kk = k2
-                    break
-            k = kk
+        word, coeff, cart = stack.pop()
+        k = _violation(alg, word, order, pick_last)
         if k is None:
-            _fold(alg, word, coeff, out, order)
+            _fold(alg, word, coeff, cart, out, order)
             continue
         a, b = word[k], word[k + 1]
         head, tail = word[:k], word[k + 2:]
-        if isinstance(a, Poly):
-            # move the Cartan right past a negative generator
-            stack.append((head + (b, a.shifted(alg.coord_shift(*b))) + tail, coeff))
-            continue
-        if isinstance(b, Poly):
-            # move the Cartan left past a positive generator
-            neg_shift = {i: -c for i, c in alg.coord_shift(*a).items()}
-            stack.append((head + (b.shifted(neg_shift), a) + tail, coeff))
-            continue
         if a == b and alg.gen_parity(*a):
             continue  # isotropic square is zero
         sign = -1 if alg.gen_parity(*a) and alg.gen_parity(*b) else 1
-        stack.append((head + (b, a) + tail, coeff * sign))
+        stack.append((head + (b, a) + tail, coeff * sign, cart))
         for item, c in sbracket_gens(alg, a, b):
-            stack.append((head + (item,) + tail, coeff * c))
-    if key is not None:
+            if isinstance(item, Poly):
+                # item = x_i - sign x_j picks up wt(tail) at i minus sign times it at j
+                i, j = a
+                d = sum((g[0] == i) - (g[1] == i) - sign * ((g[0] == j) - (g[1] == j))
+                        for g in tail)
+                h = item + d if d else item
+                stack.append((head + tail, coeff * c, h if cart is None else cart * h))
+            else:
+                stack.append((head + (item,) + tail, coeff * c, cart))
+    if key is not None and store:
         _NF_CACHE[key] = out
     return out
+
+
+def _splice(alg, left, right, order=DISTINGUISHED, pick_last=False, lam=None):
+    """Yield ((neg, pos), Poly) for the product (n1 h1 p1)(n2 h2 p2) of two terms.
+
+    n, p are (i, j, exp) tuples, not necessarily sorted.  h1 moves to the far
+    left and h2 to the far right, n1 p1 n2 p2 is straightened once into
+    terms neg H pos, and each Cartan part goes back with one shift:
+    neg h1(x + wt neg - wt n1) H h2(x + wt p2 - wt pos) pos.  Given lam (and
+    h2 constant), act on the highest weight vector of M(lam) instead: terms
+    with pos die, H is evaluated at lam and h1 at lam + wt neg - wt n1, and
+    (neg, value) is yielded.  The word is cached only when both Cartan
+    parts are constant.
+    """
+    n1, h1, p1 = left
+    n2, h2, p2 = right
+    c1 = h1.constant_value() if h1.is_constant() else None
+    c2 = h2.constant_value() if h2.is_constant() else None
+    word = _expand_key(n1) + _expand_key(p1) + _expand_key(n2) + _expand_key(p2)
+    nf = _nf_atoms(alg, word, pick_last, order, c1 is not None and c2 is not None)
+    if lam is not None:
+        if c1 is None:  # with pos = (), wt neg - wt n1 = wt(p1 n2 p2)
+            off = _offsets(_offsets(_offsets({}, p1, 1), n2, 1), p2, 1)
+            c1 = eval_at(h1, lam + Weight(lam.m, lam.n, [off.get(k, 0) for k in range(1, alg.N + 1)]))
+        scale = c1 * c2
+        numeric = all(isinstance(c, Fraction) for c in lam.coords)
+        for (neg, pos), h in nf.items():
+            if not pos:  # positive factors annihilate the highest weight vector
+                val = h.constant_value() if numeric and h.is_constant() else eval_at(h, lam)
+                yield neg, val if scale == 1 else val * scale
+        return
+    scale = (1 if c1 is None else c1) * (1 if c2 is None else c2)
+    moved1: dict = {}
+    moved2: dict = {}
+    for (neg, pos), h in nf.items():
+        if c1 is None:
+            if neg not in moved1:
+                moved1[neg] = h1.shifted(_offsets(_offsets({}, neg, 1), n1, -1))
+            h = moved1[neg] * h
+        if c2 is None:
+            if pos not in moved2:
+                moved2[pos] = h2.shifted(_offsets(_offsets({}, p2, 1), pos, -1))
+            h = h * moved2[pos]
+        yield (neg, pos), h if scale == 1 else h * scale
+
+
+def _product(alg, left: dict, right: dict, order=DISTINGUISHED, pick_last=False) -> dict:
+    """Terms of the product of two {(n, p): h} dicts, one splice per pair."""
+    acc: dict = {}
+    for (n1, p1), h1 in left.items():
+        for (n2, p2), h2 in right.items():
+            for key, h in _splice(alg, (n1, h1, p1), (n2, h2, p2), order, pick_last):
+                _accumulate(acc, key, h)
+    return acc
 
 
 def normal_order(alg: GLAlgebra, word, pick_last: bool = False, order: PBWOrder = DISTINGUISHED) -> "UEAElement":
@@ -287,23 +335,27 @@ def normal_order(alg: GLAlgebra, word, pick_last: bool = False, order: PBWOrder 
 
     The result is canonical for the given triangular order: every monomial
     is (negative part) * (Cartan polynomial) * (positive part) with factors
-    in the order's within-class sort.
+    in the order's within-class sort.  A diagonal unit e_ii is x_i.  A word
+    r0 h1 r1 h2 r2 ... with Cartan atoms h_k between generator runs r_k is
+    the product of the terms (r0, h1, r1), ((), h2, r2), ...
     """
-    atoms = []
+    runs, carts = [[]], []
     for a in word:
-        if isinstance(a, Poly):
-            atoms.append(a)
-        else:
-            i, j = a
-            if i == j:
-                atoms.append(Poly.x(i))
+        if isinstance(a, Poly) or a[0] == a[1]:
+            h = a if isinstance(a, Poly) else Poly.x(a[0])
+            if carts and not runs[-1]:
+                carts[-1] = carts[-1] * h
             else:
-                atoms.append((i, j))
-    return UEAElement(alg, _nf_atoms(alg, atoms, pick_last=pick_last, order=order))
-
-
-def word_element(alg: GLAlgebra, word) -> "UEAElement":
-    return normal_order(alg, word)
+                carts.append(h)
+                runs.append([])
+        else:
+            runs[-1].append((a[0], a[1], 1))
+    runs = [tuple(r) for r in runs] + [()]
+    first = (runs[0], carts[0] if carts else Poly.one(), runs[1])
+    terms = {((), ()): Poly.one()}
+    for n, h, p in [first] + [((), h, r) for h, r in zip(carts[1:], runs[2:])]:
+        terms = _product(alg, terms, {(n, p): h}, order, pick_last)
+    return UEAElement(alg, terms)
 
 
 def _expand_key(part):
@@ -344,7 +396,7 @@ class UEAElement:
 
     @staticmethod
     def gen(alg, i, j) -> "UEAElement":
-        return word_element(alg, [(i, j)])
+        return normal_order(alg, [(i, j)])
 
     # -- ring structure ----------------------------------------------------
     def __add__(self, other):
@@ -352,11 +404,7 @@ class UEAElement:
             return NotImplemented
         out = dict(self.terms)
         for k, p in other.terms.items():
-            s = out.get(k, Poly.zero()) + p
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            _accumulate(out, k, p)
         return UEAElement(self.alg, out)
 
     def __neg__(self):
@@ -377,30 +425,7 @@ class UEAElement:
             return self.scale_central(other)
         if not isinstance(other, UEAElement):
             return NotImplemented
-        out = UEAElement(self.alg)
-        acc: dict = {}
-        for (n1, p1), h1 in self.terms.items():
-            for (n2, p2), h2 in other.terms.items():
-                scale = Fraction(1)
-                word = _expand_key(n1)
-                if h1.is_constant():
-                    scale = h1.constant_value()
-                else:
-                    word.append(h1)
-                word += _expand_key(p1) + _expand_key(n2)
-                if h2.is_constant():
-                    scale *= h2.constant_value()
-                else:
-                    word.append(h2)
-                word += _expand_key(p2)
-                for k, p in _nf_atoms(self.alg, word).items():
-                    s = acc.get(k, Poly.zero()) + p * scale
-                    if s.is_zero():
-                        acc.pop(k, None)
-                    else:
-                        acc[k] = s
-        out.terms = acc
-        return out
+        return UEAElement(self.alg, _product(self.alg, self.terms, other.terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -419,12 +444,7 @@ class UEAElement:
         This realizes multiplication by a formally central scalar: it is how
         subdiagonal coefficients of Hessenberg matrices are attached.
         """
-        out = {}
-        for k, h in self.terms.items():
-            v = h * p
-            if not v.is_zero():
-                out[k] = v
-        return UEAElement(self.alg, out)
+        return self.map_coeffs(lambda h: h * p)
 
     # -- queries -----------------------------------------------------------
     def is_zero(self) -> bool:
@@ -530,6 +550,3 @@ class UEAElement:
             terms[(neg, pos)] = Poly.from_json(t["h"])
         return UEAElement(alg, terms)
 
-
-def multiply(a: UEAElement, b: UEAElement) -> UEAElement:
-    return a * b

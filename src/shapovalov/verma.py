@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact_algebra import Poly, Weight, eval_at, reduce_mod
-from .pbw import DISTINGUISHED, GLAlgebra, PBWOrder, UEAElement, _expand_key, _nf_atoms
+from .exact_algebra import Poly, Weight, reduce_mod
+from .pbw import DISTINGUISHED, GLAlgebra, PBWOrder, UEAElement, _accumulate, _splice, normal_order
+from .pbw import _nf_atoms  # noqa: F401  act's kernel via _splice, kept for per-module patching
 
 
 class VermaVector:
@@ -44,11 +45,7 @@ class VermaVector:
             raise ValueError("vectors live in different Verma module presentations")
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if _nonzero(s):
-                out[k] = s
-            else:
-                out.pop(k, None)
+            _accumulate(out, k, c)
         return VermaVector(self.alg, self.lam, out, self.order)
 
     def __neg__(self):
@@ -145,34 +142,15 @@ def act(x, v: VermaVector) -> VermaVector:
     """Action of x (UEAElement or free word) on a Verma vector."""
     alg = v.alg
     if not isinstance(x, UEAElement):
-        from .pbw import normal_order
-
         x = normal_order(alg, x)
     lam = v.lam
     order = v.order
+    one = Poly.one()
     out: dict = {}
     for (n1, p1), h1 in x.terms.items():
-        scale = Fraction(1)
-        mid = [h1]
-        if h1.is_constant():
-            # constant Cartan parts commute; keep the word pure so the
-            # normal-form cache applies across sample points
-            scale = h1.constant_value()
-            mid = []
         for neg0, c0 in v.terms.items():
-            word = _expand_key(n1) + mid + _expand_key(p1) + _expand_key(neg0)
-            for (neg, pos), h in _nf_atoms(alg, word, order=order).items():
-                if pos:
-                    continue  # positive factors annihilate the highest weight vector
-                val = eval_at(h, lam)
-                contrib = val * c0 * scale
-                if not _nonzero(contrib):
-                    continue
-                s = out.get(neg, 0) + contrib
-                if _nonzero(s):
-                    out[neg] = s
-                else:
-                    out.pop(neg, None)
+            for neg, val in _splice(alg, (n1, h1, p1), (neg0, one, ()), order, lam=lam):
+                _accumulate(out, neg, val * c0)
     return VermaVector(alg, lam, out, order)
 
 

@@ -88,6 +88,13 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["samples"] == 2
 
+    def test_sample_count_env_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("SHAPOVALOV_SAMPLES", "abc")
+        code = run(["verify", "--algebra", "3,0", "--root", "e1-e3"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: SHAPOVALOV_SAMPLES must be an integer, got 'abc'\n"
+
 
 class TestOtherCommands:
     def test_shuffles(self, capsys):

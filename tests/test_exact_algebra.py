@@ -13,7 +13,6 @@ from shapovalov.exact_algebra import (
     bilinear_form,
     eval_at,
     h_of_weight,
-    hyperplane_member,
     param_poly,
     reduce_mod,
     rho,
@@ -153,7 +152,7 @@ class TestHyperplane:
         eta = Weight.eps(2, 2, 1) - Weight.delta(2, 2, 2)
         hp = Hyperplane(eta)
         lam = -1 * rho(2, 2)
-        assert hyperplane_member(lam, hp)  # (lam+rho, eta) = 0 = rhs
+        assert hp.member(lam)  # (lam+rho, eta) = 0 = rhs
 
     def test_even_rhs_is_multiplicity(self):
         m = 4
@@ -181,6 +180,12 @@ class TestHyperplane:
             assert hp.member(p)
             for c in p.coords:
                 assert abs(c.numerator) <= 1000 and c.denominator <= 1000
+
+    def test_sampling_unreachable_hyperplane_raises(self):
+        # the pivot coordinate would always exceed 2974, beyond the bound
+        eta = Weight.eps(3, 0, 1) - Weight.eps(3, 0, 3)
+        with pytest.raises(ValueError, match="bounded by 1000"):
+            sample_hyperplane(Hyperplane(eta, 3000), 0, 1)
 
     def test_constraint_poly_vanishes_on_samples(self):
         eta = Weight.eps(3, 0, 1) - Weight.eps(3, 0, 3)

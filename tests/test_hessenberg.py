@@ -18,7 +18,7 @@ from shapovalov.hessenberg import (
     det_lr,
     split_at,
 )
-from shapovalov.pbw import UEAElement, gl, word_element
+from shapovalov.pbw import UEAElement, gl, normal_order
 from shapovalov.construct import theta_gl, theta_glmn_distinguished, theta_odd_alg
 
 
@@ -66,8 +66,8 @@ def random_hessenberg(alg, order, rng, poly_sub=True):
     entries = {}
     for i in range(1, order + 1):
         for j in range(i, order + 1):
-            a = word_element(alg, [gens[rng.randrange(len(gens))]])
-            b = word_element(alg, [gens[rng.randrange(len(gens))]])
+            a = normal_order(alg, [gens[rng.randrange(len(gens))]])
+            b = normal_order(alg, [gens[rng.randrange(len(gens))]])
             entries[(i, j)] = a + b * Fraction(rng.randint(-3, 3))
     sub = {}
     for q in range(1, order):
@@ -81,14 +81,14 @@ def random_hessenberg(alg, order, rng, poly_sub=True):
 class TestDetBasics:
     def test_1x1(self):
         alg = gl(3, 0)
-        a = word_element(alg, [(2, 1)])
+        a = normal_order(alg, [(2, 1)])
         B = HessenbergMatrix(alg, 1, {(1, 1): a}, {})
         assert det_lr(B) == a
 
     def test_2x2_sign_absorption(self):
         # [[a, b], [-c, d]] -> a d + c b
         alg = gl(4, 0)
-        a, b, d = (word_element(alg, [g]) for g in [(2, 1), (3, 1), (4, 3)])
+        a, b, d = (normal_order(alg, [g]) for g in [(2, 1), (3, 1), (4, 3)])
         c = Poly.const(5)
         B = HessenbergMatrix(alg, 2, {(1, 1): a, (1, 2): b, (2, 2): d}, {1: -c})
         assert det_lr(B) == a * d + (b * Fraction(5))
@@ -100,11 +100,11 @@ class TestDetBasics:
         B = HessenbergMatrix(
             alg,
             2,
-            {(1, 1): word_element(alg, [(3, 2)]), (1, 2): word_element(alg, [(3, 1)]),
-             (2, 2): word_element(alg, [(2, 1)])},
+            {(1, 1): normal_order(alg, [(3, 2)]), (1, 2): normal_order(alg, [(3, 1)]),
+             (2, 2): normal_order(alg, [(2, 1)])},
             {1: -a1},
         )
-        expected = word_element(alg, [(3, 2), (2, 1)]) + word_element(alg, [(3, 1)]).scale_central(a1)
+        expected = normal_order(alg, [(3, 2), (2, 1)]) + normal_order(alg, [(3, 1)]).scale_central(a1)
         assert det_lr(B) == expected
 
     def test_matches_cofactor_oracle(self):
@@ -122,7 +122,7 @@ class TestDetBasics:
         alg = gl(20, 0)
         picks = iter((2 * k, 2 * k - 1) for k in range(1, 11))
         entries = {
-            (i, j): word_element(alg, [next(picks)])
+            (i, j): normal_order(alg, [next(picks)])
             for i in range(1, order + 1)
             for j in range(i, order + 1)
         }
@@ -153,7 +153,7 @@ class TestSplit:
 
     def test_split_2x2_example(self):
         alg = gl(4, 0)
-        a, b, d = (word_element(alg, [g]) for g in [(2, 1), (3, 1), (4, 3)])
+        a, b, d = (normal_order(alg, [g]) for g in [(2, 1), (3, 1), (4, 3)])
         B = HessenbergMatrix(alg, 2, {(1, 1): a, (1, 2): b, (2, 2): d}, {1: Poly.const(-5)})
         T, bpp, bp = split_at(B, 1)
         assert T == Poly.const(5)

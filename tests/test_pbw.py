@@ -11,10 +11,8 @@ from shapovalov.pbw import (
     DISTINGUISHED,
     UEAElement,
     gl,
-    multiply,
     normal_order,
     superbracket,
-    word_element,
 )
 
 
@@ -43,7 +41,7 @@ class TestSuperbracket:
     def test_cartan_bracket(self):
         alg = gl(2, 0)
         h = Poly.x(1) - Poly.x(2)
-        assert superbracket(alg, h, (2, 1)) == word_element(alg, [(2, 1)]) * Fraction(-2)
+        assert superbracket(alg, h, (2, 1)) == normal_order(alg, [(2, 1)]) * Fraction(-2)
         assert superbracket(alg, h, h).is_zero()
 
 
@@ -51,7 +49,7 @@ class TestNormalOrder:
     def test_even_pair(self):
         alg = gl(2, 0)
         nf = normal_order(alg, [(1, 2), (2, 1)])
-        expected = word_element(alg, [(2, 1), (1, 2)]) + UEAElement.from_cartan(
+        expected = normal_order(alg, [(2, 1), (1, 2)]) + UEAElement.from_cartan(
             alg, Poly.x(1) - Poly.x(2)
         )
         assert nf == expected
@@ -59,7 +57,7 @@ class TestNormalOrder:
     def test_odd_pair(self):
         alg = gl(2, 2)
         nf = normal_order(alg, [(2, 3), (3, 2)])
-        expected = word_element(alg, [(3, 2), (2, 3)]) * Fraction(-1) + UEAElement.from_cartan(
+        expected = normal_order(alg, [(3, 2), (2, 3)]) * Fraction(-1) + UEAElement.from_cartan(
             alg, Poly.x(2) + Poly.x(3)
         )
         assert nf == expected
@@ -136,7 +134,7 @@ class TestJacobi:
         # [a,[b,c]] = [[a,b],c] + (-1)^{p(a)p(b)} [b,[a,c]] on all generator triples
         alg = gl(2, 2)
         gens = gens_of(alg)
-        elems = {g: word_element(alg, [g]) for g in gens}
+        elems = {g: normal_order(alg, [g]) for g in gens}
         par = {g: alg.gen_parity(*g) for g in gens}
 
         def sbr(x, px, y, py):
@@ -159,7 +157,7 @@ class TestJacobi:
 class TestMultiply:
     def test_unit(self):
         alg = gl(2, 2)
-        a = word_element(alg, [(3, 1), (4, 2)])
+        a = normal_order(alg, [(3, 1), (4, 2)])
         assert UEAElement.one(alg) * a == a
         assert a * UEAElement.one(alg) == a
 
@@ -181,40 +179,38 @@ class TestMultiply:
         alg = gl(2, 2)
         rng = random.Random(8)
         gens = gens_of(alg)
+        # Cartan atoms inside the words give the factors non-constant Cartan parts
+        carts = [Poly.x(k) for k in range(1, 5)] + [Poly.x(1) - Poly.x(3) + 2, Poly.x(2) + Poly.x(4)]
         for _ in range(40):
-            ws = [
-                normal_order(alg, [gens[rng.randrange(len(gens))] for _ in range(rng.randint(1, 2))])
-                for _ in range(3)
-            ]
+            words = [[gens[rng.randrange(len(gens))] for _ in range(rng.randint(1, 2))] for _ in range(3)]
+            for w in words:
+                if rng.random() < 0.5:
+                    w.insert(rng.randint(0, len(w)), rng.choice(carts))
+            ws = [normal_order(alg, w) for w in words]
             assert (ws[0] * ws[1]) * ws[2] == ws[0] * (ws[1] * ws[2])
-
-    def test_multiply_alias(self):
-        alg = gl(2, 0)
-        a = word_element(alg, [(2, 1)])
-        assert multiply(a, a) == a * a
 
 
 class TestQueriesAndIO:
     def test_coefficient_of_absent(self):
         alg = gl(2, 2)
-        el = word_element(alg, [(2, 1)])
+        el = normal_order(alg, [(2, 1)])
         assert el.coefficient_of(((3, 1, 1),)).is_zero()
         assert el.coefficient_of(((2, 1, 1),)) == Poly.one()
 
     def test_parts(self):
         alg = gl(2, 0)
         nf = normal_order(alg, [(1, 2), (2, 1)])
-        assert nf.positive_residue() == word_element(alg, [(2, 1), (1, 2)])
+        assert nf.positive_residue() == normal_order(alg, [(2, 1), (1, 2)])
         assert nf.cartan_part() == Poly.x(1) - Poly.x(2)
         assert nf.n_minus_part() == UEAElement.from_cartan(alg, Poly.x(1) - Poly.x(2))
 
     def test_json_roundtrip(self):
         alg = gl(2, 2)
-        el = normal_order(alg, [(1, 2), (2, 1), (3, 1)]) + word_element(alg, [(4, 2)])
+        el = normal_order(alg, [(1, 2), (2, 1), (3, 1)]) + normal_order(alg, [(4, 2)])
         data = json.loads(json.dumps(el.to_json()))
         assert UEAElement.from_json(alg, data) == el
 
     def test_latex(self):
         alg = gl(2, 0)
-        el = word_element(alg, [(2, 1)])
+        el = normal_order(alg, [(2, 1)])
         assert el.latex() == "e_{2,1}"

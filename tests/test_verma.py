@@ -2,8 +2,8 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from shapovalov.exact_algebra import Hyperplane, Weight, sample_hyperplane
-from shapovalov.pbw import gl, normal_order, word_element
+from shapovalov.exact_algebra import Hyperplane, Poly, Weight, sample_hyperplane
+from shapovalov.pbw import DISTINGUISHED, BorelOrder, gl, normal_order
 from shapovalov.verma import (
     act,
     coefficients_in_word_basis,
@@ -60,14 +60,21 @@ class TestAct:
         rng = random.Random(5)
         gens = [(i, j) for i in range(1, 5) for j in range(1, 5) if i != j]
         lam = rand_weight(rng, 2, 2)
-        for _ in range(100):
-            wx = [gens[rng.randrange(len(gens))] for _ in range(rng.randint(1, 2))]
-            wy = [gens[rng.randrange(len(gens))] for _ in range(rng.randint(1, 2))]
-            wv = [gens[rng.randrange(len(gens))] for _ in range(rng.randint(0, 2))]
-            v = act(wv, vacuum(alg, lam))
-            x = normal_order(alg, wx)
-            y = normal_order(alg, wy)
-            assert act(x, act(y, v)) == act(x * y, v)
+        # Cartan atoms give x and y non-constant Cartan parts, which the
+        # product and the action move by weight shifts
+        carts = [Poly.x(k) for k in range(1, 5)] + [Poly.x(1) - Poly.x(3) + 2, Poly.x(2) + Poly.x(4)]
+        for order in (DISTINGUISHED, BorelOrder((1, 3, 2, 4))):
+            for _ in range(100):
+                wx = [gens[rng.randrange(len(gens))] for _ in range(rng.randint(1, 2))]
+                wy = [gens[rng.randrange(len(gens))] for _ in range(rng.randint(1, 2))]
+                wv = [gens[rng.randrange(len(gens))] for _ in range(rng.randint(0, 2))]
+                for w in (wx, wy):
+                    if rng.random() < 0.5:
+                        w.insert(rng.randint(0, len(w)), rng.choice(carts))
+                v = act(wv, vacuum(alg, lam, order))
+                x = normal_order(alg, wx)
+                y = normal_order(alg, wy)
+                assert act(x, act(y, v)) == act(x * y, v)
 
 
 def brute_force_partitions(alg, drop):
