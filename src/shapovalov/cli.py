@@ -40,6 +40,7 @@ from .construct import (
 )
 
 INDEPENDENCE_CAP = 6
+TERM_CAP = 2**12  # largest expansion theta, verify, compare and det --expand will build
 
 
 def _parse_algebra(text):
@@ -75,13 +76,27 @@ def _emit(obj, fmt):
         print(obj)
 
 
+def _check_terms(count):
+    """Refuse an expansion of more than TERM_CAP terms before building it."""
+    if count > TERM_CAP:
+        raise ValueError(f"the expansion has {count} terms, more than the cap of {TERM_CAP}")
+
+
+def _check_root_terms(alg, root):
+    ij = alg.root_from_weight(root)
+    if ij is not None and ij[1] > ij[0]:
+        _check_terms(2 ** (ij[1] - ij[0] - 1))
+
+
 def _theta_from_args(alg, args):
     if args.borel and args.borel != "distinguished":
+        _check_terms(2 ** (alg.N - 2))
         shuffle = Shuffle.parse(alg.m, alg.n, args.borel)
         return theta_borel(shuffle)
     if not args.root:
         raise ValueError("need --root (or --borel with a shuffle word)")
     root = parse_root(alg, args.root)
+    _check_root_terms(alg, root)
     return theta_for_root(alg, root, args.order)
 
 
@@ -146,6 +161,8 @@ def cmd_det(args):
     except ValueError as exc:
         return _usage_error(str(exc))
     if args.expand:
+        # the matrix has order^2 entries, its determinant 2^(order-1) terms
+        _check_terms(2 ** (B.order - 1))
         val = det_lr(B)
         if args.format == "latex":
             print(val.latex())
@@ -164,6 +181,7 @@ def cmd_det(args):
 def cmd_compare(args):
     alg = _parse_algebra(args.algebra)
     root = parse_root(alg, args.root)
+    _check_root_terms(alg, root)
     orders = args.orders.split(",")
     thetas = [theta_for_root(alg, root, o) for o in orders]
     hp = thetas[0].hyperplane()
@@ -348,7 +366,14 @@ def run(argv=None) -> int:
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; silence the flush at exit as well
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -8,12 +8,19 @@ Polynomials are sparse multivariate polynomials over Q in commuting
 variables x_1, x_2, ... where x_i stands for the diagonal matrix unit
 e_{ii}; they double as elements of U(h) and as polynomial functions of a
 weight's coordinates.
+
+The straightener moves Cartan parts past generators (H(x) e = e H(x + w))
+and evaluates them at sampled weights, so two substitutions are hot and
+have their own kernels: Poly.shifted is a binomial (Taylor) shift, and
+eval_at evaluates monomials in integer arithmetic.  Poly.subs stays the
+general substitution, for symbolic weights and the linear reduction.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb, gcd
 
 
 def _frac(x) -> Fraction:
@@ -175,35 +182,65 @@ class Poly:
         return hash(frozenset(self.terms.items()))
 
     def subs(self, mapping) -> "Poly":
-        """Substitute x_i -> mapping[i] (Poly or rational) for listed variables."""
-        out = Poly()
-        cache = {}
+        """Substitute x_i -> mapping[i] (Poly or rational) for listed variables.
+
+        The general route: each monomial is expanded with Poly products and
+        added into one result dict.  Shifts and numeric evaluation have
+        their own kernels (shifted, eval_at).
+        """
+        out = {}
+        powers = {}
         for e, c in self.terms.items():
-            term = Poly.const(c)
+            term = Poly({(): c})
             for i, p in enumerate(e):
                 if not p:
                     continue
                 v = i + 1
-                base = mapping.get(v)
-                if base is None:
-                    base = Poly.x(v)
-                elif not isinstance(base, Poly):
-                    base = Poly.const(base)
-                key = (v, p, id(base))
-                if key not in cache:
-                    cache[key] = base ** p
-                term = term * cache[key]
-            out = out + term
-        return out
+                pw = powers.get((v, p))
+                if pw is None:
+                    base = mapping.get(v)
+                    if base is None:
+                        base = Poly.x(v)
+                    elif not isinstance(base, Poly):
+                        base = Poly.const(base)
+                    pw = powers[(v, p)] = base ** p
+                term = term * pw
+            for e2, c2 in term.terms.items():
+                s = out.get(e2)
+                out[e2] = c2 if s is None else s + c2
+        return Poly({e: c for e, c in out.items() if c})
 
     def shifted(self, offsets) -> "Poly":
-        """Substitute x_i -> x_i + offsets[i] for each nonzero offset."""
-        mapping = {
-            i: Poly.x(i) + Fraction(c) for i, c in offsets.items() if c
-        }
-        if not mapping:
-            return self
-        return self.subs(mapping)
+        """Substitute x_i -> x_i + offsets[i] for each nonzero offset.
+
+        Offsets are ints or Fractions.  A binomial (Taylor) shift, one pass
+        per shifted variable: x_i^p becomes sum_k C(p, k) a^(p-k) x_i^k, and
+        the pass adds every image into one dict.
+        """
+        terms = self.terms
+        for v, a in offsets.items():
+            if not a:
+                continue
+            i = v - 1
+            out = {}
+            rows = {}  # p -> [C(p, k) a^(p-k) for k = 0..p]
+            for e, c in terms.items():
+                p = e[i] if i < len(e) else 0
+                if not p:
+                    s = out.get(e)
+                    out[e] = c if s is None else s + c
+                    continue
+                row = rows.get(p)
+                if row is None:
+                    row = rows[p] = [comb(p, k) * a ** (p - k) for k in range(p + 1)]
+                head, tail = e[:i], e[i + 1:]
+                for k in range(p + 1):
+                    key = head + (k,) + tail if k or tail else _trim(head)
+                    val = c if k == p else c * row[k]
+                    s = out.get(key)
+                    out[key] = val if s is None else s + val
+            terms = {e: c for e, c in out.items() if c}
+        return self if terms is self.terms else Poly(terms)
 
     def __str__(self):
         if not self.terms:
@@ -414,14 +451,34 @@ def h_of_weight(mu: Weight) -> Poly:
 def eval_at(p: Poly, lam: Weight):
     """Evaluate p at x_i = i-th coordinate of lam.
 
-    Returns a Fraction for numeric weights; a Poly when lam has symbolic
-    (Poly) coordinates.
+    Returns a Fraction for numeric weights and p in x_1..x_{m+n}: each
+    monomial c * prod lam_i^k_i is evaluated in integers over the running
+    common denominator, and one Fraction is built at the end.  A symbolic
+    weight (Poly coordinates) or a p in further variables goes through
+    subs and gives a Poly, or a Fraction when the result is a constant of
+    a numeric weight.
     """
-    mapping = {i + 1: lam.coords[i] for i in range(lam.m + lam.n)}
-    out = p.subs(mapping)
-    if out.is_constant() and all(isinstance(c, Fraction) for c in lam.coords):
-        return out.constant_value()
-    return out
+    coords = lam.coords
+    if any(isinstance(c, Poly) for c in coords) or any(len(e) > len(coords) for e in p.terms):
+        out = p.subs({i + 1: c for i, c in enumerate(coords)})
+        if out.is_constant() and all(isinstance(c, Fraction) for c in coords):
+            return out.constant_value()
+        return out
+    num, den = 0, 1
+    for e, c in p.terms.items():
+        a, b = c.numerator, c.denominator
+        for i, k in enumerate(e):
+            if k:
+                x = coords[i]
+                a *= x.numerator ** k
+                b *= x.denominator ** k
+        if b != den:  # move to the least common denominator
+            lcm = den // gcd(den, b) * b
+            num *= lcm // den
+            a *= lcm // b
+            den = lcm
+        num += a
+    return Fraction(num, den)
 
 
 class Hyperplane:

@@ -1,10 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from shapovalov.cli import run
+import shapovalov
+from shapovalov.cli import TERM_CAP, run
+
+# a child process imports the package from where this one found it
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(shapovalov.__file__).resolve().parents[1])}
 
 
 def capture(capsys, argv):
@@ -163,12 +169,43 @@ class TestErrors:
             ["kac-coeff", "--algebra", "2,2", "--root", "e1-e2", "--weight", "0,0,0,0"]
         ) == 1
 
+    @pytest.mark.parametrize("argv, terms", [
+        (["verify", "--algebra", "30,30", "--root", "e1-d30"], 2**58),
+        (["theta", "--algebra", "20", "--root", "e1-e20"], 2**18),
+        (["theta", "--algebra", "8,8", "--borel", "1 1' 2 2'"], 2**14),
+        (["compare", "--algebra", "10,5", "--root", "e1-d5"], 2**13),
+        (["det", "--algebra", "16", "--matrix", "D", "--expand"], 2**14),
+    ])
+    def test_term_cap(self, capsys, argv, terms):
+        # refused before anything of the expansion is built
+        assert run(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: the expansion has {terms} terms, more than the cap of {TERM_CAP}"]
+
 
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "shapovalov.cli", "shuffles", "--algebra", "2,2"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert "count: 2" in proc.stdout
+
+
+def test_closed_stdout_exits_quietly():
+    # the json of e1-e7 is larger than a pipe buffer, so a write fails after the reader leaves
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "shapovalov.cli", "theta", "--algebra", "7,0", "--root", "e1-e7",
+         "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=CHILD_ENV,
+    )
+    assert proc.stdout.read(16)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

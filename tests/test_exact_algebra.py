@@ -121,6 +121,9 @@ class TestCartanPolynomials:
         lam = Weight(2, 0, [3, 1])
         assert eval_at(Poly.x(1) - Poly.x(2), lam) == 2
         assert eval_at(Poly.one(), lam) == 1
+        # callers test isinstance(c, Fraction) on numeric evaluations
+        assert isinstance(eval_at(Poly.zero(), lam), Fraction)
+        assert isinstance(eval_at(Poly.const(3), lam), Fraction)
 
     def test_eval_sigma_coefficient(self):
         # h_{sigma_1} + (rho, sigma_1) - 1 evaluates to (lam+rho, sigma_1) - 1

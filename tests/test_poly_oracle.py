@@ -8,7 +8,7 @@ each compared with sympy's expansion on random small polynomials.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shapovalov.exact_algebra import Poly, Weight, eval_at
@@ -21,8 +21,14 @@ XS = sympy.symbols(f"x1:{NVARS + 1}")
 rationals = st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=4)
 monomials = st.tuples(*[st.integers(0, 2)] * NVARS)
 polys = st.dictionaries(monomials, rationals, max_size=4)
+# exponents up to 4 reach the binomials C(p, k) with p >= 3 of the Taylor shift
+powers = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 1), st.integers(0, 1)),
+    rationals,
+    max_size=3,
+)
 multilinear = st.dictionaries(st.tuples(*[st.integers(0, 1)] * NVARS), rationals, max_size=3)
-offsets = st.dictionaries(st.integers(1, NVARS), st.integers(-3, 3), max_size=NVARS)
+offsets = st.dictionaries(st.integers(1, NVARS), st.one_of(st.integers(-3, 3), rationals), max_size=NVARS)
 
 
 def make(terms) -> Poly:
@@ -57,7 +63,8 @@ def test_mul(a, b):
     assert same(p * q, to_sympy(p) * to_sympy(q))
 
 
-@given(polys, offsets)
+@given(powers, offsets)
+@example({(4, 3, 0, 1): Fraction(2, 3), (1, 0, 0, 1): Fraction(-1)}, {1: Fraction(-1, 2), 2: 3, 4: 1})
 @settings(max_examples=25, deadline=None)
 def test_shifted(a, off):
     p = make(a)
@@ -76,7 +83,7 @@ def test_subs(a, mapping):
     assert same(p.subs(ours), to_sympy(p).subs(theirs, simultaneous=True))
 
 
-@given(polys, st.lists(rationals, min_size=NVARS, max_size=NVARS), offsets)
+@given(powers, st.lists(rationals, min_size=NVARS, max_size=NVARS), offsets)
 @settings(max_examples=25, deadline=None)
 def test_eval_at_moved_weight(a, coords, off):
     # the Verma action evaluates a Cartan part at lambda + (a weight offset)
@@ -86,3 +93,29 @@ def test_eval_at_moved_weight(a, coords, off):
     value = eval_at(p, lam)
     assert isinstance(value, Fraction)
     assert rat(value) == expected
+
+
+@given(polys, st.lists(multilinear, min_size=NVARS, max_size=NVARS))
+@settings(max_examples=10, deadline=None)
+def test_eval_at_symbolic_weight(a, coords):
+    # Poly coordinates, as a weight generic on a hyperplane has
+    p = make(a)
+    lam = Weight(2, 2, [make(c) for c in coords])
+    expected = to_sympy(p).subs({XS[k]: to_sympy(c) for k, c in enumerate(lam.coords)}, simultaneous=True)
+    value = eval_at(p, lam)
+    assert isinstance(value, Poly)
+    assert same(value, expected)
+
+
+@given(polys, st.lists(rationals, min_size=2, max_size=2))
+@settings(max_examples=10, deadline=None)
+def test_eval_at_keeps_variables_beyond_the_weight(a, coords):
+    # x3 and x4 are not coordinates of a gl(1,1) weight and stay as they are
+    p = make(a)
+    lam = Weight(1, 1, coords)
+    expected = sympy.expand(to_sympy(p).subs({XS[0]: rat(coords[0]), XS[1]: rat(coords[1])}))
+    value = eval_at(p, lam)
+    if isinstance(value, Fraction):
+        assert rat(value) == expected
+    else:
+        assert same(value, expected)
