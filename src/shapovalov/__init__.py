@@ -13,25 +13,23 @@ from .exact_algebra import (
     Weight,
     bilinear_form,
     eval_at,
+    generic_point,
     h_of_weight,
     reduce_mod,
     rho,
     sample_hyperplane,
-    symbolic_weight,
 )
 from .pbw import GLAlgebra, UEAElement, gl, normal_order, superbracket
 from .verma import VermaVector, act, is_highest_weight, vacuum, weight_basis
 from .shuffles import Shuffle, diagram_data, enumerate_shuffles, simple_roots
 from .hessenberg import (
     HessenbergMatrix,
-    build_A,
     build_A_rs,
     build_B_rs,
     build_D,
     build_E,
     build_F_j,
     build_G_j,
-    check_DE_equality,
     det_lr,
     split_at,
 )

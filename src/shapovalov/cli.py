@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .exact_algebra import Weight, bilinear_form, sample_hyperplane
 from .hessenberg import (
-    build_A,
     build_A_rs,
     build_B_rs,
     build_D,
@@ -40,7 +39,7 @@ from .construct import (
 )
 
 INDEPENDENCE_CAP = 6
-TERM_CAP = 2**12  # largest expansion theta, verify, compare and det --expand will build
+TERM_CAP = 2**9  # largest expansion theta, verify, compare and det --expand will build
 
 
 def _parse_algebra(text):
@@ -146,13 +145,13 @@ def cmd_det(args):
     m, n = alg.m, alg.n
     lam = _parse_weight(alg, args.weight) if args.weight else None
     builders = {
-        "D": lambda: build_D(m, lam),
-        "E": lambda: build_E(m, lam),
-        "A": lambda: build_A(m, n, lam),
-        "Ars": lambda: build_A_rs(args.r, args.s, m, n, lam),
-        "Brs": lambda: build_B_rs(args.r, args.s, m, n, lam),
-        "Fj": lambda: build_F_j(args.r, args.s, m, n, args.j, lam),
-        "Gj": lambda: build_G_j(args.r, args.s, m, n, args.j, lam),
+        "D": lambda: build_D(m),
+        "E": lambda: build_E(m),
+        "A": lambda: build_A_rs(1, n, m, n),
+        "Ars": lambda: build_A_rs(args.r, args.s, m, n),
+        "Brs": lambda: build_B_rs(args.r, args.s, m, n),
+        "Fj": lambda: build_F_j(args.r, args.s, m, n, args.j),
+        "Gj": lambda: build_G_j(args.r, args.s, m, n, args.j),
     }
     if args.matrix not in builders:
         return _usage_error(f"unknown matrix {args.matrix!r}")
@@ -160,6 +159,8 @@ def cmd_det(args):
         B = builders[args.matrix]()
     except ValueError as exc:
         return _usage_error(str(exc))
+    if lam is not None:
+        B = B.evaluate(lam)
     if args.expand:
         # the matrix has order^2 entries, its determinant 2^(order-1) terms
         _check_terms(2 ** (B.order - 1))
@@ -290,7 +291,7 @@ def build_parser():
     except ValueError:
         raise ValueError(f"SHAPOVALOV_SAMPLES must be an integer, got {env_samples!r}") from None
 
-    def common(p, root_required=True):
+    def common(p):
         p.add_argument("--algebra", required=True, help="dimensions m,n (n may be 0)")
         p.add_argument("--format", choices=["text", "json", "latex"], default="text")
         return p

@@ -30,14 +30,12 @@ from .exact_algebra import (
     Weight,
     bilinear_form,
     eval_at,
+    generic_point,
     h_of_weight,
-    param_poly,
-    reduce_mod,
     sample_hyperplane,
-    symbolic_weight,
 )
 from .hessenberg import delta_block_coeff, gl_block_coeff, _odd_index_coeff
-from .pbw import BorelOrder, DISTINGUISHED, GLAlgebra, UEAElement, gl, normal_order
+from .pbw import BorelOrder, DISTINGUISHED, GLAlgebra, UEAElement, _accumulate, gl, normal_order
 from .shuffles import Shuffle, diagram_data, eta_weight
 from .verma import (
     VermaVector,
@@ -77,21 +75,23 @@ class ShapovalovElement:
     def hyperplane(self) -> Hyperplane:
         return Hyperplane(self.eta, self.mult)
 
+    def _evaluated_terms(self, lam: Weight):
+        """(word, product of the term's Cartan factors at lam), zero products skipped."""
+        for word, factors in self.terms:
+            c = Fraction(1)
+            for f in factors:
+                c = c * eval_at(f, lam)
+            if c:
+                yield list(word), c
+
     def evaluate(self, lam: Weight) -> UEAElement:
         """Evaluate each term's Cartan factors at lam (term-wise, so this is
         meaningful for non-distinguished Borels as well)."""
-        total = UEAElement.zero(self.alg)
-        for word, factors in self.terms:
-            c = Fraction(1) if not isinstance(lam.coords[0], Poly) else Poly.one()
-            for f in factors:
-                c = c * eval_at(f, lam)
-            el = normal_order(self.alg, list(word))
-            if isinstance(c, Poly):
-                el = el.scale_central(c)
-            else:
-                el = el * c
-            total = total + el
-        return total
+        out: dict = {}
+        for word, c in self._evaluated_terms(lam):
+            for key, h in normal_order(self.alg, word).terms.items():
+                _accumulate(out, key, h * c)
+        return UEAElement(self.alg, out)
 
     def pbw_order(self):
         if self.borel is None or self.borel.is_distinguished():
@@ -103,15 +103,11 @@ class ShapovalovElement:
         element's own Borel subalgebra."""
         order = self.pbw_order()
         vac = vacuum(self.alg, lam, order)
-        out = VermaVector(self.alg, lam, order=order)
-        for word, factors in self.terms:
-            c = Fraction(1)
-            for f in factors:
-                c = c * eval_at(f, lam)
-            if isinstance(c, Fraction) and not c:
-                continue
-            out = out + c * act(list(word), vac)
-        return out
+        out: dict = {}
+        for word, c in self._evaluated_terms(lam):
+            for neg, val in act(word, vac).terms.items():
+                _accumulate(out, neg, c * val)
+        return VermaVector(self.alg, lam, out, order)
 
     def latex(self) -> str:
         bits = []
@@ -170,7 +166,7 @@ def theta_even_eps(alg: GLAlgebra, a: int, b: int, ordering: str = "standard") -
             else _asc_chain(I)
         )
         factors = tuple(
-            gl_block_coeff(alg, a, p, shift, None)
+            gl_block_coeff(alg, a, p, shift)
             for p in range(a + 1, b)
             if p not in I
         )
@@ -193,7 +189,7 @@ def theta_even_delta(alg: GLAlgebra, a: int, b: int, ordering: str = "standard")
             else _asc_chain(I)
         )
         factors = tuple(
-            delta_block_coeff(alg, p - alg.m, b, shift, None)
+            delta_block_coeff(alg, p - alg.m, b, shift)
             for p in range(lo + 1, hi)
             if p not in I
         )
@@ -245,7 +241,7 @@ def theta_odd_alg(alg: GLAlgebra, r: int, s: int, ordering: str = "middle") -> S
     for I in _interval_subsets(r, m + s):
         word = _odd_word(I, r, s, m, ordering)
         factors = tuple(
-            _odd_index_coeff(alg, r, s, p - 1, ordering, None)
+            _odd_index_coeff(alg, r, s, p - 1, ordering)
             for p in range(r + 1, m + s)
             if p not in I
         )
@@ -349,7 +345,7 @@ def case1_decompose(r: int, s: int, l: int, m: int, n: int) -> CaseDecomposition
         raise ValueError("need r < l <= m")
     alg = gl(m, n)
     theta = theta_odd_alg(alg, r, s, "bform")
-    T = _odd_index_coeff(alg, r, s, l - 1, "bform", None)
+    T = _odd_index_coeff(alg, r, s, l - 1, "bform")
     with_l, without_l = [], []
     for (word, factors), I in zip(theta.terms, _interval_subsets(r, m + s)):
         if l in I:
@@ -393,8 +389,8 @@ def case2_decompose(r: int, s: int, l: int, k: int, m: int, n: int) -> CaseDecom
         raise ValueError("need r < l <= m and k < s <= n")
     alg = gl(m, n)
     theta = theta_odd_alg(alg, r, s, "odd-last")
-    T = _odd_index_coeff(alg, r, s, l - 1, "odd-last", None)
-    S = -_odd_index_coeff(alg, r, s, m + k - 1, "odd-last", None)
+    T = _odd_index_coeff(alg, r, s, l - 1, "odd-last")
+    S = -_odd_index_coeff(alg, r, s, m + k - 1, "odd-last")
     classes = {"both": [], "no_mk": [], "no_l": [], "neither": []}
     subsets = {lab: [] for lab in classes}
     for (word, factors), I in zip(theta.terms, _interval_subsets(r, m + s)):
@@ -478,18 +474,10 @@ def lemma1768_check(m: int, p: int, q_val: int, lam: Weight | None = None) -> bo
     q = int(bilinear_form(eta, alpha))  # alpha^vee = alpha here
     if q_val != q or q == 0:
         raise ValueError(f"(eta, alpha^vee) = {q}; degenerate or mismatched q")
-    symbolic = lam is None
-    constraints = []
-    if symbolic:
-        lam = symbolic_weight(m, 0)
-        hp_c = param_poly(Hyperplane(eta, 1).constraint_poly(), m, 0)
+    if lam is None:
         # (lam + rho, alpha) = -p
-        pair_c = param_poly(
-            h_of_weight(alpha) + Poly.const(bilinear_form(alg.rho, alpha) + p),
-            m,
-            0,
-        )
-        constraints = [hp_c, pair_c]
+        pair_c = h_of_weight(alpha) + Poly.const(bilinear_form(alg.rho, alpha) + p)
+        lam = generic_point(m, 0, [Hyperplane(eta, 1).constraint_poly(), pair_c])
     else:
         if not Hyperplane(eta, 1).member(lam):
             raise ValueError("lambda must lie on the multiplicity-1 hyperplane")
@@ -501,10 +489,7 @@ def lemma1768_check(m: int, p: int, q_val: int, lam: Weight | None = None) -> bo
     e_neg = UEAElement.gen(alg, m, m - 1)
     lhs = (e_neg ** (p + q)) * theta_small.evaluate(mu)
     rhs = theta_big.evaluate(lam) * (e_neg ** p)
-    diff = lhs - rhs
-    if symbolic:
-        diff = diff.map_coeffs(lambda c: reduce_mod(c, constraints))
-    return diff.is_zero()
+    return (lhs - rhs).is_zero()
 
 
 def _dot_reflection(alg: GLAlgebra, alpha: Weight, lam: Weight) -> Weight:
@@ -719,14 +704,9 @@ def verify_highest_weight(
 
 
 def verify_highest_weight_symbolic(theta: ShapovalovElement) -> bool:
-    """Exact check on the whole hyperplane: coefficients reduce to zero
-    modulo the defining linear constraint."""
+    """Exact check on the whole hyperplane: every simple raising operator
+    kills theta v at a generic point of the hyperplane."""
     alg = theta.alg
-    lam = symbolic_weight(alg.m, alg.n)
-    constraint = param_poly(theta.hyperplane().constraint_poly(), alg.m, alg.n)
+    lam = generic_point(alg.m, alg.n, [theta.hyperplane().constraint_poly()])
     v = theta.verma_vector(lam)
-    for g in raising_vectors(theta):
-        w = act([g], v).reduce_on([constraint])
-        if not w.is_zero():
-            return False
-    return True
+    return all(act([g], v).is_zero() for g in raising_vectors(theta))

@@ -13,7 +13,10 @@ The straightener moves Cartan parts past generators (H(x) e = e H(x + w))
 and evaluates them at sampled weights, so two substitutions are hot and
 have their own kernels: Poly.shifted is a binomial (Taylor) shift, and
 eval_at evaluates monomials in integer arithmetic.  Poly.subs stays the
-general substitution, for symbolic weights and the linear reduction.
+general substitution, for evaluation at generic points: generic_point
+solves linear constraints once and returns a weight with Poly
+coordinates on their zero locus, so an identity on a whole hyperplane
+is checked by evaluating there and testing for zero.
 """
 
 from __future__ import annotations
@@ -316,9 +319,9 @@ def _frac_latex(c: Fraction) -> str:
 class Weight:
     """Vector in the dual Cartan of gl(m,n), in eps/delta coordinates.
 
-    Coordinates are Fractions for ordinary weights; a "symbolic" weight may
-    carry Poly coordinates (used to verify identities for generic points of
-    a hyperplane).
+    Coordinates are Fractions for ordinary weights; a generic point of a
+    hyperplane (see generic_point) carries Poly coordinates in parameter
+    variables, used to verify identities on the whole hyperplane at once.
     """
 
     __slots__ = ("m", "n", "coords")
@@ -558,31 +561,30 @@ def sample_hyperplane(hp: Hyperplane, seed: int, count: int) -> list:
     return points
 
 
-def symbolic_weight(m: int, n: int) -> Weight:
-    """Weight whose i-th coordinate is the parameter variable x_{m+n+i}.
+def generic_point(m: int, n: int, constraints) -> Weight:
+    """Generic point of the locus where the linear constraint polys vanish.
 
-    The parameter block is disjoint from the Cartan variables x_1..x_{m+n},
-    so coefficients obtained by evaluating at a symbolic weight stay central
-    under all later normal ordering.  Constraints for reduce_mod must be
-    written in the same parameter variables; see param_poly.
+    The constraints are polynomials in the weight coordinates x_1..x_{m+n},
+    such as Hyperplane.constraint_poly().  The i-th coordinate of the point
+    is the parameter x_{m+n+i}, or, for a coordinate the constraints solve
+    for, its value in the remaining parameters.  The parameter block is
+    disjoint from the Cartan variables, so coefficients evaluated at the
+    point stay central under later normal ordering, and a polynomial in the
+    coordinates vanishes on the whole locus iff it is zero at the point.
+    Inconsistent constraints raise ValueError.
     """
     N = m + n
-    return Weight(m, n, [Poly.x(N + i) for i in range(1, N + 1)])
-
-
-def param_poly(p: Poly, m: int, n: int) -> Poly:
-    """Rewrite a polynomial in weight coordinates x_1..x_{m+n} in the
-    parameter variables used by symbolic_weight."""
-    N = m + n
-    return p.subs({i: Poly.x(N + i) for i in range(1, N + 1)})
+    # the constraints rewritten in the parameter block, x_i -> x_{N+i}
+    params = [Poly({(0,) * N + e if e else e: c for e, c in p.terms.items()}) for p in constraints]
+    return Weight(m, n, [reduce_mod(Poly.x(N + i), params) for i in range(1, N + 1)])
 
 
 def reduce_mod(p: Poly, constraints) -> Poly:
-    """Reduce p modulo a list of independent linear constraint polynomials.
+    """Reduce p modulo a list of linear constraint polynomials.
 
     Each constraint is solved for its highest-index unused variable and
     substituted away; the result is zero iff p vanishes on the common zero
-    locus of the constraints.
+    locus of the constraints.  This is the solver behind generic_point.
     """
     used = set()
     out = p

@@ -57,6 +57,7 @@ class HessenbergMatrix:
         return self.entries.get((i, j), UEAElement.zero(self.alg))
 
     def evaluate(self, lam: Weight) -> "HessenbergMatrix":
+        """The matrix with its central subdiagonal evaluated at lam."""
         sub = {q: Poly.const(eval_at(p, lam)) for q, p in self.sub.items()}
         return HessenbergMatrix(self.alg, self.order, self.entries, sub)
 
@@ -170,24 +171,21 @@ def _omega(alg: GLAlgebra, j: int, s: int) -> Weight:
     return Weight.delta(alg.m, alg.n, j) - Weight.delta(alg.m, alg.n, s)
 
 
-def _coeff_poly(alg: GLAlgebra, root: Weight, shift: int, lam) :
-    """h_root + (rho, root) + shift, evaluated at lam when given."""
-    c = bilinear_form(alg.rho, root) + shift
-    if lam is None:
-        return h_of_weight(root) + Poly.const(c)
-    return Poly.const(bilinear_form(lam, root) + c)
+def _coeff_poly(alg: GLAlgebra, root: Weight, shift: int) -> Poly:
+    """h_root + (rho, root) + shift."""
+    return h_of_weight(root) + Poly.const(bilinear_form(alg.rho, root) + shift)
 
 
-def gl_block_coeff(alg, base, p, shift, lam):
+def gl_block_coeff(alg, base, p, shift):
     """Coefficient attached to skipping eps-index p in a block based at eps_base."""
-    return _coeff_poly(alg, _sigma(alg, base, p), shift, lam)
+    return _coeff_poly(alg, _sigma(alg, base, p), shift)
 
 
-def delta_block_coeff(alg, j, s, shift, lam):
-    return _coeff_poly(alg, _omega(alg, j, s), shift, lam)
+def delta_block_coeff(alg, j, s, shift):
+    return _coeff_poly(alg, _omega(alg, j, s), shift)
 
 
-def build_D(m: int, mu: Weight | None = None, alg: GLAlgebra | None = None) -> HessenbergMatrix:
+def build_D(m: int, alg: GLAlgebra | None = None) -> HessenbergMatrix:
     """Row-form matrix for the highest root of gl(m): rows e_{i,*}, subdiagonal -a_i."""
     if m < 2:
         raise ValueError("need m >= 2")
@@ -200,12 +198,12 @@ def build_D(m: int, mu: Weight | None = None, alg: GLAlgebra | None = None) -> H
         for j in range(i, order + 1):
             entries[(i, j)] = UEAElement.gen(alg, m + 1 - i, m - j)
     sub = {
-        j: -gl_block_coeff(alg, 1, m - j, -1, mu) for j in range(1, order)
+        j: -gl_block_coeff(alg, 1, m - j, -1) for j in range(1, order)
     }
     return HessenbergMatrix(alg, order, entries, sub)
 
 
-def build_E(m: int, mu: Weight | None = None, alg: GLAlgebra | None = None) -> HessenbergMatrix:
+def build_E(m: int, alg: GLAlgebra | None = None) -> HessenbergMatrix:
     """Column-form matrix: rows e_{*,i}, subdiagonal -c_i with c_i = a_i + 1."""
     if m < 2:
         raise ValueError("need m >= 2")
@@ -217,16 +215,11 @@ def build_E(m: int, mu: Weight | None = None, alg: GLAlgebra | None = None) -> H
     for i in range(1, order + 1):
         for j in range(i, order + 1):
             entries[(i, j)] = UEAElement.gen(alg, j + 1, i)
-    sub = {j: -gl_block_coeff(alg, 1, j + 1, 0, mu) for j in range(1, order)}
+    sub = {j: -gl_block_coeff(alg, 1, j + 1, 0) for j in range(1, order)}
     return HessenbergMatrix(alg, order, entries, sub)
 
 
-def build_A(m: int, n: int, lam: Weight | None = None) -> HessenbergMatrix:
-    """D-shaped matrix for the highest odd root of gl(m,n), order m+n-1."""
-    return build_A_rs(1, n, m, n, lam)
-
-
-def build_A_rs(r: int, s: int, m: int, n: int, lam: Weight | None = None) -> HessenbergMatrix:
+def build_A_rs(r: int, s: int, m: int, n: int) -> HessenbergMatrix:
     """Descending-row matrix for the odd root eps_r - delta_s, order m+s-r."""
     _check_rs(r, s, m, n)
     from .pbw import gl
@@ -238,11 +231,11 @@ def build_A_rs(r: int, s: int, m: int, n: int, lam: Weight | None = None) -> Hes
     for i in range(1, order + 1):
         for j in range(i, order + 1):
             entries[(i, j)] = UEAElement.gen(alg, top + 1 - i, top - j)
-    sub = {j: -_odd_index_coeff(alg, r, s, top - 1 - j, "middle", lam) for j in range(1, order)}
+    sub = {j: -_odd_index_coeff(alg, r, s, top - 1 - j, "middle") for j in range(1, order)}
     return HessenbergMatrix(alg, order, entries, sub)
 
 
-def build_B_rs(r: int, s: int, m: int, n: int, lam: Weight | None = None) -> HessenbergMatrix:
+def build_B_rs(r: int, s: int, m: int, n: int) -> HessenbergMatrix:
     """Ascending-row matrix for eps_r - delta_s with subdiagonal -C_i."""
     _check_rs(r, s, m, n)
     from .pbw import gl
@@ -254,11 +247,11 @@ def build_B_rs(r: int, s: int, m: int, n: int, lam: Weight | None = None) -> Hes
     for i in range(1, order + 1):
         for j in range(i, order + 1):
             entries[(i, j)] = UEAElement.gen(alg, r + j, r + i - 1)
-    sub = {j: -_odd_index_coeff(alg, r, s, r + j - 1, "bform", lam) for j in range(1, order)}
+    sub = {j: -_odd_index_coeff(alg, r, s, r + j - 1, "bform") for j in range(1, order)}
     return HessenbergMatrix(alg, order, entries, sub)
 
 
-def build_F_j(r: int, s: int, m: int, n: int, j: int, lam: Weight | None = None) -> HessenbergMatrix:
+def build_F_j(r: int, s: int, m: int, n: int, j: int) -> HessenbergMatrix:
     """Row-form minor with an adjoined odd first row e_{m+j,*}, order m-r+1."""
     _check_rs(r, s, m, n)
     if not 1 <= j <= s:
@@ -273,11 +266,11 @@ def build_F_j(r: int, s: int, m: int, n: int, j: int, lam: Weight | None = None)
     for i in range(2, order + 1):
         for col in range(i, order + 1):
             entries[(i, col)] = UEAElement.gen(alg, m + 2 - i, m + 1 - col)
-    sub = {q: -_odd_index_coeff(alg, r, s, m - q, "middle", lam) for q in range(1, order)}
+    sub = {q: -_odd_index_coeff(alg, r, s, m - q, "middle") for q in range(1, order)}
     return HessenbergMatrix(alg, order, entries, sub)
 
 
-def build_G_j(r: int, s: int, m: int, n: int, j: int, lam: Weight | None = None) -> HessenbergMatrix:
+def build_G_j(r: int, s: int, m: int, n: int, j: int) -> HessenbergMatrix:
     """Column-form counterpart of the adjoined minor, subdiagonal -C_i."""
     _check_rs(r, s, m, n)
     if not 1 <= j <= s:
@@ -291,7 +284,7 @@ def build_G_j(r: int, s: int, m: int, n: int, j: int, lam: Weight | None = None)
         for col in range(i, order + 1):
             src = r + col if col < order else m + j
             entries[(i, col)] = UEAElement.gen(alg, src, r + i - 1)
-    sub = {q: -_odd_index_coeff(alg, r, s, r + q - 1, "bform", lam) for q in range(1, order)}
+    sub = {q: -_odd_index_coeff(alg, r, s, r + q - 1, "bform") for q in range(1, order)}
     return HessenbergMatrix(alg, order, entries, sub)
 
 
@@ -300,7 +293,7 @@ def _check_rs(r, s, m, n):
         raise ValueError(f"root indices r={r}, s={s} out of range for gl({m},{n})")
 
 
-def _odd_index_coeff(alg: GLAlgebra, r: int, s: int, idx: int, ordering: str, lam):
+def _odd_index_coeff(alg: GLAlgebra, r: int, s: int, idx: int, ordering: str):
     """Coefficient attached to index idx in [r, m+s-2] for the root eps_r - delta_s.
 
     The eps branch (idx < m) uses the root eps_r - eps_{idx+1}; the delta
@@ -315,26 +308,5 @@ def _odd_index_coeff(alg: GLAlgebra, r: int, s: int, idx: int, ordering: str, la
         "bform": (0, 1),
     }[ordering]
     if idx < m:
-        return gl_block_coeff(alg, r, idx + 1, shifts[0], lam)
-    return delta_block_coeff(alg, idx + 1 - m, s, shifts[1], lam)
-
-
-def check_DE_equality(m: int, mu: Weight | None = None) -> bool:
-    """det D = det E, plus the cofactor commutator identity for m = 4."""
-    D = build_D(m, mu)
-    E = build_E(m, mu)
-    if det_lr(D) != det_lr(E):
-        return False
-    if m == 4:
-        alg = D.alg
-        order = E.order
-        # cofactors of e_{m,m-1} (delete last row+col) and of -c_{m-2}
-        e1_entries = {k: v for k, v in E.entries.items() if k[0] < order and k[1] < order}
-        e1_sub = {q: p for q, p in E.sub.items() if q < order - 1}
-        E1 = HessenbergMatrix(alg, order - 1, e1_entries, e1_sub)
-        _, E2, _ = split_at(E, order - 1)
-        last = UEAElement.gen(alg, m, m - 1)
-        d1, d2 = det_lr(E1), det_lr(E2)
-        if d1 * last - last * d1 != -d2:
-            return False
-    return True
+        return gl_block_coeff(alg, r, idx + 1, shifts[0])
+    return delta_block_coeff(alg, idx + 1 - m, s, shifts[1])

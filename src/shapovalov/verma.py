@@ -4,15 +4,16 @@ A vector is stored as a map from canonical negative PBW monomials to
 coefficients; v_lambda is the empty monomial with coefficient 1.  Acting by
 an element of U(g) normal-orders against the monomials, kills positive
 residues on the highest weight vector and evaluates Cartan parts at lambda.
-Coefficients are Fractions for numeric lambda and polynomials when lambda is
-symbolic (used for identity checking on a whole hyperplane at once).
+Coefficients are Fractions for numeric lambda and polynomials in the free
+parameters when lambda is a generic point (exact_algebra.generic_point), so
+a vector that is zero there is zero on the whole locus at once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact_algebra import Poly, Weight, reduce_mod
+from .exact_algebra import Poly, Weight
 from .pbw import DISTINGUISHED, GLAlgebra, PBWOrder, UEAElement, _accumulate, _splice, normal_order
 from .pbw import _nf_atoms  # noqa: F401  act's kernel via _splice, kept for per-module patching
 
@@ -95,14 +96,6 @@ class VermaVector:
             if _nonzero(v):
                 out[k] = v
         return VermaVector(self.alg, self.lam, out, self.order)
-
-    def reduce_on(self, constraints) -> "VermaVector":
-        """Reduce polynomial coefficients modulo linear constraints on lambda."""
-
-        def red(c):
-            return reduce_mod(c, constraints) if isinstance(c, Poly) else c
-
-        return self.map_coeffs(red)
 
     def __str__(self):
         if not self.terms:

@@ -13,13 +13,12 @@ from shapovalov.exact_algebra import (
     Weight,
     bilinear_form,
     eval_at,
+    generic_point,
     h_of_weight,
-    param_poly,
     rho,
     sample_hyperplane,
-    symbolic_weight,
 )
-from shapovalov.hessenberg import build_A, build_D, build_E, det_lr
+from shapovalov.hessenberg import build_A_rs, build_D, build_E, det_lr
 from shapovalov.pbw import UEAElement, gl
 from shapovalov.shuffles import (
     Shuffle,
@@ -31,6 +30,7 @@ from shapovalov.shuffles import (
 )
 from shapovalov.verma import act, is_highest_weight, vacuum
 from shapovalov.construct import (
+    ODD_ORDERINGS,
     b_lambda,
     case1_decompose,
     case2_assembled,
@@ -142,8 +142,8 @@ def test_criterion_1_gl22_golden():
 def test_criterion_2_defining_property_sweep():
     """act(e_alpha, theta v) = 0 for every simple root at 5 seeded points of
     the hyperplane: all roots of gl(m), m <= 6, and of gl(m,n), m+n <= 6;
-    all endpoint-fixed shuffles for m+n <= 5; fully symbolic in gl(2,2) and
-    gl(3)."""
+    all endpoint-fixed shuffles for m+n <= 5; the same roots, orderings and
+    shuffles fully symbolic."""
     with Budget("2 defining-property sweep", 60.0):
         for m in range(2, 7):
             alg = gl(m, 0)
@@ -164,12 +164,19 @@ def test_criterion_2_defining_property_sweep():
                     theta = theta_borel(sh)
                     rep = verify_highest_weight(theta, samples=5, seed=0)
                     assert rep["all_passed"], str(sh)
-        alg = gl(2, 2)
-        for root, _ in alg.positive_roots():
-            assert verify_highest_weight_symbolic(theta_for_root(alg, root))
-        alg = gl(3, 0)
-        for root, _ in alg.positive_roots():
-            assert verify_highest_weight_symbolic(theta_for_root(alg, root))
+        for m in range(1, 7):
+            for n in range(7 - m):
+                alg = gl(m, n)
+                for root, _ in alg.positive_roots():
+                    i, j = alg.root_from_weight(root)
+                    orders = ODD_ORDERINGS if i <= m < j else ("standard", "bform")
+                    for order in orders:
+                        theta = theta_for_root(alg, root, order)
+                        assert verify_highest_weight_symbolic(theta), (m, n, root_to_str(alg, root), order)
+        for m in range(1, 5):
+            for n in range(1, 6 - m):
+                for sh in enumerate_shuffles(m, n):
+                    assert verify_highest_weight_symbolic(theta_borel(sh)), str(sh)
 
 
 def test_criterion_3_determinant_equivalences():
@@ -186,7 +193,7 @@ def test_criterion_3_determinant_equivalences():
             for n in range(1, 6 - m):
                 t = theta_glmn_distinguished(m, n)
                 for lam in sample_hyperplane(t.hyperplane(), 13, 3):
-                    assert det_lr(build_A(m, n, lam)) == t.evaluate(lam), (m, n)
+                    assert det_lr(build_A_rs(1, n, m, n).evaluate(lam)) == t.evaluate(lam), (m, n)
 
 
 def test_criterion_4_powers():
@@ -242,13 +249,13 @@ def test_criterion_6_case_decompositions():
         m, n = 3, 2
         d = case1_decompose(1, 2, 2, m, n)
         cons = [
-            param_poly(Hyperplane(d.gamma).constraint_poly(), m, n),
-            param_poly(Hyperplane(d.factors["gamma_prime"].eta).constraint_poly(), m, n),
+            Hyperplane(d.gamma).constraint_poly(),
+            Hyperplane(d.factors["gamma_prime"].eta).constraint_poly(),
         ]
-        lam = symbolic_weight(m, n)
+        lam = generic_point(m, n, cons)
         vac_ = vacuum(d.alg, lam)
         diff = act(d.pieces["main"], vac_) - act(d.pieces["product"], vac_)
-        assert diff.reduce_on(cons).is_zero()
+        assert diff.is_zero()
         d3 = case1_decompose(1, 2, 3, m, n)
         assert d3.pieces["main"] == d3.pieces["product"]
 

@@ -175,6 +175,7 @@ class TestErrors:
         (["theta", "--algebra", "8,8", "--borel", "1 1' 2 2'"], 2**14),
         (["compare", "--algebra", "10,5", "--root", "e1-d5"], 2**13),
         (["det", "--algebra", "16", "--matrix", "D", "--expand"], 2**14),
+        (["theta", "--algebra", "12", "--root", "e1-e12"], 2**10),
     ])
     def test_term_cap(self, capsys, argv, terms):
         # refused before anything of the expansion is built

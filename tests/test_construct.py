@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from shapovalov.exact_algebra import (
     rho,
     sample_hyperplane,
 )
-from shapovalov.hessenberg import build_A, build_A_rs, build_B_rs, build_D, det_lr
+from shapovalov.hessenberg import build_A_rs, build_B_rs, build_D, det_lr
 from shapovalov.pbw import UEAElement, gl, normal_order
 from shapovalov.shuffles import Shuffle, enumerate_shuffles
 from shapovalov.verma import act, is_highest_weight, vacuum
@@ -183,6 +184,12 @@ class TestDefiningProperty:
         assert verify_highest_weight_symbolic(theta_glmn_distinguished(2, 2))
         assert verify_highest_weight_symbolic(theta_even_delta(gl(1, 3), 1, 3))
 
+    def test_symbolic_negative_controls(self):
+        # the element of multiplicity 1 is not singular on the multiplicity-2 hyperplane
+        for t in (theta_gl(3), theta_even_delta(gl(1, 3), 1, 3)):
+            assert verify_highest_weight_symbolic(dataclasses.replace(t, mult=1))
+            assert not verify_highest_weight_symbolic(dataclasses.replace(t, mult=2))
+
     def test_nonzero_normalization(self):
         theta = theta_glmn_distinguished(2, 2)
         for lam in sample_hyperplane(theta.hyperplane(), 1, 3):
@@ -289,14 +296,14 @@ class TestDeterminantConsistency:
         for m, n in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]:
             t = theta_glmn_distinguished(m, n)
             for lam in sample_hyperplane(t.hyperplane(), 2, 2):
-                assert det_lr(build_A(m, n, lam)) == t.evaluate(lam)
+                assert det_lr(build_A_rs(1, n, m, n).evaluate(lam)) == t.evaluate(lam)
 
     def test_theta_odd_is_det_A_rs(self):
         alg = gl(3, 2)
         for r, s in [(1, 1), (2, 2), (3, 1)]:
             t = theta_odd_alg(alg, r, s, "middle")
             for lam in sample_hyperplane(t.hyperplane(), 3, 2):
-                assert det_lr(build_A_rs(r, s, 3, 2, lam)) == t.evaluate(lam)
+                assert det_lr(build_A_rs(r, s, 3, 2).evaluate(lam)) == t.evaluate(lam)
 
     def test_bform_is_det_B_rs(self):
         alg = gl(2, 2)

@@ -12,12 +12,11 @@ from shapovalov.exact_algebra import (
     Weight,
     bilinear_form,
     eval_at,
+    generic_point,
     h_of_weight,
-    param_poly,
     reduce_mod,
     rho,
     sample_hyperplane,
-    symbolic_weight,
 )
 
 rationals = st.fractions(
@@ -207,12 +206,44 @@ class TestSymbolicReduction:
         assert not reduce_mod(Poly.x(1), [c]).is_zero()
 
     def test_param_block_is_disjoint(self):
-        lam = symbolic_weight(2, 2)
+        lam = generic_point(2, 2, [])
         p = eval_at(h_of_weight(Weight.eps(2, 2, 1)), lam)
         assert p == Poly.x(5)
-        c = param_poly(Poly.x(1) - Poly.const(2), 2, 2)
-        assert c == Poly.x(5) - Poly.const(2)
-        assert reduce_mod(p - Poly.const(2), [c]).is_zero()
+        lam = generic_point(2, 2, [Poly.x(1) - Poly.const(2)])
+        assert lam.coords[0] == Poly.const(2)
+        assert (eval_at(h_of_weight(Weight.eps(2, 2, 1)), lam) - Poly.const(2)).is_zero()
+        # without constraints the point is the plain parameter block
+        for m, n in [(1, 0), (3, 0), (2, 2), (1, 3)]:
+            N = m + n
+            lam = generic_point(m, n, [])
+            assert lam.coords == tuple(Poly.x(N + i) for i in range(1, N + 1))
+
+    def test_generic_point_lies_on_the_constraints(self):
+        cases = []
+        for m, n in [(3, 0), (2, 2), (1, 3), (3, 2)]:
+            alg_roots = [Weight.basis(m, n, i) - Weight.basis(m, n, j)
+                         for i in range(1, m + n + 1) for j in range(i + 1, m + n + 1)]
+            for eta in alg_roots:
+                mults = (1,) if bilinear_form(eta, eta) == 0 else (1, 2)
+                cases += [(m, n, [Hyperplane(eta, p).constraint_poly()]) for p in mults]
+            # two constraints at once, as for the case decompositions
+            cases.append((m, n, [Hyperplane(alg_roots[0]).constraint_poly(),
+                                 Hyperplane(alg_roots[-1]).constraint_poly()]))
+        for m, n, cons in cases:
+            lam = generic_point(m, n, cons)
+            N = m + n
+            for c in cons:
+                assert eval_at(c, lam) == Poly.zero(), (m, n, c)
+            # every coordinate is a polynomial in the parameter block only
+            free = {v for x in lam.coords for v in x.variables()}
+            assert free <= set(range(N + 1, 2 * N + 1))
+            assert len(free) == N - len(cons)
+
+    def test_generic_point_inconsistent_constraints_raise(self):
+        with pytest.raises(ValueError, match="inconsistent"):
+            generic_point(2, 0, [Poly.x(1) - Poly.const(1), Poly.x(1) - Poly.const(2)])
+        with pytest.raises(ValueError, match="inconsistent"):
+            generic_point(2, 2, [Poly.const(3)])
 
 
 class TestSerialization:

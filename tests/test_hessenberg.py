@@ -7,14 +7,12 @@ import pytest
 from shapovalov.exact_algebra import Poly, Weight, eval_at, sample_hyperplane, Hyperplane
 from shapovalov.hessenberg import (
     HessenbergMatrix,
-    build_A,
     build_A_rs,
     build_B_rs,
     build_D,
     build_E,
     build_F_j,
     build_G_j,
-    check_DE_equality,
     det_lr,
     split_at,
 )
@@ -177,8 +175,8 @@ class TestBuilders:
     def test_E_subdiagonal_values(self):
         m = 5
         mu = Weight(m, 0, [3, 1, 0, -2, 4])
-        E = build_E(m, mu)
-        D = build_D(m, mu)
+        E = build_E(m).evaluate(mu)
+        D = build_D(m).evaluate(mu)
         # E runs -c_1..-c_{m-2} downward, D runs -a_{m-2}..-a_1; c_q = a_q + 1
         for q in range(1, m - 1):
             assert E.sub[q] == D.sub[m - 1 - q] - Poly.one()
@@ -186,9 +184,9 @@ class TestBuilders:
     def test_A_order_and_A_rs_top(self):
         m, n = 3, 2
         lam = Weight(m, n, [1, 0, 2, -1, 3])
-        A = build_A(m, n, lam)
+        A = build_A_rs(1, n, m, n).evaluate(lam)
         assert A.order == m + n - 1
-        Ars = build_A_rs(2, 2, m, n, lam)
+        Ars = build_A_rs(2, 2, m, n).evaluate(lam)
         from shapovalov.exact_algebra import bilinear_form, rho
 
         # top subdiagonal entry is -A_{m+s-2}
@@ -217,16 +215,27 @@ class TestEquivalences:
         D, E = build_D(2), build_E(2)
         e21 = UEAElement.gen(gl(2, 0), 2, 1)
         assert det_lr(D) == det_lr(E) == e21
-        assert check_DE_equality(2)
 
     def test_DE_symbolic_m4_and_lemma(self):
-        assert check_DE_equality(4)
+        m = 4
+        D, E = build_D(m), build_E(m)
+        assert det_lr(D) == det_lr(E)
+        alg = D.alg
+        order = E.order
+        # cofactors of e_{m,m-1} (delete last row+col) and of -c_{m-2}
+        e1_entries = {k: v for k, v in E.entries.items() if k[0] < order and k[1] < order}
+        e1_sub = {q: p for q, p in E.sub.items() if q < order - 1}
+        E1 = HessenbergMatrix(alg, order - 1, e1_entries, e1_sub)
+        _, E2, _ = split_at(E, order - 1)
+        last = UEAElement.gen(alg, m, m - 1)
+        d1, d2 = det_lr(E1), det_lr(E2)
+        assert d1 * last - last * d1 == -d2
 
     def test_DE_random_mu_m5(self):
         rng = random.Random(31)
         for _ in range(5):
             mu = Weight(5, 0, [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(5)])
-            assert check_DE_equality(5, mu)
+            assert det_lr(build_D(5).evaluate(mu)) == det_lr(build_E(5).evaluate(mu))
 
     def test_FG_gl22_all_j(self):
         for j in (1, 2):
@@ -244,7 +253,7 @@ class TestEquivalences:
         m = 4
         theta = theta_gl(m)
         for mu in sample_hyperplane(theta.hyperplane(), 11, 2):
-            assert det_lr(build_D(m, mu)) == theta.evaluate(mu)
+            assert det_lr(build_D(m).evaluate(mu)) == theta.evaluate(mu)
 
 
 class TestIO:
