@@ -7,7 +7,9 @@ first m coordinates are eps-coefficients, the last n are delta-coefficients.
 Polynomials are sparse multivariate polynomials over Q in commuting
 variables x_1, x_2, ... where x_i stands for the diagonal matrix unit
 e_{ii}; they double as elements of U(h) and as polynomial functions of a
-weight's coordinates.
+weight's coordinates.  A coefficient is an int when its denominator is 1,
+else a Fraction: the constructed elements have integer coefficients
+throughout, and rationals only enter when a rational weight is substituted.
 
 The straightener moves Cartan parts past generators (H(x) e = e H(x + w))
 and evaluates them at sampled weights, so two substitutions are hot and
@@ -36,6 +38,14 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
+def _coeff(x):
+    """x as a coefficient: an int when its denominator is 1, else a Fraction."""
+    if type(x) is int:
+        return x
+    x = _frac(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def _trim(exps):
     """Drop trailing zero exponents so tuples are canonical."""
     k = len(exps)
@@ -47,7 +57,10 @@ def _trim(exps):
 class Poly:
     """Sparse polynomial over Q in commuting variables x_1, x_2, ...
 
-    terms maps a trimmed exponent tuple to a nonzero Fraction; the zero
+    terms maps a trimmed exponent tuple to a nonzero coefficient: an int
+    when the denominator is 1, else a Fraction (const, from_json and scalar
+    multiplication normalise; Fraction(k) == k with equal hash and str, so
+    a stray integral Fraction from other arithmetic is harmless).  The zero
     polynomial has an empty terms dict.  Instances are treated as
     immutable.
     """
@@ -59,7 +72,7 @@ class Poly:
 
     @staticmethod
     def const(c) -> "Poly":
-        c = _frac(c)
+        c = _coeff(c)
         return Poly({(): c} if c else None)
 
     @staticmethod
@@ -67,7 +80,7 @@ class Poly:
         if i < 1:
             raise ValueError("variables are 1-indexed")
         exps = tuple([0] * (i - 1) + [1])
-        return Poly({exps: Fraction(1)})
+        return Poly({exps: 1})
 
     @staticmethod
     def zero() -> "Poly":
@@ -75,7 +88,7 @@ class Poly:
 
     @staticmethod
     def one() -> "Poly":
-        return Poly({(): Fraction(1)})
+        return Poly({(): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -84,12 +97,14 @@ class Poly:
         return bool(self.terms)
 
     def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {()}
+        terms = self.terms
+        return not terms or (len(terms) == 1 and () in terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self):
+        """The constant term of a constant polynomial (int or Fraction)."""
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.terms.get((), Fraction(0))
+        return self.terms.get((), 0)
 
     def degree(self) -> int:
         if not self.terms:
@@ -115,7 +130,7 @@ class Poly:
             return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
@@ -138,10 +153,10 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _frac(other)
+            c = _coeff(other)
             if not c:
                 return Poly()
-            return Poly({e: v * c for e, v in self.terms.items()})
+            return Poly({e: _coeff(v * c) for e, v in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         out = {}
@@ -153,7 +168,7 @@ class Poly:
                         for i in range(max(len(e1), len(e2)))
                     )
                 )
-                s = out.get(e, Fraction(0)) + c1 * c2
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
@@ -305,11 +320,11 @@ class Poly:
     def from_json(data) -> "Poly":
         out = Poly()
         for mono in data["monomials"]:
-            out = out + Poly({_trim(tuple(mono["exps"])): _frac(mono["coeff"])})
+            out = out + Poly({_trim(tuple(mono["exps"])): _coeff(mono["coeff"])})
         return out
 
 
-def _frac_latex(c: Fraction) -> str:
+def _frac_latex(c) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     s = "-" if c < 0 else ""
@@ -465,7 +480,7 @@ def eval_at(p: Poly, lam: Weight):
     if any(isinstance(c, Poly) for c in coords) or any(len(e) > len(coords) for e in p.terms):
         out = p.subs({i + 1: c for i, c in enumerate(coords)})
         if out.is_constant() and all(isinstance(c, Fraction) for c in coords):
-            return out.constant_value()
+            return Fraction(out.constant_value())
         return out
     num, den = 0, 1
     for e, c in p.terms.items():

@@ -12,7 +12,7 @@ subdiagonal scalars attached on the right.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .exact_algebra import Poly, Weight, bilinear_form, eval_at, h_of_weight
@@ -101,7 +101,7 @@ def det_lr(B: HessenbergMatrix) -> UEAElement:
             S = set(S)
             central = Poly.one()
             prod = UEAElement.one(alg)
-            sign = Fraction(-1) ** len(S)
+            sign = (-1) ** len(S)
             dead = False
             small_row = 1
             for col in range(1, n + 1):
@@ -176,11 +176,17 @@ def _coeff_poly(alg: GLAlgebra, root: Weight, shift: int) -> Poly:
     return h_of_weight(root) + Poly.const(bilinear_form(alg.rho, root) + shift)
 
 
+# An expansion with 2^k terms asks for the same few coefficients in every
+# term, so each is built once.  An algebra of rank N has under 3 N^2 of them,
+# so the bound holds two of rank 12; the Polys handed out are shared, which
+# is safe because Polys are immutable.
+@lru_cache(maxsize=1024)
 def gl_block_coeff(alg, base, p, shift):
     """Coefficient attached to skipping eps-index p in a block based at eps_base."""
     return _coeff_poly(alg, _sigma(alg, base, p), shift)
 
 
+@lru_cache(maxsize=1024)
 def delta_block_coeff(alg, j, s, shift):
     return _coeff_poly(alg, _omega(alg, j, s), shift)
 

@@ -31,8 +31,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
-from .exact_algebra import Poly, Weight, eval_at, rho
+from .exact_algebra import Poly, Weight, _coeff, eval_at, rho
 
 
 @lru_cache(maxsize=None)
@@ -103,18 +104,18 @@ class GLAlgebra:
 # brackets
 
 def sbracket_gens(alg: GLAlgebra, a, b):
-    """Super-commutator [e_a, e_b] as a list of (generator-or-Poly, Fraction)."""
+    """Super-commutator [e_a, e_b] as a list of (generator-or-Poly, int)."""
     (i, j), (k, l) = a, b
     sign = -1 if alg.gen_parity(i, j) and alg.gen_parity(k, l) else 1
     out = []
     if j == k and i == l:
         # [e_{ij}, e_{ji}] = x_i -+ x_j
-        out.append((Poly.x(i) - Poly.x(j) * sign, Fraction(1)))
+        out.append((Poly.x(i) - Poly.x(j) * sign, 1))
         return out
     if j == k:
-        out.append(((i, l), Fraction(1)))
+        out.append(((i, l), 1))
     if l == i:
-        out.append(((k, j), Fraction(-sign)))
+        out.append(((k, j), -sign))
     return out
 
 
@@ -232,14 +233,16 @@ _NF_CACHE: dict = {}
 
 
 def _nf_atoms(alg: GLAlgebra, atoms, pick_last: bool = False, order: PBWOrder = DISTINGUISHED,
-              store: bool = True) -> dict:
-    """Straighten a word of generator pairs; returns {(neg, pos): Poly}.
+              store: bool = True) -> MappingProxyType:
+    """Straighten a word of generator pairs; returns a read-only {(neg, pos): Poly}.
 
     The Cartan part x_i -+ x_j of a bracket [e_ij, e_ji] moves to the right
     end of the word, shifted by the weight it passes, and rides there until
     the word is ordered.  The cache is read for every word and written only
-    when store is set.  pick_last rewrites the last violation instead of the
-    first and bypasses the cache (the normal form must not depend on it).
+    when store is set; it holds the read-only views it hands out, so no
+    caller can change a later straightening.  pick_last rewrites the last
+    violation instead of the first and bypasses the cache (the normal form
+    must not depend on it).
     """
     key = None
     if not pick_last:
@@ -248,7 +251,7 @@ def _nf_atoms(alg: GLAlgebra, atoms, pick_last: bool = False, order: PBWOrder = 
         if hit is not None:
             return hit
     out: dict = {}
-    stack = [(tuple(atoms), Fraction(1), None)]
+    stack = [(tuple(atoms), 1, None)]
     while stack:
         word, coeff, cart = stack.pop()
         k = _violation(alg, word, order, pick_last)
@@ -271,6 +274,7 @@ def _nf_atoms(alg: GLAlgebra, atoms, pick_last: bool = False, order: PBWOrder = 
                 stack.append((head + tail, coeff * c, h if cart is None else cart * h))
             else:
                 stack.append((head + (item,) + tail, coeff * c, cart))
+    out = MappingProxyType(out)
     if key is not None and store:
         _NF_CACHE[key] = out
     return out
@@ -417,7 +421,7 @@ class UEAElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _coeff(other)
             if not c:
                 return UEAElement(self.alg)
             return UEAElement(self.alg, {k: p * c for k, p in self.terms.items()})

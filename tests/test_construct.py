@@ -15,7 +15,7 @@ from shapovalov.exact_algebra import (
     sample_hyperplane,
 )
 from shapovalov.hessenberg import build_A_rs, build_B_rs, build_D, det_lr
-from shapovalov.pbw import UEAElement, gl, normal_order
+from shapovalov.pbw import UEAElement, gl, normal_order, sbracket_gens
 from shapovalov.shuffles import Shuffle, enumerate_shuffles
 from shapovalov.verma import act, is_highest_weight, vacuum
 from shapovalov.construct import (
@@ -31,6 +31,7 @@ from shapovalov.construct import (
     theta_glmn_distinguished,
     theta_odd,
     theta_odd_alg,
+    theta_power,
     verify_highest_weight,
     verify_highest_weight_symbolic,
 )
@@ -309,6 +310,59 @@ class TestDeterminantConsistency:
         alg = gl(2, 2)
         t = theta_odd_alg(alg, 1, 2, "bform")
         assert det_lr(build_B_rs(1, 2, 2, 2)) == t.body
+
+
+def _integer_coefficient_cases():
+    """Constructed elements whose Cartan coefficients are all integers: their
+    linear factors are h_alpha + (rho, alpha) + k over +-1 structure constants."""
+    for m, n in [(3, 0), (5, 0), (2, 2), (3, 3), (4, 2), (1, 4)]:
+        alg = gl(m, n)
+        for root, (i, j) in alg.positive_roots():
+            for o in ODD_ORDERINGS if i <= m < j else ("standard", "bform"):
+                yield theta_for_root(alg, root, o)
+    for m, n in [(2, 2), (3, 3)]:
+        for sh in enumerate_shuffles(m, n):
+            yield theta_borel(sh)
+    yield theta_power(4, 3)
+    yield det_lr(build_D(5))
+
+
+class TestIntegerCoefficients:
+    def test_constructed_coefficients_are_ints(self):
+        # a Fraction here means the int fast path of Poly has been lost
+        count = 0
+        for x in _integer_coefficient_cases():
+            if isinstance(x, UEAElement):
+                polys = list(x.terms.values())
+            else:
+                polys = [f for _, factors in x.terms for f in factors] + list(x.body.terms.values())
+            coeffs = [c for p in polys for c in p.terms.values()]
+            assert all(type(c) is int for c in coeffs), x
+            count += len(coeffs)
+        assert count > 5000
+
+    def test_straightening_constants_are_ints(self):
+        # scalar products normalise their results, so a Fraction creeping into
+        # the straightener's own constants would not show in the sweep above
+        alg = gl(2, 2)
+        gens = [(i, j) for i in range(1, 5) for j in range(1, 5) if i != j]
+        for a in gens:
+            for b in gens:
+                for item, c in sbracket_gens(alg, a, b):
+                    assert type(c) is int
+                    if isinstance(item, Poly):
+                        assert all(type(v) is int for v in item.terms.values())
+        assert all(type(v) is int for p in (Poly.one(), Poly.x(3)) for v in p.terms.values())
+
+    def test_verma_coefficients_are_exact(self):
+        # rationals enter at a sampled weight, as Fractions and never floats
+        for x in _integer_coefficient_cases():
+            if isinstance(x, UEAElement):
+                continue
+            for lam in sample_hyperplane(x.hyperplane(), 0, 1):
+                v = x.verma_vector(lam)
+                assert v.terms
+                assert all(type(c) in (int, Fraction) for c in v.terms.values())
 
 
 class TestRootParsing:

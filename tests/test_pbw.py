@@ -10,6 +10,7 @@ from shapovalov.pbw import (
     BorelOrder,
     DISTINGUISHED,
     UEAElement,
+    _nf_atoms,
     gl,
     normal_order,
     superbracket,
@@ -127,6 +128,23 @@ class TestNormalOrder:
         # e_32 e_23 = -e_23 e_32 + (x3 + x2), now with e_23 the negative factor
         assert nf.coefficient_of(((2, 3, 1),), ((3, 2, 1),)) == Poly.const(-1)
         assert nf.coefficient_of((), ()) == Poly.x(2) + Poly.x(3)
+
+    def test_cached_normal_form_is_read_only(self):
+        # the cache hands out its stored normal form; a caller that could
+        # change it would change every later straightening of the word
+        alg = gl(2, 2)
+        word = [(1, 2), (3, 1), (2, 1), (4, 2)]
+        nf = _nf_atoms(alg, word)
+        expected = dict(nf)
+        assert expected
+        key = next(iter(nf))
+        with pytest.raises(TypeError):
+            nf[key] = Poly.zero()
+        with pytest.raises(TypeError):
+            del nf[key]
+        again = _nf_atoms(alg, word)
+        assert dict(again) == expected
+        assert normal_order(alg, word) == UEAElement(alg, expected)
 
 
 class TestJacobi:

@@ -1,8 +1,11 @@
 """Differential tests of Poly arithmetic against sympy as an independent oracle.
 
 The straightener moves Cartan parts with multi-variable shifts and evaluates
-them at moved weights, so products, shifts, substitutions and evaluation are
-each compared with sympy's expansion on random small polynomials.
+them at moved weights, so products, sums, shifts, substitutions and
+evaluation are each compared with sympy's expansion on random small
+polynomials.  Coefficients mix ints and Fractions, integral Fractions such
+as Fraction(3) included, since a Poly stores an integer coefficient as an
+int but may meet either kind.
 """
 
 from fractions import Fraction
@@ -19,26 +22,40 @@ NVARS = 4
 XS = sympy.symbols(f"x1:{NVARS + 1}")
 
 rationals = st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=4)
+coeffs = st.one_of(st.integers(-9, 9), rationals)
 monomials = st.tuples(*[st.integers(0, 2)] * NVARS)
-polys = st.dictionaries(monomials, rationals, max_size=4)
+polys = st.dictionaries(monomials, coeffs, max_size=4)
 # exponents up to 4 reach the binomials C(p, k) with p >= 3 of the Taylor shift
 powers = st.dictionaries(
     st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 1), st.integers(0, 1)),
-    rationals,
+    coeffs,
     max_size=3,
 )
-multilinear = st.dictionaries(st.tuples(*[st.integers(0, 1)] * NVARS), rationals, max_size=3)
-offsets = st.dictionaries(st.integers(1, NVARS), st.one_of(st.integers(-3, 3), rationals), max_size=NVARS)
+multilinear = st.dictionaries(st.tuples(*[st.integers(0, 1)] * NVARS), coeffs, max_size=3)
+offsets = st.dictionaries(st.integers(1, NVARS), coeffs, max_size=NVARS)
 
 
 def make(terms) -> Poly:
-    out = Poly.zero()
+    """The Poly with the drawn coefficients stored as drawn, int or Fraction."""
+    out = {}
     for exps, c in terms.items():
-        mono = Poly.const(c)
-        for i, e in enumerate(exps):
-            mono = mono * Poly.x(i + 1) ** e
-        out = out + mono
-    return out
+        k = len(exps)
+        while k and not exps[k - 1]:
+            k -= 1
+        if c:
+            out[exps[:k]] = c
+    return Poly(out)
+
+
+def exact(p: Poly) -> bool:
+    """Every coefficient an int or a Fraction, never a float."""
+    return all(type(c) in (int, Fraction) for c in p.terms.values())
+
+
+def normal(p: Poly) -> bool:
+    """exact, and an integer coefficient is stored as an int."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in p.terms.values())
 
 
 def rat(c):
@@ -61,6 +78,29 @@ def same(p: Poly, expr) -> bool:
 def test_mul(a, b):
     p, q = make(a), make(b)
     assert same(p * q, to_sympy(p) * to_sympy(q))
+    assert exact(p * q)
+
+
+@given(polys, polys)
+@settings(max_examples=25, deadline=None)
+def test_add(a, b):
+    p, q = make(a), make(b)
+    assert same(p + q, to_sympy(p) + to_sympy(q))
+    assert same(p - q, to_sympy(p) - to_sympy(q))
+    assert exact(p + q) and exact(p - q)
+
+
+@given(polys, coeffs)
+@settings(max_examples=25, deadline=None)
+def test_normalised_coefficients(a, c):
+    # const, from_json and scalar products store an integer coefficient as an int
+    p = make(a)
+    const, back = Poly.const(c), Poly.from_json(p.to_json())
+    assert normal(const) and const == c
+    assert normal(back) and back == p
+    for prod in (p * c, c * p):
+        assert normal(prod)
+        assert same(prod, to_sympy(p) * rat(c))
 
 
 @given(powers, offsets)
@@ -68,22 +108,23 @@ def test_mul(a, b):
 @settings(max_examples=25, deadline=None)
 def test_shifted(a, off):
     p = make(a)
-    moved = {XS[i - 1]: XS[i - 1] + c for i, c in off.items()}
+    moved = {XS[i - 1]: XS[i - 1] + rat(c) for i, c in off.items()}
     assert same(p.shifted(off), to_sympy(p).subs(moved, simultaneous=True))
+    assert exact(p.shifted(off))
 
 
-@given(polys, st.dictionaries(st.integers(1, NVARS), st.one_of(rationals, multilinear), max_size=3))
+@given(polys, st.dictionaries(st.integers(1, NVARS), st.one_of(coeffs, multilinear), max_size=3))
 @settings(max_examples=25, deadline=None)
 def test_subs(a, mapping):
     p = make(a)
-    ours = {i: v if isinstance(v, Fraction) else make(v) for i, v in mapping.items()}
+    ours = {i: v if isinstance(v, (int, Fraction)) else make(v) for i, v in mapping.items()}
     theirs = {
-        XS[i - 1]: rat(v) if isinstance(v, Fraction) else to_sympy(v) for i, v in ours.items()
+        XS[i - 1]: rat(v) if isinstance(v, (int, Fraction)) else to_sympy(v) for i, v in ours.items()
     }
     assert same(p.subs(ours), to_sympy(p).subs(theirs, simultaneous=True))
 
 
-@given(powers, st.lists(rationals, min_size=NVARS, max_size=NVARS), offsets)
+@given(powers, st.lists(coeffs, min_size=NVARS, max_size=NVARS), offsets)
 @settings(max_examples=25, deadline=None)
 def test_eval_at_moved_weight(a, coords, off):
     # the Verma action evaluates a Cartan part at lambda + (a weight offset)
@@ -105,9 +146,10 @@ def test_eval_at_symbolic_weight(a, coords):
     value = eval_at(p, lam)
     assert isinstance(value, Poly)
     assert same(value, expected)
+    assert exact(value)
 
 
-@given(polys, st.lists(rationals, min_size=2, max_size=2))
+@given(polys, st.lists(coeffs, min_size=2, max_size=2))
 @settings(max_examples=10, deadline=None)
 def test_eval_at_keeps_variables_beyond_the_weight(a, coords):
     # x3 and x4 are not coordinates of a gl(1,1) weight and stay as they are
