@@ -16,6 +16,21 @@ For even roots "standard" (descending chains) and "bform" coincide as
 elements of U(g); for odd roots the conventions agree after applying to a
 highest weight vector on the defining hyperplane, and in small ranks even as
 elements.
+
+The terms are also the paths of a small graph, the element's chain, and
+body, evaluate and verma_vector sum over the paths by the Hessenberg column
+recurrence instead of term by term.  In the standard ordering, with
+u_a = v_lambda,
+
+    u_q = sum over a <= p < q of (prod over p < t < q of c_t) e_{q,p} u_p,
+
+and theta v_lambda = u_b: one generator action per pair p < q.  The sum
+over p runs in Horner form, so each step attaches a single linear factor.
+The descending chains (standard, middle and arbitrary Borels) and the
+ascending ones (bform) are such lines of indices.  odd-last words are
+(delta chain)(eps chain)(odd generator) and odd-first words their reverses;
+their chains take the odd generator, the eps walk and the delta walk in
+acting order.
 """
 
 from __future__ import annotations
@@ -55,6 +70,8 @@ class ShapovalovElement:
 
     terms holds the expansion exactly as built: one (generator word,
     Cartan factors) pair per index subset, the word not yet normal-ordered.
+    chain holds the same expansion as the paths of a small graph, which
+    _chain_sum sums over (see the note above _line).
     body is the canonical normal form of the full sum.
     """
 
@@ -63,35 +80,38 @@ class ShapovalovElement:
     mult: int
     ordering: str
     terms: list
+    chain: tuple = field(repr=False)
     borel: Shuffle | None = None
     _body: UEAElement | None = field(default=None, repr=False)
 
     @property
     def body(self) -> UEAElement:
         if self._body is None:
-            self._body = _sum_terms(self.alg, self.terms)
+            self._body = self._element(_times_cartan)
         return self._body
 
     def hyperplane(self) -> Hyperplane:
         return Hyperplane(self.eta, self.mult)
 
-    def _evaluated_terms(self, lam: Weight):
-        """(word, product of the term's Cartan factors at lam), zero products skipped."""
-        for word, factors in self.terms:
-            c = Fraction(1)
-            for f in factors:
-                c = c * eval_at(f, lam)
-            if c:
-                yield list(word), c
+    def _element(self, scale) -> UEAElement:
+        """Sum over the chain's paths in U(g): a step multiplies by its
+        generator on the left, and scale(x, f) attaches the factor f on the
+        right."""
+        alg = self.alg
+
+        def step(gen, terms):
+            if gen is None:
+                return terms
+            return (UEAElement.gen(alg, *gen) * UEAElement(alg, terms)).terms
+
+        return UEAElement(alg, _chain_sum(
+            self.chain, UEAElement.one(alg).terms, step, lambda terms, f: scale(UEAElement(alg, terms), f).terms))
 
     def evaluate(self, lam: Weight) -> UEAElement:
-        """Evaluate each term's Cartan factors at lam (term-wise, so this is
-        meaningful for non-distinguished Borels as well)."""
-        out: dict = {}
-        for word, c in self._evaluated_terms(lam):
-            for key, h in normal_order(self.alg, word).terms.items():
-                _accumulate(out, key, h * c)
-        return UEAElement(self.alg, out)
+        """The element with its Cartan factors evaluated at lam; they are
+        scalars there, so this is meaningful for non-distinguished Borels as
+        well."""
+        return self._element(lambda x, f: x * eval_at(f, lam))
 
     def pbw_order(self):
         if self.borel is None or self.borel.is_distinguished():
@@ -100,14 +120,20 @@ class ShapovalovElement:
 
     def verma_vector(self, lam: Weight) -> VermaVector:
         """Image of the highest weight vector, in the Verma module for the
-        element's own Borel subalgebra."""
-        order = self.pbw_order()
-        vac = vacuum(self.alg, lam, order)
-        out: dict = {}
-        for word, c in self._evaluated_terms(lam):
-            for neg, val in act(word, vac).terms.items():
-                _accumulate(out, neg, c * val)
-        return VermaVector(self.alg, lam, out, order)
+        element's own Borel subalgebra: one generator action per step of
+        the chain."""
+        alg, order = self.alg, self.pbw_order()
+
+        def step(gen, terms):
+            if gen is None:
+                return terms
+            return act([gen], VermaVector(alg, lam, terms, order)).terms
+
+        def scale(terms, f):
+            c = eval_at(f, lam)
+            return {k: x * c for k, x in terms.items()} if c else {}
+
+        return VermaVector(alg, lam, _chain_sum(self.chain, vacuum(alg, lam, order).terms, step, scale), order)
 
     def latex(self) -> str:
         bits = []
@@ -134,6 +160,103 @@ class ShapovalovElement:
         }
 
 
+def _chain_sum(chain, start: dict, step, scale) -> dict:
+    """Terms of the sum over the chain's paths, in Horner form.
+
+    Node 0 holds start.  Each later node runs through its sources (p, gen,
+    factors) in order: it adds step(gen, value at p), then multiplies all it
+    holds by each of the factors with scale.  The last node's value is
+    returned.  Attaching one linear factor at a time to a partial sum keeps
+    the Cartan products small.
+    """
+    vals = [start]
+    for sources in chain:
+        acc: dict = {}
+        for p, gen, factors in sources:
+            if vals[p]:
+                for key, val in step(gen, vals[p]).items():
+                    _accumulate(acc, key, val)
+            for f in factors:
+                if acc:
+                    acc = scale(acc, f)
+        vals.append(acc)
+    return vals[-1]
+
+
+def _times_cartan(x: UEAElement, h: Poly) -> UEAElement:
+    """x h for a Cartan polynomial h; scale_central is that product when no
+    term of x has a positive part for h to move past."""
+    if any(pos for _, pos in x.terms):
+        return x * UEAElement.from_cartan(x.alg, h)
+    return x.scale_central(h)
+
+
+# A chain lists, for each node after node 0, its sources (p, generator or
+# None, factors): p is an earlier node, a path's word is the generators of
+# its steps with the first step's rightmost, and its Cartan product is the
+# factors met after each step it takes, up to its last node.  So a factor
+# listed with source p is skipped by every path into the node through p or
+# an earlier source.
+
+def _line(labels, coeff, descending=True) -> tuple:
+    """Chains over labels, one path per subset holding the first and the
+    last label.  Descending chains e_{i_k, i_{k-1}} ... e_{i_1, i_0}, for
+    i_0 .. i_k in label order, are walked from the first label; ascending
+    chains, their reverses, from the last.  A step skips the labels between
+    its ends, whose factors coeff gives."""
+    if not descending:
+        labels = labels[::-1]
+    return tuple(
+        tuple(
+            (p, (labels[q], labels[p]) if descending else (labels[p], labels[q]),
+             (coeff(labels[p + 1]),) if p + 1 < q else ())
+            for p in range(q)
+        )
+        for q in range(1, len(labels))
+    )
+
+
+def _odd_ends(m, r, s, coeff, odd_first) -> tuple:
+    """odd-last or odd-first chains for eps_r - delta_s.
+
+    An odd-last word p_chain q_chain e_{y,x}, with x the top index of its
+    eps part and y the bottom index of its delta part, acts as e_{y,x},
+    then walks the eps side from x down to r and the delta side from y up
+    to m+s.  It skips the eps indices above x and the delta indices below
+    y, so each y has its own eps walk, node (y, q).  An odd-first word is
+    the reverse: delta side down, eps side up, e_{y,x} last.
+    """
+    eps, delta = range(r, m + 1), range(m + 1, m + s + 1)
+    index = {m + s if odd_first else "start": 0}
+    nodes = []
+
+    def node(name, sources):
+        # sources: (source node, generator or None, labels skipped after it)
+        nodes.append(tuple((index[a], gen, tuple(map(coeff, skips))) for a, gen, skips in sources))
+        index[name] = len(nodes)
+
+    def upto(label, end):  # the next label of a Horner sum, skipped unless it is the end
+        return [label] if label != end else []
+
+    if not odd_first:
+        for y in delta:
+            for x in reversed(eps):
+                node((y, x), [("start", (y, x), upto(m, x))]
+                     + [((y, a), (a, x), upto(a - 1, x)) for a in range(m, x, -1)])
+        for p in delta:
+            node(p, [((p, r), None, upto(m + 1, p))] + [(q, (p, q), upto(q + 1, p)) for q in range(m + 1, p)])
+        return tuple(nodes)
+    for p in reversed(delta[:-1]):
+        node(p, [(q, (q, p), upto(q - 1, p)) for q in range(m + s, p, -1)])
+    for y in delta:
+        node((y, r), [(y, None, range(m + 1, y))])
+        for x in eps[1:]:
+            node((y, x), [((y, q), (x, q), upto(q + 1, x)) for q in range(r, x)])
+        node(("end", y), [((y, x), (y, x), upto(x + 1, m + 1)) for x in eps])
+    node("end", [(("end", y), None, ()) for y in delta])
+    return tuple(nodes)
+
+
 def _interval_subsets(lo: int, hi: int):
     """Subsets of [lo, hi] containing both endpoints, smallest first."""
     interior = list(range(lo + 1, hi))
@@ -158,6 +281,10 @@ def theta_even_eps(alg: GLAlgebra, a: int, b: int, ordering: str = "standard") -
     if not 1 <= a < b <= alg.m:
         raise ValueError(f"need 1 <= a < b <= m for an eps root, got ({a},{b})")
     shift = -1 if ordering == "standard" else 0
+
+    def coeff(p):
+        return gl_block_coeff(alg, a, p, shift)
+
     terms = []
     for I in _interval_subsets(a, b):
         word = (
@@ -165,14 +292,11 @@ def theta_even_eps(alg: GLAlgebra, a: int, b: int, ordering: str = "standard") -
             if ordering == "standard"
             else _asc_chain(I)
         )
-        factors = tuple(
-            gl_block_coeff(alg, a, p, shift)
-            for p in range(a + 1, b)
-            if p not in I
-        )
+        factors = tuple(coeff(p) for p in range(a + 1, b) if p not in I)
         terms.append((word, factors))
+    chain = _line(range(a, b + 1), coeff, ordering == "standard")
     eta = Weight.eps(alg.m, alg.n, a) - Weight.eps(alg.m, alg.n, b)
-    return ShapovalovElement(alg, eta, 1, ordering, terms)
+    return ShapovalovElement(alg, eta, 1, ordering, terms, chain)
 
 
 def theta_even_delta(alg: GLAlgebra, a: int, b: int, ordering: str = "standard") -> ShapovalovElement:
@@ -181,6 +305,10 @@ def theta_even_delta(alg: GLAlgebra, a: int, b: int, ordering: str = "standard")
         raise ValueError(f"need 1 <= a < b <= n for a delta root, got ({a},{b})")
     shift = 0 if ordering == "standard" else 1
     lo, hi = alg.m + a, alg.m + b
+
+    def coeff(p):
+        return delta_block_coeff(alg, p - alg.m, b, shift)
+
     terms = []
     for I in _interval_subsets(lo, hi):
         word = (
@@ -188,14 +316,11 @@ def theta_even_delta(alg: GLAlgebra, a: int, b: int, ordering: str = "standard")
             if ordering == "standard"
             else _asc_chain(I)
         )
-        factors = tuple(
-            delta_block_coeff(alg, p - alg.m, b, shift)
-            for p in range(lo + 1, hi)
-            if p not in I
-        )
+        factors = tuple(coeff(p) for p in range(lo + 1, hi) if p not in I)
         terms.append((word, factors))
+    chain = _line(range(lo, hi + 1), coeff, ordering == "standard")
     eta = Weight.delta(alg.m, alg.n, a) - Weight.delta(alg.m, alg.n, b)
-    return ShapovalovElement(alg, eta, 1, ordering, terms)
+    return ShapovalovElement(alg, eta, 1, ordering, terms, chain)
 
 
 def theta_gl(m: int) -> ShapovalovElement:
@@ -237,17 +362,21 @@ def theta_odd_alg(alg: GLAlgebra, r: int, s: int, ordering: str = "middle") -> S
         ordering = "middle"
     if ordering not in ODD_ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
+
+    def coeff(p):
+        return _odd_index_coeff(alg, r, s, p - 1, ordering)
+
     terms = []
     for I in _interval_subsets(r, m + s):
         word = _odd_word(I, r, s, m, ordering)
-        factors = tuple(
-            _odd_index_coeff(alg, r, s, p - 1, ordering)
-            for p in range(r + 1, m + s)
-            if p not in I
-        )
+        factors = tuple(coeff(p) for p in range(r + 1, m + s) if p not in I)
         terms.append((word, factors))
+    if ordering in ("middle", "bform"):
+        chain = _line(range(r, m + s + 1), coeff, ordering == "middle")
+    else:
+        chain = _odd_ends(m, r, s, coeff, ordering == "odd-first")
     eta = Weight.eps(m, n, r) - Weight.delta(m, n, s)
-    return ShapovalovElement(alg, eta, 1, ordering, terms)
+    return ShapovalovElement(alg, eta, 1, ordering, terms, chain)
 
 
 def theta_odd(r: int, s: int, m: int, n: int, ordering: str = "middle") -> ShapovalovElement:
@@ -304,7 +433,8 @@ def theta_borel(s: Shuffle) -> ShapovalovElement:
             assert e in data.t, "every skipped entry has a diagram coefficient"
         factors = tuple(data.t[e] for e in skipped)
         terms.append((word, factors))
-    return ShapovalovElement(alg, eta_weight(s.m, s.n), 1, "borel", terms, borel=s)
+    chain = _line(s.word, lambda e: data.t[e])
+    return ShapovalovElement(alg, eta_weight(s.m, s.n), 1, "borel", terms, chain, borel=s)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +454,8 @@ class CaseDecomposition:
 
 
 def _sum_terms(alg, terms) -> UEAElement:
+    """Term-by-term sum of (word, factors) pairs: the decompositions below
+    sum classes of terms that are not the paths of a chain."""
     total = UEAElement.zero(alg)
     for word, factors in terms:
         # the Cartan factors sit to the right of the whole word, so they go

@@ -159,6 +159,10 @@ class Poly:
             return Poly({e: _coeff(v * c) for e, v in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
+        if other.is_constant():
+            return self * other.terms.get((), 0)
+        if self.is_constant():
+            return other * self.terms.get((), 0)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

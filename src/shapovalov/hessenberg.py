@@ -7,13 +7,14 @@ Hessenberg-supported permutation is determined by the set S of columns where
 the subdiagonal entry is chosen, and its sign is (-1)^|S|; the subdiagonal
 entries are by assumption central, so each expansion term is the ordered
 product of the chosen above-diagonal entries with the product of chosen
-subdiagonal scalars attached on the right.
+subdiagonal scalars attached on the right.  det_lr sums the 2^(n-1) terms by
+the recurrence over trailing principal submatrices, one UEA product per
+entry, instead of one product per term.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 
 from .exact_algebra import Poly, Weight, bilinear_form, eval_at, h_of_weight
 from .pbw import GLAlgebra, UEAElement
@@ -92,36 +93,33 @@ class HessenbergMatrix:
 
 
 def det_lr(B: HessenbergMatrix) -> UEAElement:
-    """Left-to-right determinant over the 2^(n-1) supported permutations."""
-    n = B.order
-    alg = B.alg
-    out = UEAElement.zero(alg)
-    for size in range(n):
-        for S in combinations(range(1, n), size):
-            S = set(S)
-            central = Poly.one()
-            prod = UEAElement.one(alg)
-            sign = (-1) ** len(S)
-            dead = False
-            small_row = 1
-            for col in range(1, n + 1):
-                if col in S:
-                    p = B.sub.get(col)
-                    if p is None:
-                        dead = True
-                        break
-                    central = central * p
-                else:
-                    e = B.entries.get((small_row, col))
-                    if e is None:
-                        dead = True
-                        break
-                    prod = prod * e
-                    small_row = col + 1
-            if dead:
-                continue
-            out = out + prod.scale_central(central) * sign
-    return out
+    """Left-to-right determinant of the 2^(n-1) supported permutations.
+
+    E_j, the determinant of the trailing submatrix on rows and columns
+    j..n, is the sum over k >= j of b_{jk} E_{k+1} times the central
+    product of -b_{q+1,q} for q = j..k-1, with E_{n+1} = 1 and det = E_1.
+    The sum over k runs in Horner form, from k = n down, so each step
+    attaches one subdiagonal entry.  Attaching it by scale_central to a
+    product taken on the left is exact only when no entry has a positive
+    part: then no product moves a Cartan part to the right of anything.
+    Every builder's entries are lowering generators; other matrices raise
+    ValueError.
+    """
+    alg, n = B.alg, B.order
+    if any(pos for e in B.entries.values() for _, pos in e.terms):
+        raise ValueError("det_lr needs matrix entries without positive parts")
+    dets = {n + 1: UEAElement.one(alg)}
+    for j in range(n, 0, -1):
+        acc = UEAElement.zero(alg)
+        for k in range(n, j - 1, -1):
+            if k < n:
+                sub = B.sub.get(k)
+                acc = acc.scale_central(-sub) if sub is not None else UEAElement.zero(alg)
+            e = B.entries.get((j, k))
+            if e is not None:
+                acc = acc + e * dets[k + 1]
+        dets[j] = acc
+    return dets[1]
 
 
 def split_at(B: HessenbergMatrix, q: int):

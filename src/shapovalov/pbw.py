@@ -181,9 +181,10 @@ DISTINGUISHED = PBWOrder()
 # ---------------------------------------------------------------------------
 # normal ordering
 
-def _violation(alg, word, order, last=False):
-    """Index of the first (or last) adjacent pair out of canonical order, or None."""
-    for k in range(len(word) - 2, -1, -1) if last else range(len(word) - 1):
+def _violation(alg, word, order, last=False, start=0):
+    """Index of the first adjacent pair out of canonical order at or after
+    start (of the last one in the word when last is set), or None."""
+    for k in range(len(word) - 2, -1, -1) if last else range(start, len(word) - 1):
         a, b = word[k], word[k + 1]
         ka = (0,) + order.neg_key(*a) if order.is_negative(*a) else (2,) + order.pos_key(*a)
         kb = (0,) + order.neg_key(*b) if order.is_negative(*b) else (2,) + order.pos_key(*b)
@@ -241,8 +242,8 @@ def _nf_atoms(alg: GLAlgebra, atoms, pick_last: bool = False, order: PBWOrder = 
     the word is ordered.  The cache is read for every word and written only
     when store is set; it holds the read-only views it hands out, so no
     caller can change a later straightening.  pick_last rewrites the last
-    violation instead of the first and bypasses the cache (the normal form
-    must not depend on it).
+    violation, found by a full scan of the word, instead of the first and
+    bypasses the cache (the normal form must not depend on it).
     """
     key = None
     if not pick_last:
@@ -251,10 +252,12 @@ def _nf_atoms(alg: GLAlgebra, atoms, pick_last: bool = False, order: PBWOrder = 
         if hit is not None:
             return hit
     out: dict = {}
-    stack = [(tuple(atoms), 1, None)]
+    # each word carries where its scan starts: a rewrite at k leaves the
+    # pairs before k - 1 ordered, so the first violation is not before it
+    stack = [(tuple(atoms), 1, None, 0)]
     while stack:
-        word, coeff, cart = stack.pop()
-        k = _violation(alg, word, order, pick_last)
+        word, coeff, cart, start = stack.pop()
+        k = _violation(alg, word, order, pick_last, start)
         if k is None:
             _fold(alg, word, coeff, cart, out, order)
             continue
@@ -263,7 +266,8 @@ def _nf_atoms(alg: GLAlgebra, atoms, pick_last: bool = False, order: PBWOrder = 
         if a == b and alg.gen_parity(*a):
             continue  # isotropic square is zero
         sign = -1 if alg.gen_parity(*a) and alg.gen_parity(*b) else 1
-        stack.append((head + (b, a) + tail, coeff * sign, cart))
+        start = max(k - 1, 0)
+        stack.append((head + (b, a) + tail, coeff * sign, cart, start))
         for item, c in sbracket_gens(alg, a, b):
             if isinstance(item, Poly):
                 # item = x_i - sign x_j picks up wt(tail) at i minus sign times it at j
@@ -271,9 +275,9 @@ def _nf_atoms(alg: GLAlgebra, atoms, pick_last: bool = False, order: PBWOrder = 
                 d = sum((g[0] == i) - (g[1] == i) - sign * ((g[0] == j) - (g[1] == j))
                         for g in tail)
                 h = item + d if d else item
-                stack.append((head + tail, coeff * c, h if cart is None else cart * h))
+                stack.append((head + tail, coeff * c, h if cart is None else cart * h, start))
             else:
-                stack.append((head + (item,) + tail, coeff * c, cart))
+                stack.append((head + (item,) + tail, coeff * c, cart, start))
     out = MappingProxyType(out)
     if key is not None and store:
         _NF_CACHE[key] = out
@@ -481,18 +485,6 @@ class UEAElement:
             elif w != cur:
                 return None
         return w
-
-    def n_minus_part(self) -> "UEAElement":
-        """Terms with no positive factors (the U(b^-) component)."""
-        return UEAElement(
-            self.alg, {k: p for k, p in self.terms.items() if not k[1]}
-        )
-
-    def cartan_part(self) -> Poly:
-        return self.terms.get(((), ()), Poly.zero())
-
-    def positive_residue(self) -> "UEAElement":
-        return UEAElement(self.alg, {k: p for k, p in self.terms.items() if k[1]})
 
     def map_coeffs(self, f) -> "UEAElement":
         out = {}

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from shapovalov import construct
 from shapovalov.exact_algebra import (
     Hyperplane,
     Poly,
     Weight,
     bilinear_form,
     eval_at,
+    generic_point,
     h_of_weight,
     rho,
     sample_hyperplane,
@@ -17,7 +19,7 @@ from shapovalov.exact_algebra import (
 from shapovalov.hessenberg import build_A_rs, build_B_rs, build_D, det_lr
 from shapovalov.pbw import UEAElement, gl, normal_order, sbracket_gens
 from shapovalov.shuffles import Shuffle, enumerate_shuffles
-from shapovalov.verma import act, is_highest_weight, vacuum
+from shapovalov.verma import VermaVector, act, is_highest_weight, vacuum, weight_basis
 from shapovalov.construct import (
     ODD_ORDERINGS,
     parse_root,
@@ -363,6 +365,168 @@ class TestIntegerCoefficients:
                 v = x.verma_vector(lam)
                 assert v.terms
                 assert all(type(c) in (int, Fraction) for c in v.terms.values())
+
+
+# ---------------------------------------------------------------------------
+# the term-by-term sums: the reference for the chain recurrence
+
+def _term_body(t):
+    total = UEAElement.zero(t.alg)
+    for word, factors in t.terms:
+        total = total + normal_order(t.alg, list(word) + list(factors))
+    return total
+
+
+def _term_values(t, lam):
+    for word, factors in t.terms:
+        c = Fraction(1)
+        for f in factors:
+            c = c * eval_at(f, lam)
+        yield list(word), c
+
+
+def _term_evaluate(t, lam):
+    total = UEAElement.zero(t.alg)
+    for word, c in _term_values(t, lam):
+        total = total + normal_order(t.alg, word) * c
+    return total
+
+
+def _term_vector(t, lam):
+    order = t.pbw_order()
+    vac = vacuum(t.alg, lam, order)
+    total = VermaVector(t.alg, lam, order=order)
+    for word, c in _term_values(t, lam):
+        total = total + c * act(word, vac)
+    return total
+
+
+def _chain_cases():
+    """Every root and ordering with m+n <= 6, every endpoint-fixed shuffle
+    Borel with m+n <= 5."""
+    for m in range(1, 7):
+        for n in range(7 - m):
+            alg = gl(m, n)
+            for root, (i, j) in alg.positive_roots():
+                for o in ODD_ORDERINGS if i <= m < j else ("standard", "bform"):
+                    yield theta_for_root(alg, root, o)
+    for m in range(1, 5):
+        for n in range(1, 6 - m):
+            for sh in enumerate_shuffles(m, n):
+                yield theta_borel(sh)
+
+
+class TestChainRecurrence:
+    def test_matches_term_sums(self):
+        count = 0
+        for t in _chain_cases():
+            alg = t.alg
+            label = (alg, root_to_str(alg, t.eta), t.ordering, str(t.borel))
+            assert t.body == _term_body(t), label
+            points = sample_hyperplane(t.hyperplane(), 0, 1)
+            points.append(generic_point(alg.m, alg.n, [t.hyperplane().constraint_poly()]))
+            for lam in points:
+                assert t.evaluate(lam) == _term_evaluate(t, lam), label
+                assert t.verma_vector(lam) == _term_vector(t, lam), label
+            count += 1
+        assert count > 500
+
+    def test_off_hyperplane(self):
+        # away from the hyperplane the orderings differ, so each must match
+        # its own terms there too
+        lam = Weight(3, 2, [Fraction(1, 2), 3, -2, 5, Fraction(-7, 3)])
+        alg = gl(3, 2)
+        for o in ODD_ORDERINGS:
+            t = theta_odd_alg(alg, 1, 2, o)
+            assert t.verma_vector(lam) == _term_vector(t, lam), o
+            assert t.evaluate(lam) == _term_evaluate(t, lam), o
+
+    def test_cartan_factor_moves_past_positive_parts(self):
+        # shuffle chains attach factors to sums with positive parts, where
+        # scaling the coefficients would be wrong: e12 x1 = (x1 - 1) e12
+        alg = gl(2, 0)
+        x = normal_order(alg, [(1, 2)])
+        assert construct._times_cartan(x, Poly.x(1)) == normal_order(alg, [(1, 2), Poly.x(1)])
+        assert construct._times_cartan(x, Poly.x(1)) != x.scale_central(Poly.x(1))
+
+    def test_vector_takes_at_most_n_squared_actions(self, monkeypatch):
+        calls = []
+        real = construct.act
+
+        def counting(x, v):
+            calls.append(x)
+            return real(x, v)
+
+        monkeypatch.setattr(construct, "act", counting)
+        t = theta_gl(10)
+        lam = sample_hyperplane(t.hyperplane(), 0, 1)[0]
+        v = t.verma_vector(lam)
+        assert 0 < len(calls) <= 10 ** 2
+        assert all(len(x) == 1 for x in calls)
+        assert len(v.terms) == 2 ** 8
+
+
+# ---------------------------------------------------------------------------
+# singular vectors found by linear algebra alone, without the constructors
+
+def _rank(rows):
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][c]:
+                f = Fraction(rows[i][c]) / rows[rank][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _raising_matrix(alg, lam, drop, raising):
+    """Basis of M(lam)_{lam - drop} and the matrix of the raising operators
+    on it: one column per basis monomial, one row per (operator, monomial)."""
+    basis = weight_basis(alg, lam, drop)
+    vac = vacuum(alg, lam)
+    images = [
+        [act([g], act([x for i, j, e in mono for x in [(i, j)] * e], vac)) for g in raising]
+        for mono in basis
+    ]
+    rows = sorted({(k, key) for col in images for k, w in enumerate(col) for key in w.terms})
+    index = {row: r for r, row in enumerate(rows)}
+    matrix = [[Fraction(0)] * len(basis) for _ in rows]
+    for c, col in enumerate(images):
+        for k, w in enumerate(col):
+            for key, val in w.terms.items():
+                matrix[index[(k, key)]][c] = val
+    return basis, matrix
+
+
+class TestSingularSpace:
+    @pytest.mark.parametrize("m, n", [(4, 0), (5, 0), (2, 2), (3, 2), (3, 3)])
+    def test_kernel_of_raising_operators(self, m, n):
+        sympy = pytest.importorskip("sympy")
+        alg = gl(m, n)
+        theta = theta_for_root(alg, alg.gen_weight(1, m + n))
+        raising = raising_vectors(theta)
+        lam = sample_hyperplane(theta.hyperplane(), 3, 1)[0]
+        off = lam + Weight.eps(m, n, 1)
+        assert not theta.hyperplane().member(off)
+        for point, dim in ((lam, 1), (off, 0)):
+            basis, matrix = _raising_matrix(alg, point, theta.eta, raising)
+            rank = _rank(matrix)
+            assert rank == sympy.Matrix(
+                [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in matrix]
+            ).rank()
+            assert len(basis) - rank == dim, point
+        # the kernel on the hyperplane is spanned by theta v
+        basis, matrix = _raising_matrix(alg, lam, theta.eta, raising)
+        v = theta.verma_vector(lam)
+        x = [v.terms.get(mono, 0) for mono in basis]
+        assert set(v.terms) <= set(basis) and any(x)
+        assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in matrix)
 
 
 class TestRootParsing:

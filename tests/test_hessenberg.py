@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -37,6 +38,27 @@ def oracle_det(B):
     sub = B.sub.get(1)
     if sub is not None:
         out = out - oracle_det(_strip(B, 2, 1)).scale_central(sub)
+    return out
+
+
+def subset_det(B):
+    """Independent oracle: the sum over the sets S of subdiagonal columns,
+    each term the ordered product of the chosen entries with the central
+    product of the chosen subdiagonal entries and the sign (-1)^|S|."""
+    n, alg = B.order, B.alg
+    out = UEAElement.zero(alg)
+    for size in range(n):
+        for S in combinations(range(1, n), size):
+            central = Poly.one()
+            prod = UEAElement.one(alg)
+            small_row = 1
+            for col in range(1, n + 1):
+                if col in S:
+                    central = central * B.sub.get(col, Poly.zero())
+                else:
+                    prod = prod * B.entries.get((small_row, col), UEAElement.zero(alg))
+                    small_row = col + 1
+            out = out + prod.scale_central(central) * (-1) ** len(S)
     return out
 
 
@@ -112,6 +134,28 @@ class TestDetBasics:
             for _ in range(4):
                 B = random_hessenberg(alg, order, rng)
                 assert det_lr(B) == oracle_det(B)
+
+    def test_matches_subset_sum(self):
+        mats = [build_D(m) for m in range(2, 9)] + [build_E(m) for m in range(2, 7)]
+        for m, n in [(2, 2), (3, 2), (2, 3)]:
+            for r in range(1, m + 1):
+                for s in range(1, n + 1):
+                    mats += [build_A_rs(r, s, m, n), build_B_rs(r, s, m, n)]
+                    mats += [f(r, s, m, n, j) for f in (build_F_j, build_G_j) for j in range(1, s + 1)]
+        rng = random.Random(5)
+        mats += [random_hessenberg(gl(2, 2), order, rng, poly) for order in (1, 2, 3, 5) for poly in (True, False)]
+        for B in mats:
+            want = subset_det(B)
+            assert det_lr(B) == want
+            if B.order <= 6:
+                assert oracle_det(B) == want
+
+    def test_positive_entry_raises(self):
+        alg = gl(2, 0)
+        up = normal_order(alg, [(1, 2)])
+        B = HessenbergMatrix(alg, 2, {(1, 1): up, (1, 2): up, (2, 2): up}, {1: Poly.x(1)})
+        with pytest.raises(ValueError, match="positive parts"):
+            det_lr(B)
 
     def test_dense_term_count(self):
         # a dense order-n Hessenberg determinant has 2^(n-1) supported terms;

@@ -218,9 +218,12 @@ class TestQueriesAndIO:
     def test_parts(self):
         alg = gl(2, 0)
         nf = normal_order(alg, [(1, 2), (2, 1)])
-        assert nf.positive_residue() == normal_order(alg, [(2, 1), (1, 2)])
-        assert nf.cartan_part() == Poly.x(1) - Poly.x(2)
-        assert nf.n_minus_part() == UEAElement.from_cartan(alg, Poly.x(1) - Poly.x(2))
+        # e12 e21 = e21 e12 + (x1 - x2)
+        assert nf.terms == {
+            (((2, 1, 1),), ((1, 2, 1),)): Poly.one(),
+            ((), ()): Poly.x(1) - Poly.x(2),
+        }
+        assert nf - normal_order(alg, [(2, 1), (1, 2)]) == UEAElement.from_cartan(alg, Poly.x(1) - Poly.x(2))
 
     def test_json_roundtrip(self):
         alg = gl(2, 2)
