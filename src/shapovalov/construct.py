@@ -1,10 +1,10 @@
 """Construction of Shapovalov elements for gl(m) and gl(m,n).
 
-Every constructor returns a subset-sum expansion: terms are indexed by the
-subsets of an index interval containing both endpoints, each contributing a
-product of lowering generators (in an order fixed by the chosen convention)
-times a product of linear Cartan coefficients attached to the skipped
-indices.  The conventions are:
+An element is its chain: a small graph whose paths are the terms of the
+paper's subset-sum expansion.  A path takes the indices of one subset of an
+index interval holding both endpoints; its word is a product of lowering
+generators, in an order fixed by the chosen convention, and its Cartan
+product has one linear factor per index it skips.  The conventions are:
 
     middle     descending chains, the odd generator sits where the chain
                crosses from the delta side to the eps side
@@ -17,7 +17,6 @@ elements of U(g); for odd roots the conventions agree after applying to a
 highest weight vector on the defining hyperplane, and in small ranks even as
 elements.
 
-The terms are also the paths of a small graph, the element's chain, and
 body, evaluate and verma_vector sum over the paths by the Hessenberg column
 recurrence instead of term by term.  In the standard ordering, with
 u_a = v_lambda,
@@ -30,14 +29,14 @@ The descending chains (standard, middle and arbitrary Borels) and the
 ascending ones (bform) are such lines of indices.  odd-last words are
 (delta chain)(eps chain)(odd generator) and odd-first words their reverses;
 their chains take the odd generator, the eps walk and the delta walk in
-acting order.
+acting order.  terms lists the paths one by one, for printing and for the
+partial expansions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 from .exact_algebra import (
     Hyperplane,
@@ -56,6 +55,8 @@ from .verma import (
     VermaVector,
     act,
     coefficients_in_word_basis,
+    coords_in_basis,
+    is_highest_weight,
     solve_in_span,
     vacuum,
     weight_basis,
@@ -66,29 +67,33 @@ ODD_ORDERINGS = ("middle", "odd-last", "odd-first", "bform")
 
 @dataclass
 class ShapovalovElement:
-    """A constructed lowering element together with its expansion data.
+    """A constructed lowering element, given by its chain.
 
-    terms holds the expansion exactly as built: one (generator word,
-    Cartan factors) pair per index subset, the word not yet normal-ordered.
-    chain holds the same expansion as the paths of a small graph, which
-    _chain_sum sums over (see the note above _line).
-    body is the canonical normal form of the full sum.
+    chain is a small graph with one path per term of the expansion, which
+    _chain_sum sums over (see the note above _paths).  terms lists the paths
+    as (generator word, Cartan factors) pairs, the word not yet
+    normal-ordered.  body is the canonical normal form of the full sum.
     """
 
     alg: GLAlgebra
     eta: Weight
     mult: int
     ordering: str
-    terms: list
     chain: tuple = field(repr=False)
     borel: Shuffle | None = None
-    _body: UEAElement | None = field(default=None, repr=False)
+    _body: UEAElement | None = field(default=None, repr=False, init=False)
 
     @property
     def body(self) -> UEAElement:
         if self._body is None:
             self._body = self._element(_times_cartan)
         return self._body
+
+    @property
+    def terms(self) -> list:
+        """One (word, factors) pair per index subset: the smallest subsets
+        first, then in lexicographic order, the factors in label order."""
+        return [(word, tuple(f for _, f in skipped)) for word, skipped in _paths(self.chain)]
 
     def hyperplane(self) -> Hyperplane:
         return Hyperplane(self.eta, self.mult)
@@ -176,7 +181,7 @@ def _chain_sum(chain, start: dict, step, scale) -> dict:
             if vals[p]:
                 for key, val in step(gen, vals[p]).items():
                     _accumulate(acc, key, val)
-            for f in factors:
+            for _, f in factors:
                 if acc:
                     acc = scale(acc, f)
         vals.append(acc)
@@ -196,23 +201,49 @@ def _times_cartan(x: UEAElement, h: Poly) -> UEAElement:
 # its steps with the first step's rightmost, and its Cartan product is the
 # factors met after each step it takes, up to its last node.  So a factor
 # listed with source p is skipped by every path into the node through p or
-# an earlier source.
+# an earlier source.  Each factor is a (label, Cartan polynomial) pair, the
+# label naming the index it skips.
 
-def _line(labels, coeff, descending=True) -> tuple:
-    """Chains over labels, one path per subset holding the first and the
-    last label.  Descending chains e_{i_k, i_{k-1}} ... e_{i_1, i_0}, for
-    i_0 .. i_k in label order, are walked from the first label; ascending
-    chains, their reverses, from the last.  A step skips the labels between
-    its ends, whose factors coeff gives."""
+def _paths(chain) -> list:
+    """The chain's paths as (word, skipped) pairs, skipped holding the
+    (label, factor) pairs the path skips, in label order.
+
+    A path's index subset is its interval minus its skipped labels, and
+    complements in one interval reverse the lexicographic order of subsets
+    of one size.  So the paths are sorted with the most skipped labels
+    first, then in reverse lexicographic order of those labels: their
+    subsets come smallest first, then in lexicographic order.
+    """
+    into = [[((), ())]]  # the paths into each node
+    for sources in chain:
+        here = []
+        for i, (p, gen, _) in enumerate(sources):
+            head = (gen,) if gen else ()
+            after = tuple(f for _, _, factors in sources[i:] for f in factors)
+            here += [(head + word, skipped + after) for word, skipped in into[p]]
+        into.append(here)
+    paths = [(word, tuple(sorted(skipped, key=lambda f: f[0]))) for word, skipped in into[-1]]
+    paths.sort(key=lambda path: (len(path[1]), [label for label, _ in path[1]]), reverse=True)
+    return paths
+
+
+def _line(indices, coeff, descending=True, labels=None) -> tuple:
+    """Chains over indices, one path per subset holding the first and the
+    last index.  Descending chains e_{i_k, i_{k-1}} ... e_{i_1, i_0}, for
+    i_0 .. i_k in index order, are walked from the first index; ascending
+    chains, their reverses, from the last.  A step skips the indices between
+    its ends, whose factors coeff gives and labels name (by default the
+    indices themselves)."""
+    labels = indices if labels is None else labels
     if not descending:
-        labels = labels[::-1]
+        indices, labels = indices[::-1], labels[::-1]
     return tuple(
         tuple(
-            (p, (labels[q], labels[p]) if descending else (labels[p], labels[q]),
-             (coeff(labels[p + 1]),) if p + 1 < q else ())
+            (p, (indices[q], indices[p]) if descending else (indices[p], indices[q]),
+             ((labels[p + 1], coeff(indices[p + 1])),) if p + 1 < q else ())
             for p in range(q)
         )
-        for q in range(1, len(labels))
+        for q in range(1, len(indices))
     )
 
 
@@ -232,7 +263,7 @@ def _odd_ends(m, r, s, coeff, odd_first) -> tuple:
 
     def node(name, sources):
         # sources: (source node, generator or None, labels skipped after it)
-        nodes.append(tuple((index[a], gen, tuple(map(coeff, skips))) for a, gen, skips in sources))
+        nodes.append(tuple((index[a], gen, tuple((k, coeff(k)) for k in skips)) for a, gen, skips in sources))
         index[name] = len(nodes)
 
     def upto(label, end):  # the next label of a Horner sum, skipped unless it is the end
@@ -257,22 +288,6 @@ def _odd_ends(m, r, s, coeff, odd_first) -> tuple:
     return tuple(nodes)
 
 
-def _interval_subsets(lo: int, hi: int):
-    """Subsets of [lo, hi] containing both endpoints, smallest first."""
-    interior = list(range(lo + 1, hi))
-    for size in range(len(interior) + 1):
-        for combo in combinations(interior, size):
-            yield (lo,) + combo + (hi,)
-
-
-def _desc_chain(entries):
-    return tuple((entries[k], entries[k + 1]) for k in range(len(entries) - 1))
-
-
-def _asc_chain(entries):
-    return tuple((entries[k + 1], entries[k]) for k in range(len(entries) - 1))
-
-
 # ---------------------------------------------------------------------------
 # even blocks
 
@@ -281,22 +296,9 @@ def theta_even_eps(alg: GLAlgebra, a: int, b: int, ordering: str = "standard") -
     if not 1 <= a < b <= alg.m:
         raise ValueError(f"need 1 <= a < b <= m for an eps root, got ({a},{b})")
     shift = -1 if ordering == "standard" else 0
-
-    def coeff(p):
-        return gl_block_coeff(alg, a, p, shift)
-
-    terms = []
-    for I in _interval_subsets(a, b):
-        word = (
-            _desc_chain(tuple(sorted(I, reverse=True)))
-            if ordering == "standard"
-            else _asc_chain(I)
-        )
-        factors = tuple(coeff(p) for p in range(a + 1, b) if p not in I)
-        terms.append((word, factors))
-    chain = _line(range(a, b + 1), coeff, ordering == "standard")
+    chain = _line(range(a, b + 1), lambda p: gl_block_coeff(alg, a, p, shift), ordering == "standard")
     eta = Weight.eps(alg.m, alg.n, a) - Weight.eps(alg.m, alg.n, b)
-    return ShapovalovElement(alg, eta, 1, ordering, terms, chain)
+    return ShapovalovElement(alg, eta, 1, ordering, chain)
 
 
 def theta_even_delta(alg: GLAlgebra, a: int, b: int, ordering: str = "standard") -> ShapovalovElement:
@@ -304,23 +306,10 @@ def theta_even_delta(alg: GLAlgebra, a: int, b: int, ordering: str = "standard")
     if not 1 <= a < b <= alg.n:
         raise ValueError(f"need 1 <= a < b <= n for a delta root, got ({a},{b})")
     shift = 0 if ordering == "standard" else 1
-    lo, hi = alg.m + a, alg.m + b
-
-    def coeff(p):
-        return delta_block_coeff(alg, p - alg.m, b, shift)
-
-    terms = []
-    for I in _interval_subsets(lo, hi):
-        word = (
-            _desc_chain(tuple(sorted(I, reverse=True)))
-            if ordering == "standard"
-            else _asc_chain(I)
-        )
-        factors = tuple(coeff(p) for p in range(lo + 1, hi) if p not in I)
-        terms.append((word, factors))
-    chain = _line(range(lo, hi + 1), coeff, ordering == "standard")
+    chain = _line(range(alg.m + a, alg.m + b + 1), lambda p: delta_block_coeff(alg, p - alg.m, b, shift),
+                  ordering == "standard")
     eta = Weight.delta(alg.m, alg.n, a) - Weight.delta(alg.m, alg.n, b)
-    return ShapovalovElement(alg, eta, 1, ordering, terms, chain)
+    return ShapovalovElement(alg, eta, 1, ordering, chain)
 
 
 def theta_gl(m: int) -> ShapovalovElement:
@@ -332,26 +321,6 @@ def theta_gl(m: int) -> ShapovalovElement:
 
 # ---------------------------------------------------------------------------
 # odd roots
-
-def _odd_word(I, r, s, m, ordering):
-    P = tuple(sorted((p for p in I if p > m), reverse=True))
-    Q = tuple(sorted(p for p in I if p <= m))
-    if ordering == "middle":
-        return _desc_chain(tuple(sorted(I, reverse=True)))
-    if ordering == "bform":
-        return _asc_chain(tuple(sorted(I)))
-    odd = (P[-1], Q[-1])
-    q_chain = tuple((Q[k + 1], Q[k]) for k in range(len(Q) - 1))
-    p_chain = _desc_chain(P)
-    if ordering == "odd-last":
-        return p_chain + q_chain + (odd,)
-    if ordering == "odd-first":
-        # the exact reversal of the odd-last factor sequence; this is the
-        # unique arrangement whose coefficients stay products of the skipped
-        # indices' linear factors
-        return tuple(reversed(p_chain + q_chain + (odd,)))
-    raise ValueError(f"unknown ordering {ordering!r}")
-
 
 def theta_odd_alg(alg: GLAlgebra, r: int, s: int, ordering: str = "middle") -> ShapovalovElement:
     """Element for the odd root eps_r - delta_s of gl(m,n)."""
@@ -366,17 +335,12 @@ def theta_odd_alg(alg: GLAlgebra, r: int, s: int, ordering: str = "middle") -> S
     def coeff(p):
         return _odd_index_coeff(alg, r, s, p - 1, ordering)
 
-    terms = []
-    for I in _interval_subsets(r, m + s):
-        word = _odd_word(I, r, s, m, ordering)
-        factors = tuple(coeff(p) for p in range(r + 1, m + s) if p not in I)
-        terms.append((word, factors))
     if ordering in ("middle", "bform"):
         chain = _line(range(r, m + s + 1), coeff, ordering == "middle")
     else:
         chain = _odd_ends(m, r, s, coeff, ordering == "odd-first")
     eta = Weight.eps(m, n, r) - Weight.delta(m, n, s)
-    return ShapovalovElement(alg, eta, 1, ordering, terms, chain)
+    return ShapovalovElement(alg, eta, 1, ordering, chain)
 
 
 def theta_odd(r: int, s: int, m: int, n: int, ordering: str = "middle") -> ShapovalovElement:
@@ -417,24 +381,19 @@ def theta_borel(s: Shuffle) -> ShapovalovElement:
 
     Terms are indexed by subsets of the word entries containing the first
     and last entry; factor order is the reverse word order and coefficients
-    are products of the diagram's t-values over the skipped entries.
+    are products of the diagram's t-values over the skipped entries, which
+    are labelled by their positions in the word.
     """
     if not s.endpoint_fixed():
         raise ValueError("the shuffle must fix 1 first and n' last")
     data = diagram_data(s)
-    alg = gl(s.m, s.n)
-    N = s.m + s.n
-    terms = []
-    for pos_set in _interval_subsets(0, N - 1):
-        I = [s.word[k] for k in sorted(pos_set, reverse=True)]  # decreasing order
-        word = _desc_chain(tuple(I))
-        skipped = [e for k, e in enumerate(s.word) if k not in pos_set]
-        for e in skipped:
-            assert e in data.t, "every skipped entry has a diagram coefficient"
-        factors = tuple(data.t[e] for e in skipped)
-        terms.append((word, factors))
-    chain = _line(s.word, lambda e: data.t[e])
-    return ShapovalovElement(alg, eta_weight(s.m, s.n), 1, "borel", terms, chain, borel=s)
+
+    def coeff(e):
+        assert e in data.t, "every skipped entry has a diagram coefficient"
+        return data.t[e]
+
+    chain = _line(s.word, coeff, labels=range(len(s.word)))
+    return ShapovalovElement(gl(s.m, s.n), eta_weight(s.m, s.n), 1, "borel", chain, borel=s)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +424,20 @@ def _sum_terms(alg, terms) -> UEAElement:
     return total
 
 
+def _split_paths(theta, lo, hi, split) -> dict:
+    """The paths of theta grouped by which of the split indices their index
+    subsets of [lo, hi] hold: for each group, the paths as (word, factors)
+    pairs without the split indices' factors, and their subsets."""
+    groups = {}
+    for word, skipped in _paths(theta.chain):
+        skips = dict(skipped)
+        I = tuple(p for p in range(lo, hi + 1) if p not in skips)
+        terms, subsets = groups.setdefault(tuple(p in I for p in split), ([], []))
+        terms.append((word, tuple(f for p, f in skipped if p not in split)))
+        subsets.append(I)
+    return groups
+
+
 def case1_decompose(r: int, s: int, l: int, m: int, n: int) -> CaseDecomposition:
     """Split the bform expansion of eps_r - delta_s at the eps index l.
 
@@ -478,14 +451,8 @@ def case1_decompose(r: int, s: int, l: int, m: int, n: int) -> CaseDecomposition
     alg = gl(m, n)
     theta = theta_odd_alg(alg, r, s, "bform")
     T = _odd_index_coeff(alg, r, s, l - 1, "bform")
-    with_l, without_l = [], []
-    for (word, factors), I in zip(theta.terms, _interval_subsets(r, m + s)):
-        if l in I:
-            with_l.append((word, factors))
-        else:
-            reduced = list(factors)
-            reduced.remove(T)
-            without_l.append((word, tuple(reduced)))
+    groups = _split_paths(theta, r, m + s, (l,))
+    (with_l, main), (without_l, remainder) = groups[(True,)], groups[(False,)]
     theta_alpha = theta_even_eps(alg, r, l, "bform")
     theta_gamma_p = theta_odd_alg(alg, l, s, "bform")
     pieces = {
@@ -500,10 +467,7 @@ def case1_decompose(r: int, s: int, l: int, m: int, n: int) -> CaseDecomposition
         pieces=pieces,
         indeterminates={"T": T},
         factors={"alpha": theta_alpha, "gamma_prime": theta_gamma_p},
-        index_sets={
-            "main": [w for w, _ in with_l],
-            "remainder": [w for w, _ in without_l],
-        },
+        index_sets={"main": main, "remainder": remainder},
     )
 
 
@@ -523,27 +487,12 @@ def case2_decompose(r: int, s: int, l: int, k: int, m: int, n: int) -> CaseDecom
     theta = theta_odd_alg(alg, r, s, "odd-last")
     T = _odd_index_coeff(alg, r, s, l - 1, "odd-last")
     S = -_odd_index_coeff(alg, r, s, m + k - 1, "odd-last")
-    classes = {"both": [], "no_mk": [], "no_l": [], "neither": []}
-    subsets = {lab: [] for lab in classes}
-    for (word, factors), I in zip(theta.terms, _interval_subsets(r, m + s)):
-        has_l, has_mk = l in I, (m + k) in I
-        label = {
-            (True, True): "both",
-            (True, False): "no_mk",
-            (False, True): "no_l",
-            (False, False): "neither",
-        }[(has_l, has_mk)]
-        reduced = list(factors)
-        if not has_l:
-            reduced.remove(T)
-        if not has_mk:
-            reduced.remove(-S)
-        classes[label].append((word, tuple(reduced)))
-        subsets[label].append(I)
+    groups = _split_paths(theta, r, m + s, (l, m + k))
+    names = {(True, True): "both", (True, False): "no_mk", (False, True): "no_l", (False, False): "neither"}
     theta_a1 = theta_even_eps(alg, r, l)
     theta_a2 = theta_even_delta(alg, k, s)
     theta_g1 = theta_odd_alg(alg, l, k, "odd-last")
-    pieces = {lab: _sum_terms(alg, terms) for lab, terms in classes.items()}
+    pieces = {name: _sum_terms(alg, groups[key][0]) for key, name in names.items()}
     pieces["product"] = theta_a1.body * theta_a2.body * theta_g1.body
     return CaseDecomposition(
         alg=alg,
@@ -552,7 +501,7 @@ def case2_decompose(r: int, s: int, l: int, k: int, m: int, n: int) -> CaseDecom
         pieces=pieces,
         indeterminates={"T": T, "S": S},
         factors={"alpha1": theta_a1, "alpha2": theta_a2, "gamma1": theta_g1},
-        index_sets=subsets,
+        index_sets={name: groups[key][1] for key, name in names.items()},
     )
 
 
@@ -691,8 +640,7 @@ def is_independent(alg: GLAlgebra, gamma: Weight, lam: Weight) -> bool:
         raise ValueError("gamma must belong to B(lambda)")
     r, s = _gamma_indices(alg, gamma)
     basis = weight_basis(alg, lam, gamma)
-    order = {mono: i for i, mono in enumerate(basis)}
-    target_vec = _vec_in(order, theta_odd_alg(alg, r, s, "odd-last").verma_vector(lam))
+    target_vec = coords_in_basis(theta_odd_alg(alg, r, s, "odd-last").verma_vector(lam), basis)
     columns = []
     for gamma_p in blam:
         if gamma_p == gamma:
@@ -705,15 +653,8 @@ def is_independent(alg: GLAlgebra, gamma: Weight, lam: Weight) -> bool:
         base = theta_odd_alg(alg, rp, sp, "odd-last").verma_vector(lam)
         for mono in monos:
             word = [g for i, j, e in mono for g in [(i, j)] * e]
-            columns.append(_vec_in(order, act(word, base)))
+            columns.append(coords_in_basis(act(word, base), basis))
     return solve_in_span(columns, target_vec) is None
-
-
-def _vec_in(order, v: VermaVector):
-    out = [Fraction(0)] * len(order)
-    for mono, c in v.terms.items():
-        out[order[mono]] = c
-    return out
 
 
 def ordered_basis_coefficient(alg, gamma: Weight, v: VermaVector, odd_position: str):
@@ -808,6 +749,12 @@ def raising_vectors(theta: ShapovalovElement):
     return [ab for _, _, ab in shuffle_simple_roots(theta.borel)]
 
 
+def _is_singular(theta: ShapovalovElement, lam: Weight, raising) -> bool:
+    """theta v_lambda is nonzero and every raising operator kills it."""
+    v = theta.verma_vector(lam)
+    return not v.is_zero() and is_highest_weight(v, raising)
+
+
 def verify_highest_weight(
     theta: ShapovalovElement, samples: int = 5, seed: int = 0
 ) -> dict:
@@ -817,9 +764,7 @@ def verify_highest_weight(
     points = sample_hyperplane(hp, seed, samples)
     results = []
     for lam in points:
-        v = theta.verma_vector(lam)
-        ok = not v.is_zero() and all(act([g], v).is_zero() for g in raising)
-        results.append({"lambda": lam.to_json(), "passed": ok})
+        results.append({"lambda": lam.to_json(), "passed": _is_singular(theta, lam, raising)})
     report = {
         "constructor": theta.ordering,
         "root": root_to_str(theta.alg, theta.eta),
@@ -836,9 +781,8 @@ def verify_highest_weight(
 
 
 def verify_highest_weight_symbolic(theta: ShapovalovElement) -> bool:
-    """Exact check on the whole hyperplane: every simple raising operator
-    kills theta v at a generic point of the hyperplane."""
+    """Exact check on the whole hyperplane: theta v is nonzero and every
+    simple raising operator kills it at a generic point of the hyperplane."""
     alg = theta.alg
     lam = generic_point(alg.m, alg.n, [theta.hyperplane().constraint_poly()])
-    v = theta.verma_vector(lam)
-    return all(act([g], v).is_zero() for g in raising_vectors(theta))
+    return _is_singular(theta, lam, raising_vectors(theta))

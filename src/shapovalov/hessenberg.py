@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .exact_algebra import Poly, Weight, bilinear_form, eval_at, h_of_weight
-from .pbw import GLAlgebra, UEAElement
+from .pbw import GLAlgebra, UEAElement, gl
 
 
 def _as_poly(v) -> Poly:
@@ -193,8 +193,6 @@ def build_D(m: int, alg: GLAlgebra | None = None) -> HessenbergMatrix:
     """Row-form matrix for the highest root of gl(m): rows e_{i,*}, subdiagonal -a_i."""
     if m < 2:
         raise ValueError("need m >= 2")
-    from .pbw import gl
-
     alg = alg or gl(m, 0)
     order = m - 1
     entries = {}
@@ -211,8 +209,6 @@ def build_E(m: int, alg: GLAlgebra | None = None) -> HessenbergMatrix:
     """Column-form matrix: rows e_{*,i}, subdiagonal -c_i with c_i = a_i + 1."""
     if m < 2:
         raise ValueError("need m >= 2")
-    from .pbw import gl
-
     alg = alg or gl(m, 0)
     order = m - 1
     entries = {}
@@ -226,8 +222,6 @@ def build_E(m: int, alg: GLAlgebra | None = None) -> HessenbergMatrix:
 def build_A_rs(r: int, s: int, m: int, n: int) -> HessenbergMatrix:
     """Descending-row matrix for the odd root eps_r - delta_s, order m+s-r."""
     _check_rs(r, s, m, n)
-    from .pbw import gl
-
     alg = gl(m, n)
     top = m + s
     order = top - r
@@ -242,8 +236,6 @@ def build_A_rs(r: int, s: int, m: int, n: int) -> HessenbergMatrix:
 def build_B_rs(r: int, s: int, m: int, n: int) -> HessenbergMatrix:
     """Ascending-row matrix for eps_r - delta_s with subdiagonal -C_i."""
     _check_rs(r, s, m, n)
-    from .pbw import gl
-
     alg = gl(m, n)
     top = m + s
     order = top - r
@@ -260,8 +252,6 @@ def build_F_j(r: int, s: int, m: int, n: int, j: int) -> HessenbergMatrix:
     _check_rs(r, s, m, n)
     if not 1 <= j <= s:
         raise ValueError("need 1 <= j <= s")
-    from .pbw import gl
-
     alg = gl(m, n)
     order = m - r + 1
     entries = {}
@@ -279,8 +269,6 @@ def build_G_j(r: int, s: int, m: int, n: int, j: int) -> HessenbergMatrix:
     _check_rs(r, s, m, n)
     if not 1 <= j <= s:
         raise ValueError("need 1 <= j <= s")
-    from .pbw import gl
-
     alg = gl(m, n)
     order = m - r + 1
     entries = {}

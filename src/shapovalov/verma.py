@@ -34,10 +34,6 @@ class VermaVector:
         self.terms = dict(terms) if terms else {}
         self.order = order
 
-    @staticmethod
-    def highest_weight_vector(alg, lam, order: PBWOrder = DISTINGUISHED) -> "VermaVector":
-        return VermaVector(alg, lam, {(): Fraction(1)}, order)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -128,7 +124,7 @@ def _nonzero(c) -> bool:
 
 
 def vacuum(alg: GLAlgebra, lam: Weight, order: PBWOrder = DISTINGUISHED) -> VermaVector:
-    return VermaVector.highest_weight_vector(alg, lam, order)
+    return VermaVector(alg, lam, {(): Fraction(1)}, order)
 
 
 def act(x, v: VermaVector) -> VermaVector:

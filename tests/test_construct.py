@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -16,9 +17,17 @@ from shapovalov.exact_algebra import (
     rho,
     sample_hyperplane,
 )
-from shapovalov.hessenberg import build_A_rs, build_B_rs, build_D, det_lr
+from shapovalov.hessenberg import (
+    _odd_index_coeff,
+    build_A_rs,
+    build_B_rs,
+    build_D,
+    delta_block_coeff,
+    det_lr,
+    gl_block_coeff,
+)
 from shapovalov.pbw import UEAElement, gl, normal_order, sbracket_gens
-from shapovalov.shuffles import Shuffle, enumerate_shuffles
+from shapovalov.shuffles import Shuffle, diagram_data, enumerate_shuffles
 from shapovalov.verma import VermaVector, act, is_highest_weight, vacuum, weight_basis
 from shapovalov.construct import (
     ODD_ORDERINGS,
@@ -192,6 +201,13 @@ class TestDefiningProperty:
         for t in (theta_gl(3), theta_even_delta(gl(1, 3), 1, 3)):
             assert verify_highest_weight_symbolic(dataclasses.replace(t, mult=1))
             assert not verify_highest_weight_symbolic(dataclasses.replace(t, mult=2))
+        # a zero theta v is killed by everything but is not a singular vector
+        t = theta_gl(3)
+        assert not t.body.is_zero()
+        zero = dataclasses.replace(t, chain=((),))
+        assert zero.body.is_zero()  # the body cached from the old chain is not kept
+        assert not verify_highest_weight_symbolic(zero)
+        assert not verify_highest_weight(zero, samples=2)["all_passed"]
 
     def test_nonzero_normalization(self):
         theta = theta_glmn_distinguished(2, 2)
@@ -368,17 +384,73 @@ class TestIntegerCoefficients:
 
 
 # ---------------------------------------------------------------------------
-# the term-by-term sums: the reference for the chain recurrence
+# the subset sums of the paper, one term per subset: the reference for the
+# chain, its paths and its recurrence
+
+def _interval_subsets(lo, hi):
+    """Subsets of [lo, hi] containing both endpoints, smallest first."""
+    interior = list(range(lo + 1, hi))
+    for size in range(len(interior) + 1):
+        for combo in combinations(interior, size):
+            yield (lo,) + combo + (hi,)
+
+
+def _desc_chain(entries):
+    return tuple((entries[k], entries[k + 1]) for k in range(len(entries) - 1))
+
+
+def _asc_chain(entries):
+    return tuple((entries[k + 1], entries[k]) for k in range(len(entries) - 1))
+
+
+def _subset_word(I, m, ordering):
+    if ordering in ("standard", "middle"):
+        return _desc_chain(I[::-1])
+    if ordering == "bform":
+        return _asc_chain(I)
+    P = tuple(p for p in reversed(I) if p > m)
+    Q = tuple(p for p in I if p <= m)
+    word = _desc_chain(P) + _asc_chain(Q) + ((P[-1], Q[-1]),)
+    # odd-first is the exact reversal of odd-last: the unique arrangement
+    # whose coefficients stay products of the skipped indices' factors
+    return word if ordering == "odd-last" else word[::-1]
+
+
+def reference_terms(t):
+    """The expansion of t built subset by subset: its words and its Cartan
+    factors in the order of the skipped indices."""
+    alg, m = t.alg, t.alg.m
+    if t.borel is not None:
+        word, data = t.borel.word, diagram_data(t.borel)
+        return [
+            (_desc_chain(tuple(word[k] for k in reversed(pos))),
+             tuple(data.t[e] for k, e in enumerate(word) if k not in pos))
+            for pos in _interval_subsets(0, len(word) - 1)
+        ]
+    i, j = alg.root_from_weight(t.eta)
+    standard = t.ordering == "standard"
+    if j <= m:
+        coeff = lambda p: gl_block_coeff(alg, i, p, -1 if standard else 0)
+    elif i > m:
+        coeff = lambda p: delta_block_coeff(alg, p - m, j - m, 0 if standard else 1)
+    else:
+        ordering = "middle" if standard else t.ordering
+        coeff = lambda p: _odd_index_coeff(alg, i, j - m, p - 1, ordering)
+    return [
+        (_subset_word(I, m, t.ordering), tuple(coeff(p) for p in range(i + 1, j) if p not in I))
+        for I in _interval_subsets(i, j)
+    ]
+
 
 def _term_body(t):
     total = UEAElement.zero(t.alg)
-    for word, factors in t.terms:
+    for word, factors in reference_terms(t):
         total = total + normal_order(t.alg, list(word) + list(factors))
     return total
 
 
 def _term_values(t, lam):
-    for word, factors in t.terms:
+    for word, factors in reference_terms(t):
         c = Fraction(1)
         for f in factors:
             c = c * eval_at(f, lam)
@@ -401,22 +473,30 @@ def _term_vector(t, lam):
     return total
 
 
-def _chain_cases():
+def _chain_cases(shuffle_rank=5):
     """Every root and ordering with m+n <= 6, every endpoint-fixed shuffle
-    Borel with m+n <= 5."""
+    Borel with m+n <= shuffle_rank."""
     for m in range(1, 7):
         for n in range(7 - m):
             alg = gl(m, n)
             for root, (i, j) in alg.positive_roots():
                 for o in ODD_ORDERINGS if i <= m < j else ("standard", "bform"):
                     yield theta_for_root(alg, root, o)
-    for m in range(1, 5):
-        for n in range(1, 6 - m):
+    for m in range(1, shuffle_rank):
+        for n in range(1, shuffle_rank + 1 - m):
             for sh in enumerate_shuffles(m, n):
                 yield theta_borel(sh)
 
 
 class TestChainRecurrence:
+    def test_paths_are_the_subset_terms(self):
+        # term order and factor order too: JSON, LaTeX and text print them
+        count = 0
+        for t in _chain_cases(shuffle_rank=6):
+            assert t.terms == reference_terms(t), (t.alg, root_to_str(t.alg, t.eta), t.ordering, str(t.borel))
+            count += 1
+        assert count == 521
+
     def test_matches_term_sums(self):
         count = 0
         for t in _chain_cases():
