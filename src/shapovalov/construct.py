@@ -362,6 +362,8 @@ def theta_for_root(alg: GLAlgebra, root: Weight, ordering: str = "standard") -> 
     if ij is None:
         raise ValueError(f"{root} is not a root of {alg}")
     i, j = ij
+    if i > j:
+        raise ValueError(f"{root_to_str(alg, root)} is not a positive root of {alg}")
     if j <= alg.m:
         if ordering not in ("standard", "bform"):
             raise ValueError("even roots support the standard and bform orderings")

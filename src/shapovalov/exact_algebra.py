@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import comb, gcd
+from operator import add
 
 
 def _frac(x) -> Fraction:
@@ -163,21 +164,19 @@ class Poly:
             return self * other.terms.get((), 0)
         if self.is_constant():
             return other * self.terms.get((), 0)
+        # exponent tuples are padded once to a common length k; a sum ends
+        # in 0 only where both operands were shorter than k, so only those
+        # keys need trimming
+        k = max(max(map(len, self.terms)), max(map(len, other.terms)))
+        left = [(e + (0,) * (k - len(e)), c) for e, c in self.terms.items()]
+        right = [(e + (0,) * (k - len(e)), c) for e, c in other.terms.items()]
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = _trim(
-                    tuple(
-                        (e1[i] if i < len(e1) else 0) + (e2[i] if i < len(e2) else 0)
-                        for i in range(max(len(e1), len(e2)))
-                    )
-                )
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Poly(out)
+        for e1, c1 in left:
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                s = out.get(e)
+                out[e] = c1 * c2 if s is None else s + c1 * c2
+        return Poly({e if e[-1] else _trim(e): c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 

@@ -17,12 +17,13 @@ The straightening kernel _nf_atoms rewrites words made only of generators.
 The Cartan element x_i -+ x_j that a bracket [e_ij, e_ji] leaves behind is
 moved to the right end of the word in one constant shift and carried beside
 the word; it is put between the negative and positive parts when the word
-is ordered.  Everything else goes through one splice: the product of terms
+is ordered.  Products go through one splice: the product of terms
 (n1 h1 p1)(n2 h2 p2) moves h1 to the far left and h2 to the far right,
 straightens the generator word n1 p1 n2 p2 once, and puts each Cartan part
-back with a single shift.  The UEA product, normal_order (a free word with
-Cartan atoms is the product of its runs) and the Verma action all use it.
-A straightened word is cached only when the spliced Cartan parts are
+back with a single shift.  The UEA product and normal_order (a free word
+with Cartan atoms is the product of its runs) use it; the Verma action
+does not (see verma.act), it calls the kernel on words of negative
+generators only.  A spliced word is cached only when the Cartan parts are
 constant: those words recur across sample points, while Cartan-carrying
 products would fill the cache with words that are rarely met again.
 """
@@ -33,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .exact_algebra import Poly, Weight, _coeff, eval_at, rho
+from .exact_algebra import Poly, Weight, _coeff, rho
 
 
 @lru_cache(maxsize=None)
@@ -284,17 +285,14 @@ def _nf_atoms(alg: GLAlgebra, atoms, pick_last: bool = False, order: PBWOrder = 
     return out
 
 
-def _splice(alg, left, right, order=DISTINGUISHED, pick_last=False, lam=None):
+def _splice(alg, left, right, order=DISTINGUISHED, pick_last=False):
     """Yield ((neg, pos), Poly) for the product (n1 h1 p1)(n2 h2 p2) of two terms.
 
     n, p are (i, j, exp) tuples, not necessarily sorted.  h1 moves to the far
     left and h2 to the far right, n1 p1 n2 p2 is straightened once into
     terms neg H pos, and each Cartan part goes back with one shift:
-    neg h1(x + wt neg - wt n1) H h2(x + wt p2 - wt pos) pos.  Given lam (and
-    h2 constant), act on the highest weight vector of M(lam) instead: terms
-    with pos die, H is evaluated at lam and h1 at lam + wt neg - wt n1, and
-    (neg, value) is yielded.  The word is cached only when both Cartan
-    parts are constant.
+    neg h1(x + wt neg - wt n1) H h2(x + wt p2 - wt pos) pos.  The word is
+    cached only when both Cartan parts are constant.
     """
     n1, h1, p1 = left
     n2, h2, p2 = right
@@ -302,17 +300,6 @@ def _splice(alg, left, right, order=DISTINGUISHED, pick_last=False, lam=None):
     c2 = h2.constant_value() if h2.is_constant() else None
     word = _expand_key(n1) + _expand_key(p1) + _expand_key(n2) + _expand_key(p2)
     nf = _nf_atoms(alg, word, pick_last, order, c1 is not None and c2 is not None)
-    if lam is not None:
-        if c1 is None:  # with pos = (), wt neg - wt n1 = wt(p1 n2 p2)
-            off = _offsets(_offsets(_offsets({}, p1, 1), n2, 1), p2, 1)
-            c1 = eval_at(h1, lam + Weight(lam.m, lam.n, [off.get(k, 0) for k in range(1, alg.N + 1)]))
-        scale = c1 * c2
-        numeric = all(isinstance(c, Fraction) for c in lam.coords)
-        for (neg, pos), h in nf.items():
-            if not pos:  # positive factors annihilate the highest weight vector
-                val = h.constant_value() if numeric and h.is_constant() else eval_at(h, lam)
-                yield neg, val if scale == 1 else val * scale
-        return
     scale = (1 if c1 is None else c1) * (1 if c2 is None else c2)
     moved1: dict = {}
     moved2: dict = {}

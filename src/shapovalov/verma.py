@@ -1,9 +1,11 @@
 """Verma modules M(lambda) for gl(m,n) with the partition-indexed weight basis.
 
 A vector is stored as a map from canonical negative PBW monomials to
-coefficients; v_lambda is the empty monomial with coefficient 1.  Acting by
-an element of U(g) normal-orders against the monomials, kills positive
-residues on the highest weight vector and evaluates Cartan parts at lambda.
+coefficients; v_lambda is the empty monomial with coefficient 1.  An element
+of U(g) acts one generator at a time, with no splice: negative generators
+are straightened against the monomials, Cartan parts are evaluated at
+lambda plus the monomial's weight, and positive generators act by the
+Leibniz rule, so no word with a positive generator is ever straightened.
 Coefficients are Fractions for numeric lambda and polynomials in the free
 parameters when lambda is a generic point (exact_algebra.generic_point), so
 a vector that is zero there is zero on the whole locus at once.
@@ -12,10 +14,21 @@ a vector that is zero there is zero on the whole locus at once.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
-from .exact_algebra import Poly, Weight
-from .pbw import DISTINGUISHED, GLAlgebra, PBWOrder, UEAElement, _accumulate, _splice, normal_order
-from .pbw import _nf_atoms  # noqa: F401  act's kernel via _splice, kept for per-module patching
+from .exact_algebra import Poly, Weight, eval_at
+from .pbw import (
+    _NF_CACHE,
+    DISTINGUISHED,
+    GLAlgebra,
+    PBWOrder,
+    UEAElement,
+    _accumulate,
+    _expand_key,
+    _nf_atoms,
+    _offsets,
+    sbracket_gens,
+)
 
 
 class VermaVector:
@@ -128,19 +141,131 @@ def vacuum(alg: GLAlgebra, lam: Weight, order: PBWOrder = DISTINGUISHED) -> Verm
 
 
 def act(x, v: VermaVector) -> VermaVector:
-    """Action of x (UEAElement or free word) on a Verma vector."""
-    alg = v.alg
-    if not isinstance(x, UEAElement):
-        x = normal_order(alg, x)
-    lam = v.lam
-    order = v.order
-    one = Poly.one()
+    """Action of x (UEAElement or free word) on a Verma vector.
+
+    Each term n h p of x, and a free word as a whole, acts one generator at
+    a time from the right.  A run of negative generators is straightened
+    against each monomial in one call; a positive generator acts by the
+    Leibniz rule (_raise); a Cartan element is evaluated at lambda plus the
+    monomial's weight.  Straightened runs are cached unless the term carries
+    a non-constant Cartan part.
+    """
+    alg, lam, order = v.alg, v.lam, v.order
+    if isinstance(x, UEAElement):
+        words = [(_expand_key(n) + [h] + _expand_key(p), h.is_constant())
+                 for (n, p), h in x.terms.items()]
+    else:
+        word = [a if isinstance(a, Poly) else Poly.x(a[0]) if a[0] == a[1] else (a[0], a[1])
+                for a in x]
+        words = [(word, all(a.is_constant() for a in word if isinstance(a, Poly)))]
     out: dict = {}
-    for (n1, p1), h1 in x.terms.items():
-        for neg0, c0 in v.terms.items():
-            for neg, val in _splice(alg, (n1, h1, p1), (neg0, one, ()), order, lam=lam):
-                _accumulate(out, neg, val * c0)
+    for word, store in words:
+        terms = v.terms
+        k = len(word)
+        while k and terms:
+            a = word[k - 1]
+            if isinstance(a, Poly):
+                terms = _cartan(alg, lam, a, terms)
+                k -= 1
+            elif order.is_negative(*a):
+                j = k - 1
+                while j and not isinstance(word[j - 1], Poly) and order.is_negative(*word[j - 1]):
+                    j -= 1
+                terms = _lower(alg, order, tuple(word[j:k]), terms, store)
+                k = j
+            else:
+                terms = _raise_all(alg, order, lam, a, terms)
+                k -= 1
+        for neg, c in terms.items():
+            _accumulate(out, neg, c)
     return VermaVector(alg, lam, out, order)
+
+
+def _cartan(alg, lam, h, terms):
+    """h mono v_lambda = h(lambda + wt mono) mono v_lambda, for each monomial."""
+    if h.is_constant():
+        c = h.constant_value()
+        return {mono: x * c for mono, x in terms.items()} if c else {}
+    out: dict = {}
+    for mono, x in terms.items():
+        off = _offsets({}, mono, 1)
+        val = eval_at(h, lam + Weight(lam.m, lam.n, [off.get(k, 0) for k in range(1, alg.N + 1)]))
+        _accumulate(out, mono, x * val)
+    return out
+
+
+def _lower(alg, order, run, terms, store):
+    """The run of negative generators times each monomial: the word has no
+    Cartan part, so its normal form is a sum of monomials with constant
+    coefficients, independent of lambda."""
+    out: dict = {}
+    for mono, x in terms.items():
+        for (neg, _), h in _nf_atoms(alg, run + tuple(_expand_key(mono)), False, order, store).items():
+            _accumulate(out, neg, x * h.terms[()])
+    return out
+
+
+def _raise_all(alg, order, lam, g, terms):
+    """The positive generator g on each monomial.  The lambda-free result
+    for (g, monomial) is cached as {negative monomial: linear Poly} and
+    evaluated at lambda; _raise's intermediate results are shared across
+    the monomials of this one application."""
+    memo: dict = {}
+    out: dict = {}
+    for mono, x in terms.items():
+        key = ("raise", alg.m, alg.n, order.tag, g, mono)
+        res = _NF_CACHE.get(key)
+        if res is None:
+            res = _NF_CACHE[key] = MappingProxyType(_raise(alg, order, g, mono, memo))
+        for neg, h in res.items():
+            val = h.terms[()] if h.is_constant() else eval_at(h, lam)
+            _accumulate(out, neg, x * val)
+    return out
+
+
+def _raise(alg, order, g, mono, memo):
+    """g mono v_lambda for g positive in the order, as {negative monomial: Poly}
+    with Polys of degree at most 1 to be evaluated at lambda.
+
+    Leibniz rule on the first letter x of mono = x rest, with g v_lambda = 0:
+    g x rest = [g, x] rest + (-1)^{|g||x|} x (g rest).  The bracket is a
+    negative generator (straightened against rest), a Cartan element H
+    (H rest v_lambda = H(lambda + wt rest) rest v_lambda) or a positive
+    generator (recurse).  Nothing straightened here is cached.
+    """
+    key = (g, mono)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    out = {}
+    if mono:
+        i, j, e = mono[0]
+        x = (i, j)
+        rest = ((i, j, e - 1),) + mono[1:] if e > 1 else mono[1:]
+        sign = -1 if alg.gen_parity(*g) and alg.gen_parity(*x) else 1
+        for item, c in sbracket_gens(alg, g, x):
+            if isinstance(item, Poly):
+                # item = x_a - sign x_b for g = e_ab, moved past rest
+                off = _offsets({}, rest, 1)
+                d = off.get(g[0], 0) - sign * off.get(g[1], 0)
+                _accumulate(out, rest, _scaled(item + d if d else item, c))
+            elif order.is_negative(*item):
+                for (neg, _), h in _nf_atoms(alg, (item,) + tuple(_expand_key(rest)), False, order,
+                                             False).items():
+                    _accumulate(out, neg, _scaled(h, c))
+            else:
+                for neg, h in _raise(alg, order, item, rest, memo).items():
+                    _accumulate(out, neg, _scaled(h, c))
+        for neg, h in _raise(alg, order, g, rest, memo).items():
+            for (neg2, _), h2 in _nf_atoms(alg, (x,) + tuple(_expand_key(neg)), False, order,
+                                           False).items():
+                _accumulate(out, neg2, _scaled(h, h2.terms[()] * sign))
+    memo[key] = out
+    return out
+
+
+def _scaled(h, c):
+    return h if c == 1 else h * c
 
 
 def weight_basis(alg: GLAlgebra, lam: Weight, drop: Weight):

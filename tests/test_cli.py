@@ -169,6 +169,12 @@ class TestErrors:
             ["kac-coeff", "--algebra", "2,2", "--root", "e1-e2", "--weight", "0,0,0,0"]
         ) == 1
 
+    @pytest.mark.parametrize("root", ["d2-e1", "e3-e1", "d2-d1"])
+    def test_negative_root(self, capsys, root):
+        assert run(["verify", "--algebra", "3,2", "--root", root]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {root} is not a positive root of gl(3,2)"]
+
     @pytest.mark.parametrize("argv, terms", [
         (["verify", "--algebra", "30,30", "--root", "e1-d30"], 2**58),
         (["theta", "--algebra", "20", "--root", "e1-e20"], 2**18),

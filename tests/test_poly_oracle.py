@@ -79,6 +79,19 @@ def test_mul(a, b):
     p, q = make(a), make(b)
     assert same(p * q, to_sympy(p) * to_sympy(q))
     assert exact(p * q)
+    # every key of a product is trimmed and every stored coefficient nonzero
+    assert all(not e or e[-1] for e in (p * q).terms)
+    assert all((p * q).terms.values())
+    # a product that cancels completely is the zero polynomial
+    assert (p * q - q * p).terms == {}
+    assert (p * (q - q)).terms == {} and ((q - q) * p).terms == {}
+
+
+def test_mul_cancels_cross_terms():
+    x1, x2, x3 = Poly.x(1), Poly.x(2), Poly.x(3)
+    # the cross terms cancel, and x1^2 is padded to three variables and trimmed back
+    assert ((x1 + x3) * (x1 - x3)).terms == {(2,): 1, (0, 0, 2): -1}
+    assert ((x1 - x2 * x3) * (x1 + x2 * x3)).terms == {(2,): 1, (0, 2, 2): -1}
 
 
 @given(polys, polys)

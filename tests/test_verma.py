@@ -2,9 +2,13 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from shapovalov.exact_algebra import Hyperplane, Poly, Weight, sample_hyperplane
-from shapovalov.pbw import DISTINGUISHED, BorelOrder, gl, normal_order
+import pytest
+
+from shapovalov import pbw, verma
+from shapovalov.exact_algebra import Hyperplane, Poly, Weight, eval_at, generic_point, sample_hyperplane
+from shapovalov.pbw import DISTINGUISHED, BorelOrder, UEAElement, gl, normal_order
 from shapovalov.verma import (
+    VermaVector,
     act,
     coefficients_in_word_basis,
     is_highest_weight,
@@ -75,6 +79,130 @@ class TestAct:
                 x = normal_order(alg, wx)
                 y = normal_order(alg, wy)
                 assert act(x, act(y, v)) == act(x * y, v)
+
+
+def product_route(x, v):
+    """x v by the UEA product: each monomial's word is normal-ordered after x
+    (a free word) or multiplied by x (a UEAElement, distinguished order);
+    terms with a positive part die on v_lambda and Cartan parts are
+    evaluated at lambda."""
+    alg, lam, order = v.alg, v.lam, v.order
+    out = {}
+    for mono, c in v.terms.items():
+        word = [(i, j) for i, j, e in mono for _ in range(e)]
+        if isinstance(x, UEAElement):
+            prod = x * normal_order(alg, word, order=order)
+        else:
+            prod = normal_order(alg, list(x) + word, order=order)
+        for (neg, pos), h in prod.terms.items():
+            if not pos:
+                out[neg] = out.get(neg, 0) + eval_at(h, lam) * c
+    return {k: c for k, c in out.items() if c}
+
+
+def order_basis(alg, order, drop):
+    """Canonical negative monomials of weight -drop for order, by brute force
+    over multisets of the order's negative generators."""
+    gens = sorted(((i, j) for i in range(1, alg.N + 1) for j in range(1, alg.N + 1)
+                   if i != j and order.is_negative(i, j)), key=lambda g: order.neg_key(*g))
+    # a factor e_ij lowers the partial sums of the coordinates, taken in
+    # the order's index sequence, by posn(i) - posn(j) >= 1 in total
+    seq = order.word if isinstance(order, BorelOrder) else range(1, alg.N + 1)
+    partial = [sum(drop.coords[t - 1] for t in seq[:k]) for k in range(1, alg.N)]
+    height = int(sum(partial))
+    target = [-int(c) for c in drop.coords]
+    out = []
+    for size in range(height + 1):
+        for combo in combinations_with_replacement(gens, size):
+            w = [0] * alg.N
+            for i, j in combo:
+                w[i - 1] += 1
+                w[j - 1] -= 1
+            if w != target:
+                continue
+            mono = []
+            for g in combo:
+                if mono and mono[-1][:2] == g:
+                    mono[-1] = (g[0], g[1], mono[-1][2] + 1)
+                else:
+                    mono.append((g[0], g[1], 1))
+            if all(e == 1 or not alg.gen_parity(i, j) for i, j, e in mono):
+                out.append(tuple(mono))
+    return out
+
+
+class TestActOracle:
+    """act against the UEA product route on random weight-space vectors."""
+
+    @pytest.mark.parametrize("generic", [False, True], ids=["numeric", "generic"])
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["distinguished", "shuffle"])
+    @pytest.mark.parametrize("mn", [(4, 0), (2, 2), (3, 2), (2, 3)])
+    def test_matches_product_route(self, mn, shuffle, generic):
+        m, n = mn
+        alg = gl(m, n)
+        N = alg.N
+        rng = random.Random(1000 * m + 100 * n + 10 * shuffle + generic)
+        order = BorelOrder(rng.sample(range(1, N + 1), N)) if shuffle else DISTINGUISHED
+        if generic:
+            lam = generic_point(m, n, [Hyperplane(alg.gen_weight(1, N)).constraint_poly()])
+        else:
+            lam = rand_weight(rng, m, n)
+        gens = [(i, j) for i in range(1, N + 1) for j in range(1, N + 1) if i != j]
+        negs = [g for g in gens if order.is_negative(*g)]
+        carts = [Poly.x(1) - Poly.x(N) + 3, Poly.x(2) * Poly.x(N - 1) - Poly.x(1)]
+        # the order's highest root, whose weight space holds theta v_lambda,
+        # and a sum of three random negative roots
+        seq = order.word if shuffle else range(1, N + 1)
+        drops = [alg.gen_weight(seq[0], seq[-1]),
+                 -sum((alg.gen_weight(*rng.choice(negs)) for _ in range(3)), Weight.zero(m, n))]
+        for drop in drops:
+            basis = weight_basis(alg, lam, drop) if not shuffle else order_basis(alg, order, drop)
+            if not shuffle:
+                assert sorted(basis) == sorted(order_basis(alg, order, drop))
+            assert basis
+            v = VermaVector(alg, lam, {mono: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+                                       for mono in basis}, order)
+            words = [[], [(2, 2)], [carts[0]]] + [[g] for g in gens]
+            for _ in range(4 if generic else 12):
+                word = [rng.choice(gens) for _ in range(rng.randint(2, 4))]
+                word.insert(rng.randint(0, len(word)), rng.choice(carts))
+                words.append(word)
+            for word in words:
+                expected = product_route(word, v)
+                assert act(word, v).terms == expected, word
+                x = normal_order(alg, word, order=order)
+                assert act(x, v).terms == expected, word
+                if not shuffle:  # the UEA product is the distinguished one
+                    assert product_route(x, v) == expected, word
+
+
+class TestActWork:
+    def test_raising_check_straightens_only_negative_words(self, monkeypatch):
+        """The raising check runs no splice and straightens no word that
+        holds a positive generator."""
+        theta = theta_gl(8)
+        lam = sample_hyperplane(theta.hyperplane(), seed=3, count=1)[0]
+        words = []
+        kernel = verma._nf_atoms
+
+        def nf(alg, atoms, pick_last=False, order=DISTINGUISHED, store=True):
+            words.append((tuple(atoms), order, store))
+            return kernel(alg, atoms, pick_last, order, store)
+
+        def splice(*args, **kwargs):
+            raise AssertionError("the Verma action does not splice")
+
+        cache = {}
+        monkeypatch.setattr(pbw, "_NF_CACHE", cache)
+        monkeypatch.setattr(verma, "_NF_CACHE", cache)
+        monkeypatch.setattr(verma, "_nf_atoms", nf)
+        monkeypatch.setattr(pbw, "_splice", splice)
+        assert is_highest_weight(theta.verma_vector(lam))
+        assert not hasattr(verma, "_splice")
+        # the Leibniz rule straightened words without storing them
+        assert any(not store for _, _, store in words)
+        for atoms, order, _ in words:
+            assert all(order.is_negative(*a) for a in atoms), atoms
 
 
 def brute_force_partitions(alg, drop):
