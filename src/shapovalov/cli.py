@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import comb
 
 from .exact_algebra import Weight, bilinear_form, sample_hyperplane
 from .hessenberg import (
@@ -40,6 +41,7 @@ from .construct import (
 
 INDEPENDENCE_CAP = 6
 TERM_CAP = 2**9  # largest expansion theta, verify, compare and det --expand will build
+SHUFFLE_CAP = 10**5  # most words the shuffles command will list
 
 
 def _parse_algebra(text):
@@ -89,6 +91,8 @@ def _check_root_terms(alg, root):
 
 def _theta_from_args(alg, args):
     if args.borel and args.borel != "distinguished":
+        if alg.n < 1:
+            raise ValueError("shuffle Borels need n >= 1")
         _check_terms(2 ** (alg.N - 2))
         shuffle = Shuffle.parse(alg.m, alg.n, args.borel)
         return theta_borel(shuffle)
@@ -155,10 +159,7 @@ def cmd_det(args):
     }
     if args.matrix not in builders:
         return _usage_error(f"unknown matrix {args.matrix!r}")
-    try:
-        B = builders[args.matrix]()
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    B = builders[args.matrix]()
     if lam is not None:
         B = B.evaluate(lam)
     if args.expand:
@@ -214,6 +215,9 @@ def cmd_shuffles(args):
     alg = _parse_algebra(args.algebra)
     if alg.n < 1:
         return _usage_error("shuffles need n >= 1")
+    count = comb(alg.N, alg.m) if args.all else comb(alg.N - 2, alg.m - 1)
+    if count > SHUFFLE_CAP:
+        return _usage_error(f"there are {count} shuffles, more than the cap of {SHUFFLE_CAP}")
     words = enumerate_shuffles(alg.m, alg.n, fixed_endpoints=not args.all)
     if args.format == "json":
         _emit([str(s) for s in words], "json")

@@ -10,6 +10,10 @@ product of the chosen above-diagonal entries with the product of chosen
 subdiagonal scalars attached on the right.  det_lr sums the 2^(n-1) terms by
 the recurrence over trailing principal submatrices, one UEA product per
 entry, instead of one product per term.
+
+Every builder is an index line l_0 .. l_k plus a coefficient function: in
+row form b_{ij} = e_{l_{i-1}, l_j} for i <= j, in column form the transpose
+e_{l_j, l_{i-1}}, and in both b_{q+1,q} = -coeff(l_q) for the skipped l_q.
 """
 
 from __future__ import annotations
@@ -141,33 +145,13 @@ def split_at(B: HessenbergMatrix, q: int):
         if i == q + 1 or j == q:
             continue
         entries[(i - (i > q + 1), j - (j > q))] = v
-    sub = {}
-    for c, p in B.sub.items():
-        if c == q:
-            continue
-        i, j = c + 1, c
-        if i == q + 1 or j == q:
-            continue  # cannot happen for c != q
-        ni, nj = i - (i > q + 1), j - (j > q)
-        if ni == nj + 1:
-            sub[nj] = p
-        else:
-            raise ValueError("deletion did not preserve the Hessenberg shape")
+    sub = {c - (c > q): p for c, p in B.sub.items() if c != q}
     dprime = HessenbergMatrix(B.alg, B.order - 1, entries, sub)
     return T, dprime, prime
 
 
 # ---------------------------------------------------------------------------
 # builders
-
-def _sigma(alg: GLAlgebra, base: int, p: int) -> Weight:
-    """eps_base - eps_p as a Weight."""
-    return Weight.eps(alg.m, alg.n, base) - Weight.eps(alg.m, alg.n, p)
-
-
-def _omega(alg: GLAlgebra, j: int, s: int) -> Weight:
-    return Weight.delta(alg.m, alg.n, j) - Weight.delta(alg.m, alg.n, s)
-
 
 def _coeff_poly(alg: GLAlgebra, root: Weight, shift: int) -> Poly:
     """h_root + (rho, root) + shift."""
@@ -181,12 +165,25 @@ def _coeff_poly(alg: GLAlgebra, root: Weight, shift: int) -> Poly:
 @lru_cache(maxsize=1024)
 def gl_block_coeff(alg, base, p, shift):
     """Coefficient attached to skipping eps-index p in a block based at eps_base."""
-    return _coeff_poly(alg, _sigma(alg, base, p), shift)
+    return _coeff_poly(alg, Weight.eps(alg.m, alg.n, base) - Weight.eps(alg.m, alg.n, p), shift)
 
 
 @lru_cache(maxsize=1024)
 def delta_block_coeff(alg, j, s, shift):
-    return _coeff_poly(alg, _omega(alg, j, s), shift)
+    return _coeff_poly(alg, Weight.delta(alg.m, alg.n, j) - Weight.delta(alg.m, alg.n, s), shift)
+
+
+def _line_matrix(alg: GLAlgebra, line, coeff, columns=False) -> HessenbergMatrix:
+    """The matrix of the index line l_0 .. l_k: b_{ij} = e_{l_{i-1}, l_j} for
+    i <= j (in column form e_{l_j, l_{i-1}}) and b_{q+1,q} = -coeff(l_q)."""
+    order = len(line) - 1
+    entries = {}
+    for i in range(1, order + 1):
+        for j in range(i, order + 1):
+            a, b = line[i - 1], line[j]
+            entries[(i, j)] = UEAElement.gen(alg, b, a) if columns else UEAElement.gen(alg, a, b)
+    sub = {q: -coeff(line[q]) for q in range(1, order)}
+    return HessenbergMatrix(alg, order, entries, sub)
 
 
 def build_D(m: int, alg: GLAlgebra | None = None) -> HessenbergMatrix:
@@ -194,15 +191,7 @@ def build_D(m: int, alg: GLAlgebra | None = None) -> HessenbergMatrix:
     if m < 2:
         raise ValueError("need m >= 2")
     alg = alg or gl(m, 0)
-    order = m - 1
-    entries = {}
-    for i in range(1, order + 1):
-        for j in range(i, order + 1):
-            entries[(i, j)] = UEAElement.gen(alg, m + 1 - i, m - j)
-    sub = {
-        j: -gl_block_coeff(alg, 1, m - j, -1) for j in range(1, order)
-    }
-    return HessenbergMatrix(alg, order, entries, sub)
+    return _line_matrix(alg, range(m, 0, -1), lambda p: gl_block_coeff(alg, 1, p, -1))
 
 
 def build_E(m: int, alg: GLAlgebra | None = None) -> HessenbergMatrix:
@@ -210,41 +199,22 @@ def build_E(m: int, alg: GLAlgebra | None = None) -> HessenbergMatrix:
     if m < 2:
         raise ValueError("need m >= 2")
     alg = alg or gl(m, 0)
-    order = m - 1
-    entries = {}
-    for i in range(1, order + 1):
-        for j in range(i, order + 1):
-            entries[(i, j)] = UEAElement.gen(alg, j + 1, i)
-    sub = {j: -gl_block_coeff(alg, 1, j + 1, 0) for j in range(1, order)}
-    return HessenbergMatrix(alg, order, entries, sub)
+    return _line_matrix(alg, range(1, m + 1), lambda p: gl_block_coeff(alg, 1, p, 0), columns=True)
 
 
 def build_A_rs(r: int, s: int, m: int, n: int) -> HessenbergMatrix:
     """Descending-row matrix for the odd root eps_r - delta_s, order m+s-r."""
     _check_rs(r, s, m, n)
     alg = gl(m, n)
-    top = m + s
-    order = top - r
-    entries = {}
-    for i in range(1, order + 1):
-        for j in range(i, order + 1):
-            entries[(i, j)] = UEAElement.gen(alg, top + 1 - i, top - j)
-    sub = {j: -_odd_index_coeff(alg, r, s, top - 1 - j, "middle") for j in range(1, order)}
-    return HessenbergMatrix(alg, order, entries, sub)
+    return _line_matrix(alg, range(m + s, r - 1, -1), lambda p: _odd_index_coeff(alg, r, s, p - 1, "middle"))
 
 
 def build_B_rs(r: int, s: int, m: int, n: int) -> HessenbergMatrix:
     """Ascending-row matrix for eps_r - delta_s with subdiagonal -C_i."""
     _check_rs(r, s, m, n)
     alg = gl(m, n)
-    top = m + s
-    order = top - r
-    entries = {}
-    for i in range(1, order + 1):
-        for j in range(i, order + 1):
-            entries[(i, j)] = UEAElement.gen(alg, r + j, r + i - 1)
-    sub = {j: -_odd_index_coeff(alg, r, s, r + j - 1, "bform") for j in range(1, order)}
-    return HessenbergMatrix(alg, order, entries, sub)
+    return _line_matrix(alg, range(r, m + s + 1), lambda p: _odd_index_coeff(alg, r, s, p - 1, "bform"),
+                        columns=True)
 
 
 def build_F_j(r: int, s: int, m: int, n: int, j: int) -> HessenbergMatrix:
@@ -253,15 +223,7 @@ def build_F_j(r: int, s: int, m: int, n: int, j: int) -> HessenbergMatrix:
     if not 1 <= j <= s:
         raise ValueError("need 1 <= j <= s")
     alg = gl(m, n)
-    order = m - r + 1
-    entries = {}
-    for col in range(1, order + 1):
-        entries[(1, col)] = UEAElement.gen(alg, m + j, m + 1 - col)
-    for i in range(2, order + 1):
-        for col in range(i, order + 1):
-            entries[(i, col)] = UEAElement.gen(alg, m + 2 - i, m + 1 - col)
-    sub = {q: -_odd_index_coeff(alg, r, s, m - q, "middle") for q in range(1, order)}
-    return HessenbergMatrix(alg, order, entries, sub)
+    return _line_matrix(alg, (m + j, *range(m, r - 1, -1)), lambda p: _odd_index_coeff(alg, r, s, p - 1, "middle"))
 
 
 def build_G_j(r: int, s: int, m: int, n: int, j: int) -> HessenbergMatrix:
@@ -270,14 +232,8 @@ def build_G_j(r: int, s: int, m: int, n: int, j: int) -> HessenbergMatrix:
     if not 1 <= j <= s:
         raise ValueError("need 1 <= j <= s")
     alg = gl(m, n)
-    order = m - r + 1
-    entries = {}
-    for i in range(1, order + 1):
-        for col in range(i, order + 1):
-            src = r + col if col < order else m + j
-            entries[(i, col)] = UEAElement.gen(alg, src, r + i - 1)
-    sub = {q: -_odd_index_coeff(alg, r, s, r + q - 1, "bform") for q in range(1, order)}
-    return HessenbergMatrix(alg, order, entries, sub)
+    return _line_matrix(alg, (*range(r, m + 1), m + j), lambda p: _odd_index_coeff(alg, r, s, p - 1, "bform"),
+                        columns=True)
 
 
 def _check_rs(r, s, m, n):

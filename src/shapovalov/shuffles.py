@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 
 from .exact_algebra import Poly, Weight
 from .pbw import GLAlgebra
@@ -78,27 +77,22 @@ class Shuffle:
 
 
 def enumerate_shuffles(m: int, n: int, fixed_endpoints: bool = True):
-    """All shuffle words, in the deterministic order of unprimed position sets."""
+    """All shuffle words, in the lexicographic order of unprimed position sets.
+
+    Endpoint-fixed words put 1 first and n' last, so only the other m-1
+    unprimed positions, among the m+n-2 middle slots, are enumerated.
+    """
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
-    out = []
-    for positions in combinations(range(m + n), m):
-        word = [0] * (m + n)
-        u, p = 1, m + 1
-        pos = set(positions)
-        for k in range(m + n):
-            if k in pos:
-                word[k] = u
-                u += 1
-            else:
-                word[k] = p
-                p += 1
-        s = Shuffle(m, n, word)
-        if fixed_endpoints and not s.endpoint_fixed():
-            continue
-        out.append(s)
     if fixed_endpoints:
-        assert len(out) == comb(m + n - 2, m - 1)
+        position_sets = ((0, *c) for c in combinations(range(1, m + n - 1), m - 1))
+    else:
+        position_sets = combinations(range(m + n), m)
+    out = []
+    for positions in position_sets:
+        unprimed, primed = iter(range(1, m + 1)), iter(range(m + 1, m + n + 1))
+        pos = set(positions)
+        out.append(Shuffle(m, n, [next(unprimed) if k in pos else next(primed) for k in range(m + n)]))
     return out
 
 

@@ -386,11 +386,9 @@ def coefficients_in_word_basis(v: VermaVector, words):
     space of v.  Raises if the expansion does not exist or is not unique.
     """
     alg, lam = v.alg, v.lam
-    monos = sorted({mono for w in words for mono in act(list(w), vacuum(alg, lam)).terms} | set(v.terms))
-    cols = []
-    for w in words:
-        vec = act(list(w), vacuum(alg, lam))
-        cols.append(coords_in_basis(vec, monos))
+    vecs = [act(list(w), vacuum(alg, lam)) for w in words]
+    monos = sorted({mono for vec in vecs for mono in vec.terms} | set(v.terms))
+    cols = [coords_in_basis(vec, monos) for vec in vecs]
     target = coords_in_basis(v, monos)
     sol = solve_in_span(cols, target)
     if sol is None:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import shapovalov
-from shapovalov.cli import TERM_CAP, run
+from shapovalov.cli import SHUFFLE_CAP, TERM_CAP, run
 
 # a child process imports the package from where this one found it
 CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(shapovalov.__file__).resolve().parents[1])}
@@ -132,6 +132,27 @@ class TestOtherCommands:
         data = json.loads(out)
         assert data["terms"]
 
+    def test_det_weight_expand_json(self, capsys):
+        from shapovalov.exact_algebra import Weight
+        from shapovalov.hessenberg import build_A_rs, det_lr
+
+        code, out = capture(
+            capsys,
+            ["det", "--algebra", "3,2", "--matrix", "Ars", "-r", "1", "-s", "2",
+             "--weight", "1,2,3,4,5", "--expand", "--format", "json"],
+        )
+        assert code == 0
+        lam = Weight(3, 2, [1, 2, 3, 4, 5])
+        expected = det_lr(build_A_rs(1, 2, 3, 2).evaluate(lam)).to_json()
+        assert json.loads(out) == json.loads(json.dumps(expected))
+
+    def test_det_expand_text(self, capsys):
+        from shapovalov.hessenberg import build_E, det_lr
+
+        code, out = capture(capsys, ["det", "--algebra", "3", "--matrix", "E", "--expand"])
+        assert code == 0
+        assert out == f"{det_lr(build_E(3))}\n"
+
     def test_minimal(self, capsys):
         code, out = capture(
             capsys,
@@ -174,6 +195,25 @@ class TestErrors:
         assert run(["verify", "--algebra", "3,2", "--root", root]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {root} is not a positive root of gl(3,2)"]
+
+    @pytest.mark.parametrize("command", ["theta", "verify"])
+    def test_shuffle_borel_needs_odd_part(self, capsys, command):
+        assert run([command, "--algebra", "3", "--borel", "1,2,3"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: shuffle Borels need n >= 1"]
+
+    @pytest.mark.parametrize("argv, count", [
+        (["shuffles", "--algebra", "12,12"], 705432),
+        (["shuffles", "--algebra", "10,10", "--all"], 184756),
+    ])
+    def test_shuffle_cap(self, capsys, argv, count):
+        # refused from the count alone, before any word is enumerated
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: there are {count} shuffles, more than the cap of {SHUFFLE_CAP}"
+        ]
 
     @pytest.mark.parametrize("argv, terms", [
         (["verify", "--algebra", "30,30", "--root", "e1-d30"], 2**58),

@@ -5,7 +5,16 @@ from itertools import combinations
 
 import pytest
 
-from shapovalov.exact_algebra import Poly, Weight, eval_at, sample_hyperplane, Hyperplane
+from shapovalov.exact_algebra import (
+    Hyperplane,
+    Poly,
+    Weight,
+    bilinear_form,
+    eval_at,
+    h_of_weight,
+    rho,
+    sample_hyperplane,
+)
 from shapovalov.hessenberg import (
     HessenbergMatrix,
     build_A_rs,
@@ -14,7 +23,9 @@ from shapovalov.hessenberg import (
     build_E,
     build_F_j,
     build_G_j,
+    delta_block_coeff,
     det_lr,
+    gl_block_coeff,
     split_at,
 )
 from shapovalov.pbw import UEAElement, gl, normal_order
@@ -252,6 +263,82 @@ class TestBuilders:
             build_F_j(1, 2, 2, 2, 3)
         with pytest.raises(ValueError):
             build_D(1)
+
+    @pytest.mark.parametrize("coeff, args", [
+        (gl_block_coeff, (1, 0, 0)), (gl_block_coeff, (1, 6, 0)),
+        (delta_block_coeff, (0, 2, 0)), (delta_block_coeff, (1, 3, 1)),
+    ])
+    def test_coefficient_index_range(self, coeff, args):
+        # an index outside its block is refused, not read as another coordinate
+        with pytest.raises(ValueError, match="out of range for gl"):
+            coeff(gl(3, 2), *args)
+
+
+def _skip_coeff(m, n, root, shift):
+    """h_root + (rho, root) + shift, the paper's coefficient for a skipped index."""
+    return h_of_weight(root) + Poly.const(bilinear_form(rho(m, n), root) + shift)
+
+
+def _odd_skip(m, n, r, s, idx, shifts):
+    """The coefficient of index idx for eps_r - delta_s: eps_r - eps_{idx+1}
+    on the eps side, delta_{idx+1-m} - delta_s on the delta side."""
+    if idx < m:
+        return _skip_coeff(m, n, Weight.eps(m, n, r) - Weight.eps(m, n, idx + 1), shifts[0])
+    return _skip_coeff(m, n, Weight.delta(m, n, idx + 1 - m) - Weight.delta(m, n, s), shifts[1])
+
+
+MIDDLE, BFORM = (-1, 0), (0, 1)
+
+
+def reference_matrix(m, n, order, entry, sub):
+    """The matrix with b_{ij} = e_{entry(i, j)} for i <= j and b_{q+1,q} = sub(q)."""
+    alg = gl(m, n)
+    entries = {(i, j): UEAElement.gen(alg, *entry(i, j))
+               for i in range(1, order + 1) for j in range(i, order + 1)}
+    return HessenbergMatrix(alg, order, entries, {q: sub(q) for q in range(1, order)})
+
+
+def reference_builders(max_rank):
+    """Each builder with the matrix its explicit formulas give, for every
+    valid r, s and j with m+n <= max_rank."""
+    eps = lambda m, a, b: Weight.eps(m, 0, a) - Weight.eps(m, 0, b)
+    for m in range(2, max_rank + 1):
+        yield build_D(m), reference_matrix(
+            m, 0, m - 1, lambda i, j: (m + 1 - i, m - j),
+            lambda q: -_skip_coeff(m, 0, eps(m, 1, m - q), -1))
+        yield build_E(m), reference_matrix(
+            m, 0, m - 1, lambda i, j: (j + 1, i),
+            lambda q: -_skip_coeff(m, 0, eps(m, 1, q + 1), 0))
+    for m in range(1, max_rank):
+        for n in range(1, max_rank - m + 1):
+            for r in range(1, m + 1):
+                for s in range(1, n + 1):
+                    top = m + s
+                    yield build_A_rs(r, s, m, n), reference_matrix(
+                        m, n, top - r, lambda i, j: (top + 1 - i, top - j),
+                        lambda q: -_odd_skip(m, n, r, s, top - 1 - q, MIDDLE))
+                    yield build_B_rs(r, s, m, n), reference_matrix(
+                        m, n, top - r, lambda i, j: (r + j, r + i - 1),
+                        lambda q: -_odd_skip(m, n, r, s, r + q - 1, BFORM))
+                    order = m - r + 1
+                    for k in range(1, s + 1):
+                        yield build_F_j(r, s, m, n, k), reference_matrix(
+                            m, n, order, lambda i, col: (m + k if i == 1 else m + 2 - i, m + 1 - col),
+                            lambda q: -_odd_skip(m, n, r, s, m - q, MIDDLE))
+                        yield build_G_j(r, s, m, n, k), reference_matrix(
+                            m, n, order, lambda i, col: (r + col if col < order else m + k, r + i - 1),
+                            lambda q: -_odd_skip(m, n, r, s, r + q - 1, BFORM))
+
+
+class TestReferenceBuilders:
+    def test_builders_match_explicit_formulas(self):
+        count = 0
+        for B, ref in reference_builders(7):
+            assert (B.alg, B.order) == (ref.alg, ref.order)
+            assert B.entries == ref.entries
+            assert B.sub == ref.sub
+            count += 1
+        assert count == 2 * 6 + 2 * 126 + 2 * 252
 
 
 class TestEquivalences:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -36,6 +37,19 @@ class TestShuffleWords:
         assert len(enumerate_shuffles(4, 3)) == comb(5, 3)
         for m, n in [(2, 2), (3, 2), (2, 3), (4, 2), (5, 1)]:
             assert len(enumerate_shuffles(m, n)) == comb(m + n - 2, m - 1)
+
+    def test_enumeration_order(self):
+        # the words of all unprimed position sets in lexicographic order,
+        # filtered to the endpoint-fixed ones
+        for m in range(1, 8):
+            for n in range(1, 9 - m):
+                every = []
+                for positions in combinations(range(m + n), m):
+                    unprimed, primed = iter(range(1, m + 1)), iter(range(m + 1, m + n + 1))
+                    every.append(Shuffle(m, n, [next(unprimed) if k in positions else next(primed)
+                                                for k in range(m + n)]))
+                assert enumerate_shuffles(m, n, fixed_endpoints=False) == every
+                assert enumerate_shuffles(m, n) == [w for w in every if w.word[0] == 1 and w.word[-1] == m + n]
 
     def test_n_equals_one(self):
         words = enumerate_shuffles(4, 1)

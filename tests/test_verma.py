@@ -309,3 +309,18 @@ class TestLinearAlgebra:
             [(3, 2), (2, 1)], vacuum(alg, lam)
         )
         assert coefficients_in_word_basis(target, words) == [Fraction(1), Fraction(5)]
+
+    def test_coefficients_apply_each_word_once(self, monkeypatch):
+        alg = gl(3, 0)
+        lam = Weight(3, 0, [2, 1, 0])
+        words = [((3, 1),), ((3, 2), (2, 1))]
+        target = act([(3, 2), (2, 1)], vacuum(alg, lam))
+        calls = []
+
+        def counting_act(x, v):
+            calls.append(x)
+            return act(x, v)
+
+        monkeypatch.setattr(verma, "act", counting_act)
+        assert coefficients_in_word_basis(target, words) == [Fraction(0), Fraction(1)]
+        assert calls == [list(w) for w in words]
