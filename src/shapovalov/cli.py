@@ -15,6 +15,7 @@ from math import comb
 
 from .exact_algebra import Weight, bilinear_form, sample_hyperplane
 from .hessenberg import (
+    ORDERINGS,
     build_A_rs,
     build_B_rs,
     build_D,
@@ -26,6 +27,7 @@ from .hessenberg import (
 from .pbw import gl
 from .shuffles import Shuffle, enumerate_shuffles
 from .construct import (
+    INDEPENDENCE_CAP,
     b_lambda,
     is_dominant_even,
     is_independent,
@@ -39,7 +41,6 @@ from .construct import (
     verify_highest_weight_symbolic,
 )
 
-INDEPENDENCE_CAP = 6
 TERM_CAP = 2**9  # largest expansion theta, verify, compare and det --expand will build
 SHUFFLE_CAP = 10**5  # most words the shuffles command will list
 
@@ -302,21 +303,13 @@ def build_parser():
 
     p = common(sub.add_parser("theta", help="print a constructed element"))
     p.add_argument("--root", help="e<i>-e<j>, e<i>-d<j> or d<i>-d<j>")
-    p.add_argument(
-        "--order",
-        default="standard",
-        choices=["standard", "middle", "odd-last", "odd-first", "bform"],
-    )
+    p.add_argument("--order", default="standard", choices=list(ORDERINGS))
     p.add_argument("--borel", help='shuffle word like "1 1\' 2 2\'" or "distinguished"')
     p.set_defaults(func=cmd_theta)
 
     p = common(sub.add_parser("verify", help="check the defining property at sampled weights"))
     p.add_argument("--root")
-    p.add_argument(
-        "--order",
-        default="standard",
-        choices=["standard", "middle", "odd-last", "odd-first", "bform"],
-    )
+    p.add_argument("--order", default="standard", choices=list(ORDERINGS))
     p.add_argument("--borel")
     p.add_argument("--samples", type=int, default=default_samples)
     p.add_argument("--seed", type=int, default=0)

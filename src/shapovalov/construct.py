@@ -4,17 +4,21 @@ An element is its chain: a small graph whose paths are the terms of the
 paper's subset-sum expansion.  A path takes the indices of one subset of an
 index interval holding both endpoints; its word is a product of lowering
 generators, in an order fixed by the chosen convention, and its Cartan
-product has one linear factor per index it skips.  The conventions are:
+product has one linear factor per index it skips.  Every element is built
+from its root's index interval i..j and an ordering, whose constants the one
+table hessenberg.ORDERINGS holds (hessenberg.skip_coeff gives the factors).
+The conventions are:
 
+    standard   descending chains; for odd roots the same as middle
     middle     descending chains, the odd generator sits where the chain
                crosses from the delta side to the eps side
     odd-last   the unique odd generator is the last factor
     odd-first  the unique odd generator is the first factor
     bform      ascending chains (the column-matrix expansion)
 
-For even roots "standard" (descending chains) and "bform" coincide as
-elements of U(g); for odd roots the conventions agree after applying to a
-highest weight vector on the defining hyperplane, and in small ranks even as
+Even roots take standard and bform only, which coincide as elements of
+U(g); for odd roots the conventions agree after applying to a highest
+weight vector on the defining hyperplane, and in small ranks even as
 elements.
 
 body, evaluate and verma_vector sum over the paths by the Hessenberg column
@@ -45,10 +49,10 @@ from .exact_algebra import (
     bilinear_form,
     eval_at,
     generic_point,
-    h_of_weight,
+    rho_pairing,
     sample_hyperplane,
 )
-from .hessenberg import delta_block_coeff, gl_block_coeff, _odd_index_coeff
+from .hessenberg import ORDERINGS, skip_coeff
 from .pbw import BorelOrder, DISTINGUISHED, GLAlgebra, UEAElement, _accumulate, gl, normal_order
 from .shuffles import Shuffle, diagram_data, eta_weight
 from .verma import (
@@ -62,7 +66,9 @@ from .verma import (
     weight_basis,
 )
 
-ODD_ORDERINGS = ("middle", "odd-last", "odd-first", "bform")
+EVEN_ORDERINGS = ("standard", "bform")
+ODD_ORDERINGS = tuple(o for o in ORDERINGS if o != "standard")
+INDEPENDENCE_CAP = 6  # largest m + n whose independence is decided by brute force
 
 
 @dataclass
@@ -289,27 +295,42 @@ def _odd_ends(m, r, s, coeff, odd_first) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# even blocks
+# positive roots
+
+def _root_element(alg: GLAlgebra, i: int, j: int, ordering: str) -> ShapovalovElement:
+    """Element for the positive root with index interval i..j in a checked
+    ordering: a line over i..j, descending unless bform, or the odd-last and
+    odd-first chains of an odd root."""
+
+    def coeff(p):
+        return skip_coeff(alg, i, j, p, ordering)
+
+    if ordering in ("odd-last", "odd-first"):
+        chain = _odd_ends(alg.m, i, j - alg.m, coeff, ordering == "odd-first")
+    else:
+        chain = _line(range(i, j + 1), coeff, ordering != "bform")
+    return ShapovalovElement(alg, alg.gen_weight(i, j), 1, ordering, chain)
+
+
+def _check_even(ordering):
+    if ordering not in EVEN_ORDERINGS:
+        raise ValueError("even roots support the standard and bform orderings")
+
 
 def theta_even_eps(alg: GLAlgebra, a: int, b: int, ordering: str = "standard") -> ShapovalovElement:
     """Element for the even root eps_a - eps_b, built inside rows a..b."""
     if not 1 <= a < b <= alg.m:
         raise ValueError(f"need 1 <= a < b <= m for an eps root, got ({a},{b})")
-    shift = -1 if ordering == "standard" else 0
-    chain = _line(range(a, b + 1), lambda p: gl_block_coeff(alg, a, p, shift), ordering == "standard")
-    eta = Weight.eps(alg.m, alg.n, a) - Weight.eps(alg.m, alg.n, b)
-    return ShapovalovElement(alg, eta, 1, ordering, chain)
+    _check_even(ordering)
+    return _root_element(alg, a, b, ordering)
 
 
 def theta_even_delta(alg: GLAlgebra, a: int, b: int, ordering: str = "standard") -> ShapovalovElement:
     """Element for the even root delta_a - delta_b (rows m+a..m+b)."""
     if not 1 <= a < b <= alg.n:
         raise ValueError(f"need 1 <= a < b <= n for a delta root, got ({a},{b})")
-    shift = 0 if ordering == "standard" else 1
-    chain = _line(range(alg.m + a, alg.m + b + 1), lambda p: delta_block_coeff(alg, p - alg.m, b, shift),
-                  ordering == "standard")
-    eta = Weight.delta(alg.m, alg.n, a) - Weight.delta(alg.m, alg.n, b)
-    return ShapovalovElement(alg, eta, 1, ordering, chain)
+    _check_even(ordering)
+    return _root_element(alg, alg.m + a, alg.m + b, ordering)
 
 
 def theta_gl(m: int) -> ShapovalovElement:
@@ -318,9 +339,6 @@ def theta_gl(m: int) -> ShapovalovElement:
         raise ValueError("need m >= 2")
     return theta_even_eps(gl(m, 0), 1, m)
 
-
-# ---------------------------------------------------------------------------
-# odd roots
 
 def theta_odd_alg(alg: GLAlgebra, r: int, s: int, ordering: str = "middle") -> ShapovalovElement:
     """Element for the odd root eps_r - delta_s of gl(m,n)."""
@@ -331,16 +349,7 @@ def theta_odd_alg(alg: GLAlgebra, r: int, s: int, ordering: str = "middle") -> S
         ordering = "middle"
     if ordering not in ODD_ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
-
-    def coeff(p):
-        return _odd_index_coeff(alg, r, s, p - 1, ordering)
-
-    if ordering in ("middle", "bform"):
-        chain = _line(range(r, m + s + 1), coeff, ordering == "middle")
-    else:
-        chain = _odd_ends(m, r, s, coeff, ordering == "odd-first")
-    eta = Weight.eps(m, n, r) - Weight.delta(m, n, s)
-    return ShapovalovElement(alg, eta, 1, ordering, chain)
+    return _root_element(alg, r, m + s, ordering)
 
 
 def theta_odd(r: int, s: int, m: int, n: int, ordering: str = "middle") -> ShapovalovElement:
@@ -351,9 +360,7 @@ def theta_glmn_distinguished(m: int, n: int) -> ShapovalovElement:
     """Element for the highest odd root eps_1 - delta_n, distinguished Borel."""
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
-    el = theta_odd_alg(gl(m, n), 1, n, "middle")
-    el.ordering = "standard"
-    return el
+    return _root_element(gl(m, n), 1, m + n, "standard")
 
 
 def theta_for_root(alg: GLAlgebra, root: Weight, ordering: str = "standard") -> ShapovalovElement:
@@ -365,12 +372,8 @@ def theta_for_root(alg: GLAlgebra, root: Weight, ordering: str = "standard") -> 
     if i > j:
         raise ValueError(f"{root_to_str(alg, root)} is not a positive root of {alg}")
     if j <= alg.m:
-        if ordering not in ("standard", "bform"):
-            raise ValueError("even roots support the standard and bform orderings")
         return theta_even_eps(alg, i, j, ordering)
     if i > alg.m:
-        if ordering not in ("standard", "bform"):
-            raise ValueError("even roots support the standard and bform orderings")
         return theta_even_delta(alg, i - alg.m, j - alg.m, ordering)
     return theta_odd_alg(alg, i, j - alg.m, ordering)
 
@@ -386,6 +389,8 @@ def theta_borel(s: Shuffle) -> ShapovalovElement:
     are products of the diagram's t-values over the skipped entries, which
     are labelled by their positions in the word.
     """
+    if s.n < 1:
+        raise ValueError("shuffle Borels need n >= 1")
     if not s.endpoint_fixed():
         raise ValueError("the shuffle must fix 1 first and n' last")
     data = diagram_data(s)
@@ -452,7 +457,7 @@ def case1_decompose(r: int, s: int, l: int, m: int, n: int) -> CaseDecomposition
         raise ValueError("need r < l <= m")
     alg = gl(m, n)
     theta = theta_odd_alg(alg, r, s, "bform")
-    T = _odd_index_coeff(alg, r, s, l - 1, "bform")
+    T = skip_coeff(alg, r, m + s, l, "bform")
     groups = _split_paths(theta, r, m + s, (l,))
     (with_l, main), (without_l, remainder) = groups[(True,)], groups[(False,)]
     theta_alpha = theta_even_eps(alg, r, l, "bform")
@@ -487,8 +492,8 @@ def case2_decompose(r: int, s: int, l: int, k: int, m: int, n: int) -> CaseDecom
         raise ValueError("need r < l <= m and k < s <= n")
     alg = gl(m, n)
     theta = theta_odd_alg(alg, r, s, "odd-last")
-    T = _odd_index_coeff(alg, r, s, l - 1, "odd-last")
-    S = -_odd_index_coeff(alg, r, s, m + k - 1, "odd-last")
+    T = skip_coeff(alg, r, m + s, l, "odd-last")
+    S = -skip_coeff(alg, r, m + s, m + k, "odd-last")
     groups = _split_paths(theta, r, m + s, (l, m + k))
     names = {(True, True): "both", (True, False): "no_mk", (False, True): "no_l", (False, False): "neither"}
     theta_a1 = theta_even_eps(alg, r, l)
@@ -559,8 +564,7 @@ def lemma1768_check(m: int, p: int, q_val: int, lam: Weight | None = None) -> bo
         raise ValueError(f"(eta, alpha^vee) = {q}; degenerate or mismatched q")
     if lam is None:
         # (lam + rho, alpha) = -p
-        pair_c = h_of_weight(alpha) + Poly.const(bilinear_form(alg.rho, alpha) + p)
-        lam = generic_point(m, 0, [Hyperplane(eta, 1).constraint_poly(), pair_c])
+        lam = generic_point(m, 0, [Hyperplane(eta, 1).constraint_poly(), rho_pairing(alpha, p)])
     else:
         if not Hyperplane(eta, 1).member(lam):
             raise ValueError("lambda must lie on the multiplicity-1 hyperplane")
@@ -635,8 +639,8 @@ def is_minimal(alg: GLAlgebra, gamma: Weight, lam: Weight) -> bool:
 
 def is_independent(alg: GLAlgebra, gamma: Weight, lam: Weight) -> bool:
     """Brute-force: is theta_gamma v outside the span of U(n^-) theta_gamma' v?"""
-    if alg.N > 6:
-        raise ValueError("independence check is capped at m + n <= 6")
+    if alg.N > INDEPENDENCE_CAP:
+        raise ValueError(f"independence check is capped at m + n <= {INDEPENDENCE_CAP}")
     blam = b_lambda(alg, lam)
     if gamma not in blam:
         raise ValueError("gamma must belong to B(lambda)")

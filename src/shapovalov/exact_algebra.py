@@ -469,6 +469,12 @@ def h_of_weight(mu: Weight) -> Poly:
     return out
 
 
+def rho_pairing(beta: Weight, c=0) -> Poly:
+    """(lam + rho, beta) + c as a linear polynomial in the coordinates of
+    lam: h_beta + (rho, beta) + c."""
+    return h_of_weight(beta) + Poly.const(bilinear_form(rho(beta.m, beta.n), beta) + c)
+
+
 def eval_at(p: Poly, lam: Weight):
     """Evaluate p at x_i = i-th coordinate of lam.
 
@@ -524,9 +530,7 @@ class Hyperplane:
 
     def constraint_poly(self) -> Poly:
         """Linear polynomial in the coordinates of lam vanishing exactly on the hyperplane."""
-        eta = self.eta
-        r = rho(eta.m, eta.n)
-        return h_of_weight(eta) + Poly.const(bilinear_form(r, eta) - self.rhs())
+        return rho_pairing(self.eta, -self.rhs())
 
     def __repr__(self):
         return f"Hyperplane(eta={self.eta}, mult={self.mult})"

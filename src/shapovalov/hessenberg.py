@@ -11,16 +11,19 @@ subdiagonal scalars attached on the right.  det_lr sums the 2^(n-1) terms by
 the recurrence over trailing principal submatrices, one UEA product per
 entry, instead of one product per term.
 
-Every builder is an index line l_0 .. l_k plus a coefficient function: in
-row form b_{ij} = e_{l_{i-1}, l_j} for i <= j, in column form the transpose
-e_{l_j, l_{i-1}}, and in both b_{q+1,q} = -coeff(l_q) for the skipped l_q.
+Every builder is an index line l_0 .. l_k inside a root interval plus an
+ordering: in row form (standard and middle, descending lines)
+b_{ij} = e_{l_{i-1}, l_j} for i <= j, in column form (bform, ascending lines)
+the transpose e_{l_j, l_{i-1}}, and in both b_{q+1,q} = -skip_coeff(l_q) for
+the skipped l_q.  skip_coeff is the coefficient of the element constructors
+too, and ORDERINGS the one table of the orderings' constants.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .exact_algebra import Poly, Weight, bilinear_form, eval_at, h_of_weight
+from .exact_algebra import Poly, Weight, eval_at, rho_pairing
 from .pbw import GLAlgebra, UEAElement, gl
 
 
@@ -153,68 +156,74 @@ def split_at(B: HessenbergMatrix, q: int):
 # ---------------------------------------------------------------------------
 # builders
 
-def _coeff_poly(alg: GLAlgebra, root: Weight, shift: int) -> Poly:
-    """h_root + (rho, root) + shift."""
-    return h_of_weight(root) + Poly.const(bilinear_form(alg.rho, root) + shift)
+# The ordering fixes the constant added to each skipped index's coefficient,
+# one on the eps side and one on the delta side.
+ORDERINGS = {
+    "standard": (-1, 0),
+    "middle": (-1, 0),
+    "odd-last": (0, 0),
+    "odd-first": (-1, 1),
+    "bform": (0, 1),
+}
 
 
 # An expansion with 2^k terms asks for the same few coefficients in every
-# term, so each is built once.  An algebra of rank N has under 3 N^2 of them,
-# so the bound holds two of rank 12; the Polys handed out are shared, which
-# is safe because Polys are immutable.
+# term, so each is built once.  An algebra of rank N has C(N, 3) of them per
+# ordering, 220 at rank 12; the Polys handed out are shared, which is safe
+# because Polys are immutable.
 @lru_cache(maxsize=1024)
-def gl_block_coeff(alg, base, p, shift):
-    """Coefficient attached to skipping eps-index p in a block based at eps_base."""
-    return _coeff_poly(alg, Weight.eps(alg.m, alg.n, base) - Weight.eps(alg.m, alg.n, p), shift)
+def skip_coeff(alg: GLAlgebra, i: int, j: int, p: int, ordering: str) -> Poly:
+    """Coefficient of skipping index p inside the root interval i..j:
+    h_root + (rho, root) + shift, with root eps_i - eps_p for an eps index p
+    and delta_{p-m} - delta_{j-m} for a delta index, and the shift that
+    ORDERINGS[ordering] gives for that side."""
+    m, n = alg.m, alg.n
+    if not 1 <= i < p < j <= m + n:
+        raise ValueError(f"skipped index {p} of {i}..{j} out of range for {alg}")
+    eps_shift, delta_shift = ORDERINGS[ordering]
+    if p <= m:
+        return rho_pairing(Weight.eps(m, n, i) - Weight.eps(m, n, p), eps_shift)
+    return rho_pairing(Weight.delta(m, n, p - m) - Weight.delta(m, n, j - m), delta_shift)
 
 
-@lru_cache(maxsize=1024)
-def delta_block_coeff(alg, j, s, shift):
-    return _coeff_poly(alg, Weight.delta(alg.m, alg.n, j) - Weight.delta(alg.m, alg.n, s), shift)
-
-
-def _line_matrix(alg: GLAlgebra, line, coeff, columns=False) -> HessenbergMatrix:
-    """The matrix of the index line l_0 .. l_k: b_{ij} = e_{l_{i-1}, l_j} for
-    i <= j (in column form e_{l_j, l_{i-1}}) and b_{q+1,q} = -coeff(l_q)."""
+def _line_matrix(alg: GLAlgebra, line, i: int, j: int, ordering: str) -> HessenbergMatrix:
+    """The matrix of the index line l_0 .. l_k inside the root interval i..j:
+    b_{ab} = e_{l_{a-1}, l_b} for a <= b, in column form (bform) e_{l_b, l_{a-1}},
+    and b_{q+1,q} = -skip_coeff(l_q)."""
     order = len(line) - 1
     entries = {}
-    for i in range(1, order + 1):
-        for j in range(i, order + 1):
-            a, b = line[i - 1], line[j]
-            entries[(i, j)] = UEAElement.gen(alg, b, a) if columns else UEAElement.gen(alg, a, b)
-    sub = {q: -coeff(line[q]) for q in range(1, order)}
+    for a in range(1, order + 1):
+        for b in range(a, order + 1):
+            x, y = line[a - 1], line[b]
+            entries[(a, b)] = UEAElement.gen(alg, y, x) if ordering == "bform" else UEAElement.gen(alg, x, y)
+    sub = {q: -skip_coeff(alg, i, j, line[q], ordering) for q in range(1, order)}
     return HessenbergMatrix(alg, order, entries, sub)
 
 
-def build_D(m: int, alg: GLAlgebra | None = None) -> HessenbergMatrix:
+def build_D(m: int) -> HessenbergMatrix:
     """Row-form matrix for the highest root of gl(m): rows e_{i,*}, subdiagonal -a_i."""
     if m < 2:
         raise ValueError("need m >= 2")
-    alg = alg or gl(m, 0)
-    return _line_matrix(alg, range(m, 0, -1), lambda p: gl_block_coeff(alg, 1, p, -1))
+    return _line_matrix(gl(m, 0), range(m, 0, -1), 1, m, "standard")
 
 
-def build_E(m: int, alg: GLAlgebra | None = None) -> HessenbergMatrix:
+def build_E(m: int) -> HessenbergMatrix:
     """Column-form matrix: rows e_{*,i}, subdiagonal -c_i with c_i = a_i + 1."""
     if m < 2:
         raise ValueError("need m >= 2")
-    alg = alg or gl(m, 0)
-    return _line_matrix(alg, range(1, m + 1), lambda p: gl_block_coeff(alg, 1, p, 0), columns=True)
+    return _line_matrix(gl(m, 0), range(1, m + 1), 1, m, "bform")
 
 
 def build_A_rs(r: int, s: int, m: int, n: int) -> HessenbergMatrix:
     """Descending-row matrix for the odd root eps_r - delta_s, order m+s-r."""
     _check_rs(r, s, m, n)
-    alg = gl(m, n)
-    return _line_matrix(alg, range(m + s, r - 1, -1), lambda p: _odd_index_coeff(alg, r, s, p - 1, "middle"))
+    return _line_matrix(gl(m, n), range(m + s, r - 1, -1), r, m + s, "middle")
 
 
 def build_B_rs(r: int, s: int, m: int, n: int) -> HessenbergMatrix:
     """Ascending-row matrix for eps_r - delta_s with subdiagonal -C_i."""
     _check_rs(r, s, m, n)
-    alg = gl(m, n)
-    return _line_matrix(alg, range(r, m + s + 1), lambda p: _odd_index_coeff(alg, r, s, p - 1, "bform"),
-                        columns=True)
+    return _line_matrix(gl(m, n), range(r, m + s + 1), r, m + s, "bform")
 
 
 def build_F_j(r: int, s: int, m: int, n: int, j: int) -> HessenbergMatrix:
@@ -222,8 +231,7 @@ def build_F_j(r: int, s: int, m: int, n: int, j: int) -> HessenbergMatrix:
     _check_rs(r, s, m, n)
     if not 1 <= j <= s:
         raise ValueError("need 1 <= j <= s")
-    alg = gl(m, n)
-    return _line_matrix(alg, (m + j, *range(m, r - 1, -1)), lambda p: _odd_index_coeff(alg, r, s, p - 1, "middle"))
+    return _line_matrix(gl(m, n), (m + j, *range(m, r - 1, -1)), r, m + s, "middle")
 
 
 def build_G_j(r: int, s: int, m: int, n: int, j: int) -> HessenbergMatrix:
@@ -231,30 +239,9 @@ def build_G_j(r: int, s: int, m: int, n: int, j: int) -> HessenbergMatrix:
     _check_rs(r, s, m, n)
     if not 1 <= j <= s:
         raise ValueError("need 1 <= j <= s")
-    alg = gl(m, n)
-    return _line_matrix(alg, (*range(r, m + 1), m + j), lambda p: _odd_index_coeff(alg, r, s, p - 1, "bform"),
-                        columns=True)
+    return _line_matrix(gl(m, n), (*range(r, m + 1), m + j), r, m + s, "bform")
 
 
 def _check_rs(r, s, m, n):
     if not (1 <= r <= m and 1 <= s <= n):
         raise ValueError(f"root indices r={r}, s={s} out of range for gl({m},{n})")
-
-
-def _odd_index_coeff(alg: GLAlgebra, r: int, s: int, idx: int, ordering: str):
-    """Coefficient attached to index idx in [r, m+s-2] for the root eps_r - delta_s.
-
-    The eps branch (idx < m) uses the root eps_r - eps_{idx+1}; the delta
-    branch uses delta_{idx+1-m} - delta_s.  The additive constant depends on
-    the ordering convention.
-    """
-    m = alg.m
-    shifts = {
-        "middle": (-1, 0),
-        "odd-last": (0, 0),
-        "odd-first": (-1, 1),
-        "bform": (0, 1),
-    }[ordering]
-    if idx < m:
-        return gl_block_coeff(alg, r, idx + 1, shifts[0])
-    return delta_block_coeff(alg, idx + 1 - m, s, shifts[1])

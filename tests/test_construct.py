@@ -17,15 +17,7 @@ from shapovalov.exact_algebra import (
     rho,
     sample_hyperplane,
 )
-from shapovalov.hessenberg import (
-    _odd_index_coeff,
-    build_A_rs,
-    build_B_rs,
-    build_D,
-    delta_block_coeff,
-    det_lr,
-    gl_block_coeff,
-)
+from shapovalov.hessenberg import build_A_rs, build_B_rs, build_D, det_lr
 from shapovalov.pbw import UEAElement, gl, normal_order, sbracket_gens
 from shapovalov.shuffles import Shuffle, diagram_data, enumerate_shuffles
 from shapovalov.verma import VermaVector, act, is_highest_weight, vacuum, weight_basis
@@ -182,6 +174,12 @@ class TestDistinguishedOdd:
         t = theta_odd(1, 2, 2, 2, "odd-last")
         assert t.eta == Weight.eps(2, 2, 1) - Weight.delta(2, 2, 2)
 
+    def test_distinguished_is_the_standard_middle_chain(self):
+        for m, n in [(1, 1), (2, 1), (2, 3), (3, 2)]:
+            t = theta_glmn_distinguished(m, n)
+            assert t.ordering == "standard"
+            assert t.chain == theta_odd_alg(gl(m, n), 1, n, "middle").chain
+
 
 class TestDefiningProperty:
     def test_sweep_small(self):
@@ -249,6 +247,10 @@ class TestBorel:
         sh = Shuffle.parse(2, 2, "1 1' 2 2'")
         assert raising_vectors(theta_borel(sh)) == [(1, 3), (3, 2), (2, 4)]
 
+    def test_refuses_purely_even_shuffle(self):
+        with pytest.raises(ValueError, match="^shuffle Borels need n >= 1$"):
+            theta_borel(Shuffle(3, 0, (1, 2, 3)))
+
 
 class TestOrderingIndependence:
     def test_same_vector_on_hyperplane(self):
@@ -259,6 +261,13 @@ class TestOrderingIndependence:
             for lam in sample_hyperplane(hp, 7, 3):
                 vecs = [t.verma_vector(lam) for t in thetas]
                 assert all(v == vecs[0] for v in vecs), (r, s)
+
+    @pytest.mark.parametrize("ordering", ["middle", "odd-last", "odd-first", "nonsense"])
+    def test_even_roots_refuse_odd_orderings(self, ordering):
+        with pytest.raises(ValueError, match="even roots support the standard and bform orderings"):
+            theta_even_eps(gl(4, 0), 1, 4, ordering)
+        with pytest.raises(ValueError, match="even roots support the standard and bform orderings"):
+            theta_even_delta(gl(1, 3), 1, 3, ordering)
 
     def test_even_orderings_equal_exactly(self):
         alg = gl(4, 0)
@@ -428,18 +437,28 @@ def reference_terms(t):
             for pos in _interval_subsets(0, len(word) - 1)
         ]
     i, j = alg.root_from_weight(t.eta)
-    standard = t.ordering == "standard"
-    if j <= m:
-        coeff = lambda p: gl_block_coeff(alg, i, p, -1 if standard else 0)
-    elif i > m:
-        coeff = lambda p: delta_block_coeff(alg, p - m, j - m, 0 if standard else 1)
-    else:
-        ordering = "middle" if standard else t.ordering
-        coeff = lambda p: _odd_index_coeff(alg, i, j - m, p - 1, ordering)
     return [
-        (_subset_word(I, m, t.ordering), tuple(coeff(p) for p in range(i + 1, j) if p not in I))
+        (_subset_word(I, m, t.ordering),
+         tuple(_skip_coeff(alg, i, j, p, t.ordering) for p in range(i + 1, j) if p not in I))
         for I in _interval_subsets(i, j)
     ]
+
+
+# the paper's constants added to a skipped index's coefficient, on the eps
+# side and on the delta side (Theorems bb and bsb1 and their orderings)
+_SHIFTS = {"standard": (-1, 0), "middle": (-1, 0), "odd-last": (0, 0), "odd-first": (-1, 1), "bform": (0, 1)}
+
+
+def _skip_coeff(alg, i, j, p, ordering):
+    """h_root + (rho, root) + shift for skipping p in the interval i..j:
+    the root is eps_i - eps_p for an eps index, delta_{p-m} - delta_{j-m}
+    for a delta index."""
+    m, n = alg.m, alg.n
+    if p <= m:
+        root, shift = Weight.eps(m, n, i) - Weight.eps(m, n, p), _SHIFTS[ordering][0]
+    else:
+        root, shift = Weight.delta(m, n, p - m) - Weight.delta(m, n, j - m), _SHIFTS[ordering][1]
+    return h_of_weight(root) + Poly.const(bilinear_form(rho(m, n), root) + shift)
 
 
 def _term_body(t):

@@ -16,6 +16,7 @@ from shapovalov.exact_algebra import (
     h_of_weight,
     reduce_mod,
     rho,
+    rho_pairing,
     sample_hyperplane,
 )
 
@@ -195,6 +196,14 @@ class TestHyperplane:
         c = hp.constraint_poly()
         for lam in sample_hyperplane(hp, 0, 4):
             assert eval_at(c, lam) == 0
+
+    def test_rho_pairing_is_the_shifted_form(self):
+        rng = random.Random(5)
+        for m, n in [(3, 0), (2, 2), (1, 3)]:
+            for _ in range(5):
+                beta, lam = rand_weight(rng, m, n), rand_weight(rng, m, n)
+                c = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                assert eval_at(rho_pairing(beta, c), lam) == bilinear_form(lam + rho(m, n), beta) + c
 
 
 class TestSymbolicReduction:

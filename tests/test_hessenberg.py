@@ -23,9 +23,8 @@ from shapovalov.hessenberg import (
     build_E,
     build_F_j,
     build_G_j,
-    delta_block_coeff,
     det_lr,
-    gl_block_coeff,
+    skip_coeff,
     split_at,
 )
 from shapovalov.pbw import UEAElement, gl, normal_order
@@ -264,14 +263,14 @@ class TestBuilders:
         with pytest.raises(ValueError):
             build_D(1)
 
-    @pytest.mark.parametrize("coeff, args", [
-        (gl_block_coeff, (1, 0, 0)), (gl_block_coeff, (1, 6, 0)),
-        (delta_block_coeff, (0, 2, 0)), (delta_block_coeff, (1, 3, 1)),
+    @pytest.mark.parametrize("i, j, p, ordering", [
+        (1, 3, 0, "standard"), (1, 5, 6, "middle"),  # skipped index outside the interval
+        (0, 5, 2, "odd-last"), (4, 6, 5, "bform"),   # interval outside gl(3,2)
     ])
-    def test_coefficient_index_range(self, coeff, args):
-        # an index outside its block is refused, not read as another coordinate
+    def test_coefficient_index_range(self, i, j, p, ordering):
+        # an index outside its interval is refused, not read as another coordinate
         with pytest.raises(ValueError, match="out of range for gl"):
-            coeff(gl(3, 2), *args)
+            skip_coeff(gl(3, 2), i, j, p, ordering)
 
 
 def _skip_coeff(m, n, root, shift):
