@@ -43,6 +43,8 @@ from .construct import (
 
 TERM_CAP = 2**9  # largest expansion theta, verify, compare and det --expand will build
 SHUFFLE_CAP = 10**5  # most words the shuffles command will list
+RANK_CAP = 100  # largest m+n any command accepts
+SAMPLES_CAP = 100  # most sample points verify and compare will check
 
 
 def _parse_algebra(text):
@@ -53,9 +55,11 @@ def _parse_algebra(text):
         m, n = parts
         if m < 1 or n < 0:
             raise ValueError
-        return gl(m, n)
     except (ValueError, TypeError):
         raise SystemExit(_usage_error(f"bad algebra spec {text!r}; expected m,n"))
+    if m + n > RANK_CAP:
+        raise SystemExit(_usage_error(f"rank m+n = {m + n} is more than the cap of {RANK_CAP}"))
+    return gl(m, n)
 
 
 def _parse_weight(alg, text):
@@ -82,6 +86,11 @@ def _check_terms(count):
     """Refuse an expansion of more than TERM_CAP terms before building it."""
     if count > TERM_CAP:
         raise ValueError(f"the expansion has {count} terms, more than the cap of {TERM_CAP}")
+
+
+def _check_samples(count):
+    if not 1 <= count <= SAMPLES_CAP:
+        raise ValueError(f"the sample count must be between 1 and {SAMPLES_CAP}, got {count}")
 
 
 def _check_root_terms(alg, root):
@@ -121,6 +130,7 @@ def cmd_theta(args):
 
 def cmd_verify(args):
     alg = _parse_algebra(args.algebra)
+    _check_samples(args.samples)
     theta = _theta_from_args(alg, args)
     report = verify_highest_weight(theta, samples=args.samples, seed=args.seed)
     if args.symbolic:
@@ -183,6 +193,7 @@ def cmd_det(args):
 
 def cmd_compare(args):
     alg = _parse_algebra(args.algebra)
+    _check_samples(args.samples)
     root = parse_root(alg, args.root)
     _check_root_terms(alg, root)
     orders = args.orders.split(",")

@@ -749,7 +749,7 @@ def parse_root(alg: GLAlgebra, text: str) -> Weight:
 
 def raising_vectors(theta: ShapovalovElement):
     if theta.borel is None:
-        return [g for _, g in theta.alg.simple_root_data()]
+        return theta.alg.simple_raising()
     from .shuffles import simple_roots as shuffle_simple_roots
 
     return [ab for _, _, ab in shuffle_simple_roots(theta.borel)]

@@ -74,11 +74,13 @@ class GLAlgebra:
             for i in range(j + 1, self.N + 1)
         ]
 
+    def simple_raising(self):
+        """The distinguished simple raising generators e_{k,k+1}."""
+        return [(k, k + 1) for k in range(1, self.N)]
+
     def simple_root_data(self):
         """Distinguished simple roots as (Weight, raising generator) pairs."""
-        return [
-            (self.gen_weight(k, k + 1), (k, k + 1)) for k in range(1, self.N)
-        ]
+        return [(self.gen_weight(*g), g) for g in self.simple_raising()]
 
     def positive_roots(self):
         """All positive roots as (Weight, (i, j)) with e_{ji} the lowering vector."""

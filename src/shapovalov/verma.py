@@ -6,6 +6,11 @@ of U(g) acts one generator at a time, with no splice: negative generators
 are straightened against the monomials, Cartan parts are evaluated at
 lambda plus the monomial's weight, and positive generators act by the
 Leibniz rule, so no word with a positive generator is ever straightened.
+A single negative generator in front of a monomial (a one-generator run,
+or either negative product of the Leibniz rule) goes through _prepend: it
+is put in front when it sorts before the monomial's first factor and
+raises that factor's exponent when it equals it, so only words left out
+of order reach the straightening kernel.
 Coefficients are Fractions for numeric lambda and polynomials in the free
 parameters when lambda is a generic point (exact_algebra.generic_point), so
 a vector that is zero there is zero on the whole locus at once.
@@ -197,12 +202,38 @@ def _cartan(alg, lam, h, terms):
 def _lower(alg, order, run, terms, store):
     """The run of negative generators times each monomial: the word has no
     Cartan part, so its normal form is a sum of monomials with constant
-    coefficients, independent of lambda."""
+    coefficients, independent of lambda.  A one-generator run is a prepend."""
     out: dict = {}
     for mono, x in terms.items():
-        for (neg, _), h in _nf_atoms(alg, run + tuple(_expand_key(mono)), False, order, store).items():
-            _accumulate(out, neg, x * h.terms[()])
+        if len(run) == 1:
+            pairs = _prepend(alg, order, run[0], mono, store)
+        else:
+            pairs = _straighten(alg, order, run + tuple(_expand_key(mono)), store)
+        for neg, c in pairs:
+            _accumulate(out, neg, x * c)
     return out
+
+
+def _prepend(alg, order, g, mono, store=False):
+    """(negative monomial, coefficient) pairs of g mono, for a negative
+    generator g and a canonical negative monomial mono.
+
+    g goes in front as it is when it sorts before mono's first factor, and
+    raises that factor's exponent when it equals it (an odd square is 0);
+    only the words that are not already ordered go to the kernel.
+    """
+    if mono:
+        i, j, e = mono[0]
+        if g == (i, j):
+            return () if alg.gen_parity(i, j) else ((((i, j, e + 1),) + mono[1:], 1),)
+        if order.neg_key(*g) > order.neg_key(i, j):
+            return _straighten(alg, order, (g,) + tuple(_expand_key(mono)), store)
+    return ((((g[0], g[1], 1),) + mono, 1),)
+
+
+def _straighten(alg, order, word, store):
+    """(negative monomial, coefficient) pairs of a word of negative generators."""
+    return [(neg, h.terms[()]) for (neg, _), h in _nf_atoms(alg, word, False, order, store).items()]
 
 
 def _raise_all(alg, order, lam, g, terms):
@@ -229,7 +260,7 @@ def _raise(alg, order, g, mono, memo):
 
     Leibniz rule on the first letter x of mono = x rest, with g v_lambda = 0:
     g x rest = [g, x] rest + (-1)^{|g||x|} x (g rest).  The bracket is a
-    negative generator (straightened against rest), a Cartan element H
+    negative generator (put in front of rest), a Cartan element H
     (H rest v_lambda = H(lambda + wt rest) rest v_lambda) or a positive
     generator (recurse).  Nothing straightened here is cached.
     """
@@ -250,16 +281,14 @@ def _raise(alg, order, g, mono, memo):
                 d = off.get(g[0], 0) - sign * off.get(g[1], 0)
                 _accumulate(out, rest, _scaled(item + d if d else item, c))
             elif order.is_negative(*item):
-                for (neg, _), h in _nf_atoms(alg, (item,) + tuple(_expand_key(rest)), False, order,
-                                             False).items():
-                    _accumulate(out, neg, _scaled(h, c))
+                for neg, k in _prepend(alg, order, item, rest):
+                    _accumulate(out, neg, Poly.const(k * c))
             else:
                 for neg, h in _raise(alg, order, item, rest, memo).items():
                     _accumulate(out, neg, _scaled(h, c))
         for neg, h in _raise(alg, order, g, rest, memo).items():
-            for (neg2, _), h2 in _nf_atoms(alg, (x,) + tuple(_expand_key(neg)), False, order,
-                                           False).items():
-                _accumulate(out, neg2, _scaled(h, h2.terms[()] * sign))
+            for neg2, k in _prepend(alg, order, x, neg):
+                _accumulate(out, neg2, _scaled(h, k * sign))
     memo[key] = out
     return out
 
@@ -321,9 +350,8 @@ def is_highest_weight(v: VermaVector, raising=None) -> bool:
     """True iff every simple raising operator of the chosen Borel kills v."""
     if v.is_zero():
         raise ValueError("the zero vector is not a highest weight vector")
-    alg = v.alg
     if raising is None:
-        raising = [g for _, g in alg.simple_root_data()]
+        raising = v.alg.simple_raising()
     for g in raising:
         if not act([g], v).is_zero():
             return False

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import shapovalov
-from shapovalov.cli import SHUFFLE_CAP, TERM_CAP, run
+from shapovalov.cli import RANK_CAP, SAMPLES_CAP, SHUFFLE_CAP, TERM_CAP, run
 
 # a child process imports the package from where this one found it
 CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(shapovalov.__file__).resolve().parents[1])}
@@ -228,6 +228,37 @@ class TestErrors:
         assert run(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: the expansion has {terms} terms, more than the cap of {TERM_CAP}"]
+
+    @pytest.mark.parametrize("argv, env, message", [
+        (["verify", "--algebra", "400", "--root", "e1-e2"], None,
+         f"rank m+n = 400 is more than the cap of {RANK_CAP}"),
+        (["det", "--algebra", "10" + "0" * 30 + ",1", "--matrix", "D"], None,
+         f"rank m+n = {10**31 + 1} is more than the cap of {RANK_CAP}"),
+        (["theta", "--algebra", "0", "--root", "e1-e2"], None, "bad algebra spec '0'; expected m,n"),
+        (["theta", "--algebra=-3", "--root", "e1-e2"], None, "bad algebra spec '-3'; expected m,n"),
+        (["verify", "--algebra", "5/2", "--root", "e1-e2"], None,
+         "bad algebra spec '5/2'; expected m,n"),
+        (["shuffles", "--algebra", "2,,2"], None, "bad algebra spec '2,,2'; expected m,n"),
+        (["verify", "--algebra", "3", "--root", "e1-e3", "--samples", "100000000"], None,
+         f"the sample count must be between 1 and {SAMPLES_CAP}, got 100000000"),
+        (["compare", "--algebra", "2,2", "--root", "e1-d2", "--samples", "0"], None,
+         f"the sample count must be between 1 and {SAMPLES_CAP}, got 0"),
+        (["verify", "--algebra", "3", "--root", "e1-e3"], "100000000",
+         f"the sample count must be between 1 and {SAMPLES_CAP}, got 100000000"),
+    ])
+    def test_input_caps(self, capsys, monkeypatch, argv, env, message):
+        # refused from the arguments alone, before anything is built
+        if env is not None:
+            monkeypatch.setenv("SHAPOVALOV_SAMPLES", env)
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
+    def test_rank_cap_admits_its_bound(self, capsys):
+        assert run(["verify", "--algebra", f"{RANK_CAP - 1},1", "--root", "e1-e2",
+                    "--samples", "1", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["all_passed"]
 
 
 def test_console_entry_point():

@@ -18,7 +18,7 @@ from shapovalov.exact_algebra import (
     sample_hyperplane,
 )
 from shapovalov.hessenberg import build_A_rs, build_B_rs, build_D, det_lr
-from shapovalov.pbw import UEAElement, gl, normal_order, sbracket_gens
+from shapovalov.pbw import GLAlgebra, UEAElement, gl, normal_order, sbracket_gens
 from shapovalov.shuffles import Shuffle, diagram_data, enumerate_shuffles
 from shapovalov.verma import VermaVector, act, is_highest_weight, vacuum, weight_basis
 from shapovalov.construct import (
@@ -188,6 +188,17 @@ class TestDefiningProperty:
                 theta = theta_for_root(alg, root)
                 rep = verify_highest_weight(theta, samples=5, seed=0)
                 assert rep["all_passed"], (alg, root_to_str(alg, root))
+
+    def test_distinguished_raising_builds_no_weights(self, monkeypatch):
+        def refuse(alg):
+            raise AssertionError("the distinguished raising generators need no weights")
+
+        monkeypatch.setattr(GLAlgebra, "simple_root_data", refuse)
+        theta = theta_glmn_distinguished(2, 2)
+        assert raising_vectors(theta) == [(1, 2), (2, 3), (3, 4)]
+        assert verify_highest_weight(theta, samples=2, seed=0)["all_passed"]
+        lam = sample_hyperplane(theta.hyperplane(), 1, 1)[0]
+        assert is_highest_weight(theta.verma_vector(lam))
 
     def test_symbolic_spot_checks(self):
         assert verify_highest_weight_symbolic(theta_gl(3))

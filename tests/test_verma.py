@@ -17,6 +17,7 @@ from shapovalov.verma import (
     weight_basis,
 )
 from shapovalov.construct import theta_gl
+from shapovalov.shuffles import enumerate_shuffles
 
 
 def rand_weight(rng, m, n):
@@ -100,11 +101,30 @@ def product_route(x, v):
     return {k: c for k, c in out.items() if c}
 
 
+def order_gens(alg, order):
+    """The order's negative generators in its canonical factor order."""
+    return sorted(((i, j) for i in range(1, alg.N + 1) for j in range(1, alg.N + 1)
+                   if i != j and order.is_negative(i, j)), key=lambda g: order.neg_key(*g))
+
+
+def monomial(alg, combo):
+    """The canonical monomial of a sorted multiset of negative generators,
+    or None when an odd generator repeats."""
+    mono = []
+    for g in combo:
+        if mono and mono[-1][:2] == g:
+            mono[-1] = (g[0], g[1], mono[-1][2] + 1)
+        else:
+            mono.append((g[0], g[1], 1))
+    if all(e == 1 or not alg.gen_parity(i, j) for i, j, e in mono):
+        return tuple(mono)
+    return None
+
+
 def order_basis(alg, order, drop):
     """Canonical negative monomials of weight -drop for order, by brute force
     over multisets of the order's negative generators."""
-    gens = sorted(((i, j) for i in range(1, alg.N + 1) for j in range(1, alg.N + 1)
-                   if i != j and order.is_negative(i, j)), key=lambda g: order.neg_key(*g))
+    gens = order_gens(alg, order)
     # a factor e_ij lowers the partial sums of the coordinates, taken in
     # the order's index sequence, by posn(i) - posn(j) >= 1 in total
     seq = order.word if isinstance(order, BorelOrder) else range(1, alg.N + 1)
@@ -120,14 +140,9 @@ def order_basis(alg, order, drop):
                 w[j - 1] -= 1
             if w != target:
                 continue
-            mono = []
-            for g in combo:
-                if mono and mono[-1][:2] == g:
-                    mono[-1] = (g[0], g[1], mono[-1][2] + 1)
-                else:
-                    mono.append((g[0], g[1], 1))
-            if all(e == 1 or not alg.gen_parity(i, j) for i, j, e in mono):
-                out.append(tuple(mono))
+            mono = monomial(alg, combo)
+            if mono is not None:
+                out.append(mono)
     return out
 
 
@@ -178,15 +193,15 @@ class TestActOracle:
 
 class TestActWork:
     def test_raising_check_straightens_only_negative_words(self, monkeypatch):
-        """The raising check runs no splice and straightens no word that
-        holds a positive generator."""
+        """The raising check runs no splice, and the kernel receives only
+        words of negative generators that are not already ordered."""
         theta = theta_gl(8)
         lam = sample_hyperplane(theta.hyperplane(), seed=3, count=1)[0]
         words = []
         kernel = verma._nf_atoms
 
         def nf(alg, atoms, pick_last=False, order=DISTINGUISHED, store=True):
-            words.append((tuple(atoms), order, store))
+            words.append((tuple(atoms), order))
             return kernel(alg, atoms, pick_last, order, store)
 
         def splice(*args, **kwargs):
@@ -199,10 +214,57 @@ class TestActWork:
         monkeypatch.setattr(pbw, "_splice", splice)
         assert is_highest_weight(theta.verma_vector(lam))
         assert not hasattr(verma, "_splice")
-        # the Leibniz rule straightened words without storing them
-        assert any(not store for _, _, store in words)
-        for atoms, order, _ in words:
+        assert words  # the chain steps that are not already ordered
+        for atoms, order in words:
             assert all(order.is_negative(*a) for a in atoms), atoms
+            assert pbw._violation(theta.alg, atoms, order) is not None, atoms
+
+
+def prepend_cases():
+    """Every gl(m,n) with m+n <= 5 in the distinguished order, and every
+    shuffle Borel of gl(2,2) and gl(3,2)."""
+    for size in range(2, 6):
+        for m in range(1, size + 1):
+            yield pytest.param(gl(m, size - m), DISTINGUISHED, id=f"gl({m},{size - m})")
+    for m, n in [(2, 2), (3, 2)]:
+        for sh in enumerate_shuffles(m, n, fixed_endpoints=False):
+            yield pytest.param(gl(m, n), BorelOrder(sh.word), id=f"gl({m},{n})-{sh}")
+
+
+def kernel_prepend(alg, order, g, mono):
+    nf = pbw._nf_atoms(alg, (g,) + tuple(pbw._expand_key(mono)), False, order, False)
+    return {neg: h.terms[()] for (neg, _), h in nf.items()}
+
+
+class TestPrepend:
+    @pytest.mark.parametrize("alg, order", prepend_cases())
+    def test_matches_kernel(self, alg, order):
+        """g mono for every negative generator g and every canonical negative
+        monomial of total degree at most 3."""
+        gens = order_gens(alg, order)
+        for size in range(4):
+            for combo in combinations_with_replacement(gens, size):
+                mono = monomial(alg, combo)
+                if mono is None:
+                    continue
+                for g in gens:
+                    assert dict(verma._prepend(alg, order, g, mono)) == \
+                        kernel_prepend(alg, order, g, mono), (g, mono)
+
+    @pytest.mark.parametrize("alg, order, g, mono, expected", [
+        # an odd square dies
+        (gl(1, 1), DISTINGUISHED, (2, 1), ((2, 1, 1),), {}),
+        (gl(2, 2), BorelOrder((1, 3, 2, 4)), (4, 1), ((4, 1, 1), (2, 3, 1)), {}),
+        # an even factor's exponent is raised
+        (gl(3), DISTINGUISHED, (2, 1), ((2, 1, 2), (3, 2, 1)), {((2, 1, 3), (3, 2, 1)): 1}),
+        (gl(2, 2), BorelOrder((3, 1, 4, 2)), (4, 3), ((4, 3, 1),), {((4, 3, 2),): 1}),
+        # g sorts first, and the empty monomial
+        (gl(3), DISTINGUISHED, (2, 1), ((3, 1, 1),), {((2, 1, 1), (3, 1, 1)): 1}),
+        (gl(2, 1), DISTINGUISHED, (3, 2), (), {((3, 2, 1),): 1}),
+    ])
+    def test_cheap_cases(self, alg, order, g, mono, expected):
+        assert dict(verma._prepend(alg, order, g, mono)) == expected
+        assert kernel_prepend(alg, order, g, mono) == expected
 
 
 def brute_force_partitions(alg, drop):
