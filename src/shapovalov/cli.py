@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -45,6 +46,9 @@ TERM_CAP = 2**9  # largest expansion theta, verify, compare and det --expand wil
 SHUFFLE_CAP = 10**5  # most words the shuffles command will list
 RANK_CAP = 100  # largest m+n any command accepts
 SAMPLES_CAP = 100  # most sample points verify and compare will check
+# the orderings compare checks by default, for an even and an odd root
+EVEN_ORDERS = ["standard", "bform"]
+ODD_ORDERS = ["middle", "odd-last", "odd-first", "bform"]
 
 
 def _parse_algebra(text):
@@ -73,6 +77,11 @@ def _parse_weight(alg, text):
 def _usage_error(msg):
     print(f"error: {msg}", file=sys.stderr)
     return 1
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one stderr line, like every other usage error
+        raise SystemExit(_usage_error(message))
 
 
 def _emit(obj, fmt):
@@ -196,7 +205,14 @@ def cmd_compare(args):
     _check_samples(args.samples)
     root = parse_root(alg, args.root)
     _check_root_terms(alg, root)
-    orders = args.orders.split(",")
+    ij = alg.root_from_weight(root)
+    if args.orders is None:
+        orders = ODD_ORDERS if ij is not None and alg.gen_parity(*ij) else EVEN_ORDERS
+    else:
+        orders = args.orders.split(",")
+    repeated = sorted(o for o, k in Counter(orders).items() if k > 1)
+    if repeated:
+        return _usage_error(f"--orders repeats {', '.join(map(repr, repeated))}")
     thetas = [theta_for_root(alg, root, o) for o in orders]
     hp = thetas[0].hyperplane()
     points = sample_hyperplane(hp, args.seed, args.samples)
@@ -277,6 +293,7 @@ def cmd_kac_coeff(args):
     ij = alg.root_from_weight(root)
     if ij is None or not (ij[0] <= alg.m < ij[1]):
         return _usage_error("kac-coeff needs an odd root e<r>-d<s>")
+    _check_root_terms(alg, root)
     lam = _parse_weight(alg, args.weight)
     r, s = ij[0], ij[1] - alg.m
     value = kac_coefficient(r, s, alg.m, alg.n, lam)
@@ -296,7 +313,7 @@ def cmd_kac_coeff(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shapovalov",
         description="compute, compare and verify Shapovalov elements for gl(m) and gl(m,n)",
     )
@@ -338,7 +355,8 @@ def build_parser():
 
     p = common(sub.add_parser("compare", help="compare factor orderings of one element"))
     p.add_argument("--root", required=True)
-    p.add_argument("--orders", default="middle,odd-last,odd-first,bform")
+    p.add_argument("--orders", help="comma-separated orderings (default: "
+                   f"{','.join(EVEN_ORDERS)} for an even root, {','.join(ODD_ORDERS)} for an odd one)")
     p.add_argument("--samples", type=int, default=default_samples)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_compare)

@@ -58,12 +58,6 @@ class HessenbergMatrix:
             if not v.is_zero():
                 self.sub[q] = v
 
-    def entry(self, i: int, j: int):
-        """b_{ij}; subdiagonal entries are returned as Poly, others as UEAElement."""
-        if i == j + 1:
-            return self.sub.get(j, Poly.zero())
-        return self.entries.get((i, j), UEAElement.zero(self.alg))
-
     def evaluate(self, lam: Weight) -> "HessenbergMatrix":
         """The matrix with its central subdiagonal evaluated at lam."""
         sub = {q: Poly.const(eval_at(p, lam)) for q, p in self.sub.items()}

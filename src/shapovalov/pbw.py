@@ -78,10 +78,6 @@ class GLAlgebra:
         """The distinguished simple raising generators e_{k,k+1}."""
         return [(k, k + 1) for k in range(1, self.N)]
 
-    def simple_root_data(self):
-        """Distinguished simple roots as (Weight, raising generator) pairs."""
-        return [(self.gen_weight(*g), g) for g in self.simple_raising()]
-
     def positive_roots(self):
         """All positive roots as (Weight, (i, j)) with e_{ji} the lowering vector."""
         out = []
@@ -184,10 +180,10 @@ DISTINGUISHED = PBWOrder()
 # ---------------------------------------------------------------------------
 # normal ordering
 
-def _violation(alg, word, order, last=False, start=0):
+def _violation(alg, word, order, start=0):
     """Index of the first adjacent pair out of canonical order at or after
-    start (of the last one in the word when last is set), or None."""
-    for k in range(len(word) - 2, -1, -1) if last else range(start, len(word) - 1):
+    start, or None."""
+    for k in range(start, len(word) - 1):
         a, b = word[k], word[k + 1]
         ka = (0,) + order.neg_key(*a) if order.is_negative(*a) else (2,) + order.pos_key(*a)
         kb = (0,) + order.neg_key(*b) if order.is_negative(*b) else (2,) + order.pos_key(*b)
@@ -236,7 +232,7 @@ def _fold(alg, word, coeff, cart, out, order):
 _NF_CACHE: dict = {}
 
 
-def _nf_atoms(alg: GLAlgebra, atoms, pick_last: bool = False, order: PBWOrder = DISTINGUISHED,
+def _nf_atoms(alg: GLAlgebra, atoms, *, order: PBWOrder = DISTINGUISHED,
               store: bool = True) -> MappingProxyType:
     """Straighten a word of generator pairs; returns a read-only {(neg, pos): Poly}.
 
@@ -244,23 +240,19 @@ def _nf_atoms(alg: GLAlgebra, atoms, pick_last: bool = False, order: PBWOrder = 
     end of the word, shifted by the weight it passes, and rides there until
     the word is ordered.  The cache is read for every word and written only
     when store is set; it holds the read-only views it hands out, so no
-    caller can change a later straightening.  pick_last rewrites the last
-    violation, found by a full scan of the word, instead of the first and
-    bypasses the cache (the normal form must not depend on it).
+    caller can change a later straightening.
     """
-    key = None
-    if not pick_last:
-        key = (alg.m, alg.n, order.tag, tuple(atoms))
-        hit = _NF_CACHE.get(key)
-        if hit is not None:
-            return hit
+    key = (alg.m, alg.n, order.tag, tuple(atoms))
+    hit = _NF_CACHE.get(key)
+    if hit is not None:
+        return hit
     out: dict = {}
     # each word carries where its scan starts: a rewrite at k leaves the
     # pairs before k - 1 ordered, so the first violation is not before it
     stack = [(tuple(atoms), 1, None, 0)]
     while stack:
         word, coeff, cart, start = stack.pop()
-        k = _violation(alg, word, order, pick_last, start)
+        k = _violation(alg, word, order, start)
         if k is None:
             _fold(alg, word, coeff, cart, out, order)
             continue
@@ -282,12 +274,12 @@ def _nf_atoms(alg: GLAlgebra, atoms, pick_last: bool = False, order: PBWOrder = 
             else:
                 stack.append((head + (item,) + tail, coeff * c, cart, start))
     out = MappingProxyType(out)
-    if key is not None and store:
+    if store:
         _NF_CACHE[key] = out
     return out
 
 
-def _splice(alg, left, right, order=DISTINGUISHED, pick_last=False):
+def _splice(alg, left, right, order=DISTINGUISHED):
     """Yield ((neg, pos), Poly) for the product (n1 h1 p1)(n2 h2 p2) of two terms.
 
     n, p are (i, j, exp) tuples, not necessarily sorted.  h1 moves to the far
@@ -301,7 +293,7 @@ def _splice(alg, left, right, order=DISTINGUISHED, pick_last=False):
     c1 = h1.constant_value() if h1.is_constant() else None
     c2 = h2.constant_value() if h2.is_constant() else None
     word = _expand_key(n1) + _expand_key(p1) + _expand_key(n2) + _expand_key(p2)
-    nf = _nf_atoms(alg, word, pick_last, order, c1 is not None and c2 is not None)
+    nf = _nf_atoms(alg, word, order=order, store=c1 is not None and c2 is not None)
     scale = (1 if c1 is None else c1) * (1 if c2 is None else c2)
     moved1: dict = {}
     moved2: dict = {}
@@ -317,17 +309,17 @@ def _splice(alg, left, right, order=DISTINGUISHED, pick_last=False):
         yield (neg, pos), h if scale == 1 else h * scale
 
 
-def _product(alg, left: dict, right: dict, order=DISTINGUISHED, pick_last=False) -> dict:
+def _product(alg, left: dict, right: dict, order=DISTINGUISHED) -> dict:
     """Terms of the product of two {(n, p): h} dicts, one splice per pair."""
     acc: dict = {}
     for (n1, p1), h1 in left.items():
         for (n2, p2), h2 in right.items():
-            for key, h in _splice(alg, (n1, h1, p1), (n2, h2, p2), order, pick_last):
+            for key, h in _splice(alg, (n1, h1, p1), (n2, h2, p2), order):
                 _accumulate(acc, key, h)
     return acc
 
 
-def normal_order(alg: GLAlgebra, word, pick_last: bool = False, order: PBWOrder = DISTINGUISHED) -> "UEAElement":
+def normal_order(alg: GLAlgebra, word, order: PBWOrder = DISTINGUISHED) -> "UEAElement":
     """Normal-order a free word of generators and Cartan polynomials.
 
     The result is canonical for the given triangular order: every monomial
@@ -351,7 +343,7 @@ def normal_order(alg: GLAlgebra, word, pick_last: bool = False, order: PBWOrder 
     first = (runs[0], carts[0] if carts else Poly.one(), runs[1])
     terms = {((), ()): Poly.one()}
     for n, h, p in [first] + [((), h, r) for h, r in zip(carts[1:], runs[2:])]:
-        terms = _product(alg, terms, {(n, p): h}, order, pick_last)
+        terms = _product(alg, terms, {(n, p): h}, order)
     return UEAElement(alg, terms)
 
 
@@ -441,7 +433,9 @@ class UEAElement:
         This realizes multiplication by a formally central scalar: it is how
         subdiagonal coefficients of Hessenberg matrices are attached.
         """
-        return self.map_coeffs(lambda h: h * p)
+        if p.is_zero():  # Q[x] has no zero divisors
+            return UEAElement(self.alg)
+        return UEAElement(self.alg, {k: h * p for k, h in self.terms.items()})
 
     # -- queries -----------------------------------------------------------
     def is_zero(self) -> bool:
@@ -474,14 +468,6 @@ class UEAElement:
             elif w != cur:
                 return None
         return w
-
-    def map_coeffs(self, f) -> "UEAElement":
-        out = {}
-        for k, p in self.terms.items():
-            v = f(p)
-            if not v.is_zero():
-                out[k] = v
-        return UEAElement(self.alg, out)
 
     # -- presentation ------------------------------------------------------
     def __str__(self):

@@ -100,17 +100,6 @@ class VermaVector:
                 return None
         return w
 
-    def coefficient(self, neg):
-        return self.terms.get(tuple(tuple(t) for t in neg), Fraction(0))
-
-    def map_coeffs(self, f) -> "VermaVector":
-        out = {}
-        for k, c in self.terms.items():
-            v = f(c)
-            if _nonzero(v):
-                out[k] = v
-        return VermaVector(self.alg, self.lam, out, self.order)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -233,7 +222,7 @@ def _prepend(alg, order, g, mono, store=False):
 
 def _straighten(alg, order, word, store):
     """(negative monomial, coefficient) pairs of a word of negative generators."""
-    return [(neg, h.terms[()]) for (neg, _), h in _nf_atoms(alg, word, False, order, store).items()]
+    return [(neg, h.terms[()]) for (neg, _), h in _nf_atoms(alg, word, order=order, store=store).items()]
 
 
 def _raise_all(alg, order, lam, g, terms):

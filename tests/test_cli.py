@@ -118,6 +118,17 @@ class TestOtherCommands:
         rep = json.loads(out)
         assert rep["equal_on_hyperplane"]
 
+    @pytest.mark.parametrize("algebra, root, orders", [
+        ("3", "e1-e3", ["standard", "bform"]),
+        ("2,3", "d1-d3", ["standard", "bform"]),
+        ("2,2", "e1-d2", ["middle", "odd-last", "odd-first", "bform"]),
+    ])
+    def test_compare_default_orders_follow_the_root(self, capsys, algebra, root, orders):
+        code, out = capture(capsys, ["compare", "--algebra", algebra, "--root", root,
+                                     "--samples", "1", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["orders"] == orders
+
     def test_det_latex(self, capsys):
         code, out = capture(capsys, ["det", "--algebra", "4,0", "--matrix", "D"])
         assert code == 0
@@ -245,6 +256,10 @@ class TestErrors:
          f"the sample count must be between 1 and {SAMPLES_CAP}, got 0"),
         (["verify", "--algebra", "3", "--root", "e1-e3"], "100000000",
          f"the sample count must be between 1 and {SAMPLES_CAP}, got 100000000"),
+        (["kac-coeff", "--algebra", "20,20", "--root", "e1-d20", "--weight", ",".join(["0"] * 40)],
+         None, f"the expansion has {2**38} terms, more than the cap of {TERM_CAP}"),
+        (["compare", "--algebra", "6", "--root", "e1-e6", "--orders", ",".join(["bform"] * 3000)],
+         None, "--orders repeats 'bform'"),
     ])
     def test_input_caps(self, capsys, monkeypatch, argv, env, message):
         # refused from the arguments alone, before anything is built

@@ -190,11 +190,11 @@ class TestDefiningProperty:
                 assert rep["all_passed"], (alg, root_to_str(alg, root))
 
     def test_distinguished_raising_builds_no_weights(self, monkeypatch):
-        def refuse(alg):
+        def refuse(alg, i, j):
             raise AssertionError("the distinguished raising generators need no weights")
 
-        monkeypatch.setattr(GLAlgebra, "simple_root_data", refuse)
         theta = theta_glmn_distinguished(2, 2)
+        monkeypatch.setattr(GLAlgebra, "gen_weight", refuse)
         assert raising_vectors(theta) == [(1, 2), (2, 3), (3, 4)]
         assert verify_highest_weight(theta, samples=2, seed=0)["all_passed"]
         lam = sample_hyperplane(theta.hyperplane(), 1, 1)[0]

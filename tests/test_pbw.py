@@ -1,7 +1,9 @@
+import inspect
 import json
 import random
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import groupby, product
 
 import pytest
 
@@ -87,17 +89,6 @@ class TestNormalOrder:
                 again = again + normal_order(alg, atoms)
             assert again == nf
 
-    def test_strategy_independence(self):
-        # straightening the first or the last violation gives the same form
-        alg = gl(2, 2)
-        rng = random.Random(9)
-        gens = gens_of(alg)
-        for _ in range(200):
-            word = [gens[rng.randrange(len(gens))] for _ in range(rng.randint(2, 6))]
-            if rng.random() < 0.3:
-                word.insert(rng.randrange(len(word)), Poly.x(rng.randint(1, 4)))
-            assert normal_order(alg, word) == normal_order(alg, word, pick_last=True)
-
     def test_parity_bookkeeping(self):
         # u a b v + u b a v = u [a,b] v for odd a, b: the swap flips exactly
         # the affected monomials
@@ -145,6 +136,108 @@ class TestNormalOrder:
         again = _nf_atoms(alg, word)
         assert dict(again) == expected
         assert normal_order(alg, word) == UEAElement(alg, expected)
+
+
+def reference_straightener(m, posword):
+    """A normal-form function for free words of generator pairs and Cartan
+    Polys in U(gl(m,n)), sharing no code with the pbw kernel.
+
+    It applies the two rules of the pbw docstring to the first pair out of
+    place and recurses on each word that results.  posword lists 1..m+n in
+    the Borel's order: e_ij is negative iff i comes after j.  Ordered words
+    are negatives by (place of j, place of i), one Cartan atom, then
+    positives by (place of i, place of j).
+    """
+    place = {v: k for k, v in enumerate(posword)}
+
+    def odd(g):
+        return (g[0] > m) != (g[1] > m)
+
+    def atom(i, j):  # a diagonal unit e_ii is x_i
+        return Poly.x(i) if i == j else (i, j)
+
+    def rank(a):
+        if isinstance(a, Poly):
+            return (1,)
+        i, j = a
+        return (0, place[j], place[i]) if place[i] > place[j] else (2, place[i], place[j])
+
+    def shift(h, g, sign):  # h(x + sign wt e_ij), wt e_ij = +1 at i, -1 at j
+        i, j = g
+        return h.subs({i: Poly.x(i) + sign, j: Poly.x(j) - sign})
+
+    def bracket(a, b):  # [e_pq, e_rs] = d_qr e_ps - (-1)^{|a||b|} d_sp e_rq
+        (p, q), (r, s) = a, b
+        out = [(atom(p, s), 1)] if q == r else []
+        if s == p:
+            out.append((atom(r, q), 1 if odd(a) and odd(b) else -1))
+        return out
+
+    def add(out, terms, c):
+        for key, h in terms.items():
+            v = out.get(key, Poly.zero()) + h * c
+            if v.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = v
+
+    def exps(gens):
+        return tuple((i, j, len(list(run))) for (i, j), run in groupby(gens))
+
+    @lru_cache(maxsize=None)
+    def nf(word):
+        for k in range(len(word) - 1):
+            a, b = word[k], word[k + 1]
+            head, tail = word[:k], word[k + 2:]
+            ra, rb = rank(a), rank(b)
+            if ra == rb == (1,):
+                return nf(head + (a * b,) + tail)
+            if ra == (1,) and rb < ra:  # H e = e H(x + wt e)
+                return nf(head + (b, shift(a, b, 1)) + tail)
+            if rb == (1,) and ra > rb:  # e H = H(x - wt e) e
+                return nf(head + (shift(b, a, -1), a) + tail)
+            if ra == rb and odd(a):
+                return {}
+            if ra > rb:  # a b = (-1)^{|a||b|} b a + [a, b]
+                out = {}
+                add(out, nf(head + (b, a) + tail), -1 if odd(a) and odd(b) else 1)
+                for x, c in bracket(a, b):
+                    add(out, nf(head + (x,) + tail), c)
+                return out
+        h = next((a for a in word if isinstance(a, Poly)), Poly.one())
+        neg = exps(a for a in word if rank(a)[0] == 0)
+        pos = exps(a for a in word if rank(a)[0] == 2)
+        return {(neg, pos): h} if h else {}
+
+    return lambda word: dict(nf(tuple(a if isinstance(a, Poly) else atom(*a) for a in word)))
+
+
+class TestReference:
+    @pytest.mark.parametrize("m, n, posword", [
+        pytest.param(m, n, w, id=f"gl({m},{n})-{''.join(map(str, w))}")
+        for m, n, w in [(2, 2, (1, 2, 3, 4)), (3, 1, (1, 2, 3, 4)), (2, 1, (1, 2, 3)),
+                        (2, 2, (1, 3, 2, 4)), (2, 1, (3, 1, 2)), (3, 2, (1, 4, 2, 5, 3))]
+    ])
+    def test_matches_normal_order(self, m, n, posword):
+        """200 random words of length at most 6, about 40 % of them with a
+        Cartan atom (a polynomial or a diagonal unit e_kk)."""
+        alg = gl(m, n)
+        order = DISTINGUISHED if list(posword) == sorted(posword) else BorelOrder(posword)
+        reference = reference_straightener(m, posword)
+        rng = random.Random(f"{m},{n},{posword}")
+        gens = gens_of(alg)
+        carts = [Poly.x(k) for k in range(1, alg.N + 1)] + [(k, k) for k in range(1, alg.N + 1)]
+        carts += [Poly.x(1) * Poly.x(alg.N) - 2, Poly.x(2) ** 2 + Fraction(1, 3)]
+        for _ in range(200):
+            word = [rng.choice(gens) for _ in range(rng.randint(1, 6))]
+            if rng.random() < 0.4:
+                word[rng.randrange(len(word))] = rng.choice(carts)
+            assert normal_order(alg, word, order=order).terms == reference(word), word
+
+    def test_kernel_options_are_keyword_only(self):
+        params = list(inspect.signature(_nf_atoms).parameters.values())
+        assert [p.name for p in params[:2]] == ["alg", "atoms"]
+        assert params[2:] and all(p.kind is p.KEYWORD_ONLY for p in params[2:])
 
 
 class TestJacobi:

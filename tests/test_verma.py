@@ -200,9 +200,9 @@ class TestActWork:
         words = []
         kernel = verma._nf_atoms
 
-        def nf(alg, atoms, pick_last=False, order=DISTINGUISHED, store=True):
+        def nf(alg, atoms, *, order=DISTINGUISHED, store=True):
             words.append((tuple(atoms), order))
-            return kernel(alg, atoms, pick_last, order, store)
+            return kernel(alg, atoms, order=order, store=store)
 
         def splice(*args, **kwargs):
             raise AssertionError("the Verma action does not splice")
@@ -232,7 +232,7 @@ def prepend_cases():
 
 
 def kernel_prepend(alg, order, g, mono):
-    nf = pbw._nf_atoms(alg, (g,) + tuple(pbw._expand_key(mono)), False, order, False)
+    nf = pbw._nf_atoms(alg, (g,) + tuple(pbw._expand_key(mono)), order=order, store=False)
     return {neg: h.terms[()] for (neg, _), h in nf.items()}
 
 
@@ -324,7 +324,7 @@ class TestWeightBasis:
 
     def test_counts_match_brute_force(self):
         for alg in (gl(3, 0), gl(2, 2)):
-            simples = [w for w, _ in alg.simple_root_data()]
+            simples = [alg.gen_weight(*g) for g in alg.simple_raising()]
             lam = Weight.zero(alg.m, alg.n)
             seen = 0
             for ht in range(1, 6):
