@@ -46,6 +46,7 @@ TERM_CAP = 2**9  # largest expansion theta, verify, compare and det --expand wil
 SHUFFLE_CAP = 10**5  # most words the shuffles command will list
 RANK_CAP = 100  # largest m+n any command accepts
 SAMPLES_CAP = 100  # most sample points verify and compare will check
+KAC_CAP = 2**8  # largest weight space, in monomials, kac-coeff will solve in
 # the orderings compare checks by default, for an even and an odd root
 EVEN_ORDERS = ["standard", "bform"]
 ODD_ORDERS = ["middle", "odd-last", "odd-first", "bform"]
@@ -294,6 +295,11 @@ def cmd_kac_coeff(args):
     if ij is None or not (ij[0] <= alg.m < ij[1]):
         return _usage_error("kac-coeff needs an odd root e<r>-d<s>")
     _check_root_terms(alg, root)
+    monomials = 2 ** (ij[1] - ij[0] - 1)
+    if monomials > KAC_CAP:
+        return _usage_error(
+            f"the weight space has {monomials} monomials, more than the kac-coeff cap of {KAC_CAP}"
+        )
     lam = _parse_weight(alg, args.weight)
     r, s = ij[0], ij[1] - alg.m
     value = kac_coefficient(r, s, alg.m, alg.n, lam)

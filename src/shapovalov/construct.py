@@ -740,11 +740,13 @@ def parse_root(alg: GLAlgebra, text: str) -> Weight:
                 out.append(Weight.delta(alg.m, alg.n, idx))
             else:
                 raise ValueError
-        return out[0] - out[1]
     except (ValueError, IndexError):
         raise ValueError(
             f"cannot parse root {text!r}; use e<i>-e<j>, e<i>-d<j> or d<i>-d<j>"
         ) from None
+    if out[0] == out[1]:
+        raise ValueError(f"{text} is not a root of {alg}")
+    return out[0] - out[1]
 
 
 def raising_vectors(theta: ShapovalovElement):

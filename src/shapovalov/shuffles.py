@@ -52,10 +52,13 @@ class Shuffle:
     def parse(m, n, text: str) -> "Shuffle":
         word = []
         for tok in text.replace(",", " ").split():
-            if tok.endswith("'"):
-                word.append(m + int(tok[:-1]))
-            else:
-                word.append(int(tok))
+            primed = tok.endswith("'")
+            digits = tok[:-1] if primed else tok
+            if not digits.isdecimal():
+                raise ValueError(
+                    f"bad shuffle entry {tok!r}; expected a word of entries i and j' like \"1 1' 2 2'\""
+                )
+            word.append(m + int(digits) if primed else int(digits))
         return Shuffle(m, n, word)
 
     def __str__(self):

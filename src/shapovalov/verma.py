@@ -2,15 +2,13 @@
 
 A vector is stored as a map from canonical negative PBW monomials to
 coefficients; v_lambda is the empty monomial with coefficient 1.  An element
-of U(g) acts one generator at a time, with no splice: negative generators
-are straightened against the monomials, Cartan parts are evaluated at
-lambda plus the monomial's weight, and positive generators act by the
-Leibniz rule, so no word with a positive generator is ever straightened.
-A single negative generator in front of a monomial (a one-generator run,
-or either negative product of the Leibniz rule) goes through _prepend: it
-is put in front when it sorts before the monomial's first factor and
-raises that factor's exponent when it equals it, so only words left out
-of order reach the straightening kernel.
+of U(g) acts one letter at a time from the right, with no splice: a negative
+generator goes in front of each monomial (_prepend), a Cartan part is
+evaluated at lambda plus the monomial's weight, and a positive generator
+acts by the Leibniz rule, so no word with a positive generator is ever
+straightened.  _prepend puts the generator in front when it sorts before the
+monomial's first factor and raises that factor's exponent when it equals it,
+so only words left out of order reach the straightening kernel.
 Coefficients are Fractions for numeric lambda and polynomials in the free
 parameters when lambda is a generic point (exact_algebra.generic_point), so
 a vector that is zero there is zero on the whole locus at once.
@@ -137,39 +135,30 @@ def vacuum(alg: GLAlgebra, lam: Weight, order: PBWOrder = DISTINGUISHED) -> Verm
 def act(x, v: VermaVector) -> VermaVector:
     """Action of x (UEAElement or free word) on a Verma vector.
 
-    Each term n h p of x, and a free word as a whole, acts one generator at
-    a time from the right.  A run of negative generators is straightened
-    against each monomial in one call; a positive generator acts by the
-    Leibniz rule (_raise); a Cartan element is evaluated at lambda plus the
-    monomial's weight.  Straightened runs are cached unless the term carries
-    a non-constant Cartan part.
+    Each term n h p of x, and a free word as a whole, acts one letter at a
+    time from the right: a negative generator is put in front of each
+    monomial (_lower), a positive generator acts by the Leibniz rule
+    (_raise_all), and a Cartan element is evaluated at lambda plus the
+    monomial's weight (_cartan).
     """
     alg, lam, order = v.alg, v.lam, v.order
     if isinstance(x, UEAElement):
-        words = [(_expand_key(n) + [h] + _expand_key(p), h.is_constant())
-                 for (n, p), h in x.terms.items()]
+        words = [_expand_key(n) + [h] + _expand_key(p) for (n, p), h in x.terms.items()]
     else:
-        word = [a if isinstance(a, Poly) else Poly.x(a[0]) if a[0] == a[1] else (a[0], a[1])
-                for a in x]
-        words = [(word, all(a.is_constant() for a in word if isinstance(a, Poly)))]
+        words = [[a if isinstance(a, Poly) else Poly.x(a[0]) if a[0] == a[1] else (a[0], a[1])
+                  for a in x]]
     out: dict = {}
-    for word, store in words:
+    for word in words:
         terms = v.terms
-        k = len(word)
-        while k and terms:
-            a = word[k - 1]
+        for a in reversed(word):
+            if not terms:
+                break
             if isinstance(a, Poly):
                 terms = _cartan(alg, lam, a, terms)
-                k -= 1
             elif order.is_negative(*a):
-                j = k - 1
-                while j and not isinstance(word[j - 1], Poly) and order.is_negative(*word[j - 1]):
-                    j -= 1
-                terms = _lower(alg, order, tuple(word[j:k]), terms, store)
-                k = j
+                terms = _lower(alg, order, a, terms)
             else:
                 terms = _raise_all(alg, order, lam, a, terms)
-                k -= 1
         for neg, c in terms.items():
             _accumulate(out, neg, c)
     return VermaVector(alg, lam, out, order)
@@ -188,41 +177,33 @@ def _cartan(alg, lam, h, terms):
     return out
 
 
-def _lower(alg, order, run, terms, store):
-    """The run of negative generators times each monomial: the word has no
-    Cartan part, so its normal form is a sum of monomials with constant
-    coefficients, independent of lambda.  A one-generator run is a prepend."""
+def _lower(alg, order, g, terms):
+    """The negative generator g in front of each monomial (_prepend)."""
     out: dict = {}
     for mono, x in terms.items():
-        if len(run) == 1:
-            pairs = _prepend(alg, order, run[0], mono, store)
-        else:
-            pairs = _straighten(alg, order, run + tuple(_expand_key(mono)), store)
-        for neg, c in pairs:
+        for neg, c in _prepend(alg, order, g, mono):
             _accumulate(out, neg, x * c)
     return out
 
 
-def _prepend(alg, order, g, mono, store=False):
+def _prepend(alg, order, g, mono):
     """(negative monomial, coefficient) pairs of g mono, for a negative
     generator g and a canonical negative monomial mono.
 
     g goes in front as it is when it sorts before mono's first factor, and
     raises that factor's exponent when it equals it (an odd square is 0);
-    only the words that are not already ordered go to the kernel.
+    only the words that are not already ordered go to the kernel.  Such a
+    word has no Cartan part and its normal form does not depend on lambda,
+    so the kernel stores it.
     """
     if mono:
         i, j, e = mono[0]
         if g == (i, j):
             return () if alg.gen_parity(i, j) else ((((i, j, e + 1),) + mono[1:], 1),)
         if order.neg_key(*g) > order.neg_key(i, j):
-            return _straighten(alg, order, (g,) + tuple(_expand_key(mono)), store)
+            nf = _nf_atoms(alg, (g,) + tuple(_expand_key(mono)), order=order)
+            return [(neg, h.terms[()]) for (neg, _), h in nf.items()]
     return ((((g[0], g[1], 1),) + mono, 1),)
-
-
-def _straighten(alg, order, word, store):
-    """(negative monomial, coefficient) pairs of a word of negative generators."""
-    return [(neg, h.terms[()]) for (neg, _), h in _nf_atoms(alg, word, order=order, store=store).items()]
 
 
 def _raise_all(alg, order, lam, g, terms):
@@ -251,7 +232,7 @@ def _raise(alg, order, g, mono, memo):
     g x rest = [g, x] rest + (-1)^{|g||x|} x (g rest).  The bracket is a
     negative generator (put in front of rest), a Cartan element H
     (H rest v_lambda = H(lambda + wt rest) rest v_lambda) or a positive
-    generator (recurse).  Nothing straightened here is cached.
+    generator (recurse).
     """
     key = (g, mono)
     out = memo.get(key)

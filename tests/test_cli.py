@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import shapovalov
-from shapovalov.cli import RANK_CAP, SAMPLES_CAP, SHUFFLE_CAP, TERM_CAP, run
+from shapovalov.cli import KAC_CAP, RANK_CAP, SAMPLES_CAP, SHUFFLE_CAP, TERM_CAP, run
 
 # a child process imports the package from where this one found it
 CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(shapovalov.__file__).resolve().parents[1])}
@@ -207,6 +207,16 @@ class TestErrors:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {root} is not a positive root of gl(3,2)"]
 
+    def test_root_of_equal_indices(self, capsys):
+        assert run(["theta", "--algebra", "2,2", "--root", "e1-e1"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: e1-e1 is not a root of gl(2,2)"]
+
+    def test_bad_shuffle_entry(self, capsys):
+        assert run(["theta", "--algebra", "2,2", "--borel", "1 1' x"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: bad shuffle entry 'x'; expected a word of entries i and j' like \"1 1' 2 2'\""
+        ]
+
     @pytest.mark.parametrize("command", ["theta", "verify"])
     def test_shuffle_borel_needs_odd_part(self, capsys, command):
         assert run([command, "--algebra", "3", "--borel", "1,2,3"]) == 1
@@ -260,6 +270,8 @@ class TestErrors:
          None, f"the expansion has {2**38} terms, more than the cap of {TERM_CAP}"),
         (["compare", "--algebra", "6", "--root", "e1-e6", "--orders", ",".join(["bform"] * 3000)],
          None, "--orders repeats 'bform'"),
+        (["kac-coeff", "--algebra", "6,5", "--root", "e1-d5", "--weight", ",".join(["0"] * 11)],
+         None, f"the weight space has {2**9} monomials, more than the kac-coeff cap of {KAC_CAP}"),
     ])
     def test_input_caps(self, capsys, monkeypatch, argv, env, message):
         # refused from the arguments alone, before anything is built

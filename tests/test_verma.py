@@ -16,7 +16,7 @@ from shapovalov.verma import (
     vacuum,
     weight_basis,
 )
-from shapovalov.construct import theta_gl
+from shapovalov.construct import theta_gl, theta_glmn_distinguished, theta_power
 from shapovalov.shuffles import enumerate_shuffles
 
 
@@ -218,6 +218,36 @@ class TestActWork:
         for atoms, order in words:
             assert all(order.is_negative(*a) for a in atoms), atoms
             assert pbw._violation(theta.alg, atoms, order) is not None, atoms
+
+    def test_kernel_gets_one_generator_before_an_ordered_tail(self, monkeypatch):
+        """The action lowers one generator at a time: each word the kernel
+        receives is a negative generator in front of a canonical monomial.
+        Such a word does not depend on lambda, so it is stored even under a
+        non-constant Cartan part, and repeating an action calls no kernel."""
+        words = []
+        kernel = verma._nf_atoms
+
+        def nf(alg, atoms, *, order=DISTINGUISHED, store=True):
+            words.append((alg, tuple(atoms), order))
+            return kernel(alg, atoms, order=order, store=store)
+
+        cache = {}
+        monkeypatch.setattr(pbw, "_NF_CACHE", cache)
+        monkeypatch.setattr(verma, "_NF_CACHE", cache)
+        monkeypatch.setattr(verma, "_nf_atoms", nf)
+        theta = theta_glmn_distinguished(3, 2)
+        lam = sample_hyperplane(theta.hyperplane(), seed=1, count=1)[0]
+        act(theta.body, theta.verma_vector(lam))
+        power = theta_power(4, 2)
+        v = vacuum(gl(4), rand_weight(random.Random(2), 4, 0))
+        act(power, v)
+        assert words
+        for alg, atoms, order in words:
+            assert all(order.is_negative(*a) for a in atoms), atoms
+            assert pbw._violation(alg, atoms[1:], order) is None, atoms
+        words.clear()
+        act(power, v)
+        assert words == []
 
 
 def prepend_cases():
