@@ -53,7 +53,7 @@ from .exact_algebra import (
     sample_hyperplane,
 )
 from .hessenberg import ORDERINGS, skip_coeff
-from .pbw import BorelOrder, DISTINGUISHED, GLAlgebra, UEAElement, _accumulate, gl, normal_order
+from .pbw import GLAlgebra, PBWOrder, UEAElement, _accumulate, gl, normal_order
 from .shuffles import Shuffle, diagram_data, eta_weight
 from .verma import (
     VermaVector,
@@ -124,10 +124,8 @@ class ShapovalovElement:
         well."""
         return self._element(lambda x, f: x * eval_at(f, lam))
 
-    def pbw_order(self):
-        if self.borel is None or self.borel.is_distinguished():
-            return DISTINGUISHED
-        return BorelOrder(self.borel.word)
+    def pbw_order(self) -> PBWOrder:
+        return PBWOrder(self.borel.word if self.borel else None)
 
     def verma_vector(self, lam: Weight) -> VermaVector:
         """Image of the highest weight vector, in the Verma module for the

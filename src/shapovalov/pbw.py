@@ -23,13 +23,15 @@ straightens the generator word n1 p1 n2 p2 once, and puts each Cartan part
 back with a single shift.  The UEA product and normal_order (a free word
 with Cartan atoms is the product of its runs) use it; the Verma action
 does not (see verma.act), it calls the kernel on words of negative
-generators only.  A spliced word is cached only when the Cartan parts are
-constant: those words recur across sample points, while Cartan-carrying
-products would fill the cache with words that are rarely met again.
+generators only.  The kernel caches every word it straightens: a word has
+no Cartan part, so its normal form serves every product it is met in.
+A triangular order (PBWOrder) maps each generator to an int rank, and the
+kernel and the Verma action compare ranks only.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -65,14 +67,6 @@ class GLAlgebra:
 
     def gen_weight(self, i: int, j: int) -> Weight:
         return self.basis_weight(i) - self.basis_weight(j)
-
-    def negative_gens(self):
-        """All e_{ij} with i > j, in the canonical (j, i)-ascending order."""
-        return [
-            (i, j)
-            for j in range(1, self.N + 1)
-            for i in range(j + 1, self.N + 1)
-        ]
 
     def simple_raising(self):
         """The distinguished simple raising generators e_{k,k+1}."""
@@ -138,40 +132,34 @@ def superbracket(alg: GLAlgebra, a, b) -> "UEAElement":
 # ---------------------------------------------------------------------------
 # triangular orders
 
+@dataclass(frozen=True)
 class PBWOrder:
-    """Triangular decomposition used for straightening.
-
-    The distinguished order declares e_{ij} negative iff i > j; a Borel
-    order derived from a shuffle word declares it negative iff i appears
-    after j in the word.  Sort keys fix the within-class factor order.
+    """Triangular decomposition given by a word of 1..N: e_{ij} is negative
+    iff i comes after j.  No word, or the identity, is the distinguished
+    order (i > j).  rank(alg) numbers the generators in factor order: the
+    negative ones below 0 by the positions of (j, i), the positive ones
+    from 0 by the positions of (i, j).
     """
 
-    tag = ("dist",)
+    word: tuple | None = None
 
-    def is_negative(self, i, j) -> bool:
-        return i > j
+    def __post_init__(self):
+        word = tuple(self.word or ())
+        object.__setattr__(self, "word", None if word == tuple(range(1, len(word) + 1)) else word)
 
-    def neg_key(self, i, j):
-        return (j, i)
-
-    def pos_key(self, i, j):
-        return (i, j)
+    def rank(self, alg) -> dict:
+        return _rank_table(alg.N, self.word)
 
 
-class BorelOrder(PBWOrder):
-    def __init__(self, word):
-        self.word = tuple(word)
-        self.posn = {e: k for k, e in enumerate(self.word)}
-        self.tag = ("borel", self.word)
-
-    def is_negative(self, i, j) -> bool:
-        return self.posn[i] > self.posn[j]
-
-    def neg_key(self, i, j):
-        return (self.posn[j], self.posn[i])
-
-    def pos_key(self, i, j):
-        return (self.posn[i], self.posn[j])
+@lru_cache(maxsize=None)
+def _rank_table(N, word):
+    """{(i, j): rank} for every generator of gl(m,n), N = m + n (shared)."""
+    seq = word or range(1, N + 1)
+    neg = [(seq[a], seq[b]) for b in range(N) for a in range(b + 1, N)]
+    pos = [(seq[a], seq[b]) for a in range(N) for b in range(a + 1, N)]
+    rank = {g: k - len(neg) for k, g in enumerate(neg)}
+    rank.update((g, k) for k, g in enumerate(pos))
+    return rank
 
 
 DISTINGUISHED = PBWOrder()
@@ -180,14 +168,12 @@ DISTINGUISHED = PBWOrder()
 # ---------------------------------------------------------------------------
 # normal ordering
 
-def _violation(alg, word, order, start=0):
-    """Index of the first adjacent pair out of canonical order at or after
-    start, or None."""
+def _violation(alg, word, rank, start=0):
+    """Index of the first adjacent pair out of the rank table's order at or
+    after start, or None."""
     for k in range(start, len(word) - 1):
         a, b = word[k], word[k + 1]
-        ka = (0,) + order.neg_key(*a) if order.is_negative(*a) else (2,) + order.pos_key(*a)
-        kb = (0,) + order.neg_key(*b) if order.is_negative(*b) else (2,) + order.pos_key(*b)
-        if ka > kb:
+        if rank[a] > rank[b]:
             return k
         if a == b and alg.gen_parity(*a):
             return k  # odd square, the term dies
@@ -211,13 +197,13 @@ def _accumulate(acc, key, val):
         acc.pop(key, None)
 
 
-def _fold(alg, word, coeff, cart, out, order):
+def _fold(word, coeff, cart, out, rank):
     """Accumulate an ordered word, times the Cartan part cart carried at its
     right end (None for 1), into the terms dict."""
     neg = []
     pos = []
     for a in word:
-        part = neg if order.is_negative(*a) else pos
+        part = neg if rank[a] < 0 else pos
         if part and part[-1][0] == a[0] and part[-1][1] == a[1]:
             part[-1][2] += 1
         else:
@@ -232,29 +218,29 @@ def _fold(alg, word, coeff, cart, out, order):
 _NF_CACHE: dict = {}
 
 
-def _nf_atoms(alg: GLAlgebra, atoms, *, order: PBWOrder = DISTINGUISHED,
-              store: bool = True) -> MappingProxyType:
+def _nf_atoms(alg: GLAlgebra, atoms, *, order: PBWOrder = DISTINGUISHED) -> MappingProxyType:
     """Straighten a word of generator pairs; returns a read-only {(neg, pos): Poly}.
 
     The Cartan part x_i -+ x_j of a bracket [e_ij, e_ji] moves to the right
     end of the word, shifted by the weight it passes, and rides there until
-    the word is ordered.  The cache is read for every word and written only
-    when store is set; it holds the read-only views it hands out, so no
-    caller can change a later straightening.
+    the word is ordered.  Every word is cached; the cache holds the
+    read-only views it hands out, so no caller can change a later
+    straightening.
     """
-    key = (alg.m, alg.n, order.tag, tuple(atoms))
+    key = (alg.m, alg.n, order.word, tuple(atoms))
     hit = _NF_CACHE.get(key)
     if hit is not None:
         return hit
+    rank = order.rank(alg)
     out: dict = {}
     # each word carries where its scan starts: a rewrite at k leaves the
     # pairs before k - 1 ordered, so the first violation is not before it
     stack = [(tuple(atoms), 1, None, 0)]
     while stack:
         word, coeff, cart, start = stack.pop()
-        k = _violation(alg, word, order, start)
+        k = _violation(alg, word, rank, start)
         if k is None:
-            _fold(alg, word, coeff, cart, out, order)
+            _fold(word, coeff, cart, out, rank)
             continue
         a, b = word[k], word[k + 1]
         head, tail = word[:k], word[k + 2:]
@@ -273,9 +259,7 @@ def _nf_atoms(alg: GLAlgebra, atoms, *, order: PBWOrder = DISTINGUISHED,
                 stack.append((head + tail, coeff * c, h if cart is None else cart * h, start))
             else:
                 stack.append((head + (item,) + tail, coeff * c, cart, start))
-    out = MappingProxyType(out)
-    if store:
-        _NF_CACHE[key] = out
+    out = _NF_CACHE[key] = MappingProxyType(out)
     return out
 
 
@@ -285,15 +269,16 @@ def _splice(alg, left, right, order=DISTINGUISHED):
     n, p are (i, j, exp) tuples, not necessarily sorted.  h1 moves to the far
     left and h2 to the far right, n1 p1 n2 p2 is straightened once into
     terms neg H pos, and each Cartan part goes back with one shift:
-    neg h1(x + wt neg - wt n1) H h2(x + wt p2 - wt pos) pos.  The word is
-    cached only when both Cartan parts are constant.
+    neg h1(x + wt neg - wt n1) H h2(x + wt p2 - wt pos) pos.  The word
+    does not depend on h1 or h2, so its normal form is cached whatever they
+    are.
     """
     n1, h1, p1 = left
     n2, h2, p2 = right
     c1 = h1.constant_value() if h1.is_constant() else None
     c2 = h2.constant_value() if h2.is_constant() else None
     word = _expand_key(n1) + _expand_key(p1) + _expand_key(n2) + _expand_key(p2)
-    nf = _nf_atoms(alg, word, order=order, store=c1 is not None and c2 is not None)
+    nf = _nf_atoms(alg, word, order=order)
     scale = (1 if c1 is None else c1) * (1 if c2 is None else c2)
     moved1: dict = {}
     moved2: dict = {}

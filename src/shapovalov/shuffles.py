@@ -25,7 +25,10 @@ class Shuffle:
     def __init__(self, m: int, n: int, word):
         word = tuple(word)
         if sorted(word) != list(range(1, m + n + 1)):
-            raise ValueError("word must be a permutation of 1..m+n (primed encoded as m+j)")
+            text = " ".join(_entry(m, w) for w in word)
+            again = [w for k, w in enumerate(word) if w in word[:k]]
+            raise ValueError(f"shuffle entry {_entry(m, again[0])} repeats in \"{text}\"" if again else
+                             f"shuffle word \"{text}\" must hold each of 1..{m} and 1'..{n}' once")
         unprimed = [w for w in word if w <= m]
         primed = [w for w in word if w > m]
         if unprimed != sorted(unprimed) or primed != sorted(primed):
@@ -41,9 +44,6 @@ class Shuffle:
     def is_primed(self, entry: int) -> bool:
         return entry > self.m
 
-    def is_distinguished(self) -> bool:
-        return self.word == tuple(range(1, self.m + self.n + 1))
-
     @staticmethod
     def distinguished(m, n) -> "Shuffle":
         return Shuffle(m, n, range(1, m + n + 1))
@@ -58,13 +58,14 @@ class Shuffle:
                 raise ValueError(
                     f"bad shuffle entry {tok!r}; expected a word of entries i and j' like \"1 1' 2 2'\""
                 )
-            word.append(m + int(digits) if primed else int(digits))
+            k = int(digits)
+            if not 1 <= k <= (n if primed else m):
+                raise ValueError(f"shuffle entry {tok} is out of range; gl({m},{n}) has 1..{m} and 1'..{n}'")
+            word.append(m + k if primed else k)
         return Shuffle(m, n, word)
 
     def __str__(self):
-        return " ".join(
-            f"{w - self.m}'" if w > self.m else str(w) for w in self.word
-        )
+        return " ".join(_entry(self.m, w) for w in self.word)
 
     __repr__ = __str__
 
@@ -77,6 +78,11 @@ class Shuffle:
 
     def __hash__(self):
         return hash((self.m, self.n, self.word))
+
+
+def _entry(m: int, w: int) -> str:
+    """The encoded entry w in i / j' notation."""
+    return f"{w - m}'" if w > m else str(w)
 
 
 def enumerate_shuffles(m: int, n: int, fixed_endpoints: bool = True):

@@ -54,7 +54,7 @@ class VermaVector:
         return not self.terms
 
     def __add__(self, other):
-        if self.lam != other.lam or self.order.tag != other.order.tag:
+        if self.lam != other.lam or self.order != other.order:
             raise ValueError("vectors live in different Verma module presentations")
         out = dict(self.terms)
         for k, c in other.terms.items():
@@ -81,7 +81,7 @@ class VermaVector:
             return NotImplemented
         return (
             self.lam == other.lam
-            and self.order.tag == other.order.tag
+            and self.order == other.order
             and self.terms == other.terms
         )
 
@@ -142,6 +142,7 @@ def act(x, v: VermaVector) -> VermaVector:
     monomial's weight (_cartan).
     """
     alg, lam, order = v.alg, v.lam, v.order
+    rank = order.rank(alg)
     if isinstance(x, UEAElement):
         words = [_expand_key(n) + [h] + _expand_key(p) for (n, p), h in x.terms.items()]
     else:
@@ -155,7 +156,7 @@ def act(x, v: VermaVector) -> VermaVector:
                 break
             if isinstance(a, Poly):
                 terms = _cartan(alg, lam, a, terms)
-            elif order.is_negative(*a):
+            elif rank[a] < 0:
                 terms = _lower(alg, order, a, terms)
             else:
                 terms = _raise_all(alg, order, lam, a, terms)
@@ -200,7 +201,8 @@ def _prepend(alg, order, g, mono):
         i, j, e = mono[0]
         if g == (i, j):
             return () if alg.gen_parity(i, j) else ((((i, j, e + 1),) + mono[1:], 1),)
-        if order.neg_key(*g) > order.neg_key(i, j):
+        rank = order.rank(alg)
+        if rank[g] > rank[i, j]:
             nf = _nf_atoms(alg, (g,) + tuple(_expand_key(mono)), order=order)
             return [(neg, h.terms[()]) for (neg, _), h in nf.items()]
     return ((((g[0], g[1], 1),) + mono, 1),)
@@ -214,7 +216,7 @@ def _raise_all(alg, order, lam, g, terms):
     memo: dict = {}
     out: dict = {}
     for mono, x in terms.items():
-        key = ("raise", alg.m, alg.n, order.tag, g, mono)
+        key = ("raise", alg.m, alg.n, order.word, g, mono)
         res = _NF_CACHE.get(key)
         if res is None:
             res = _NF_CACHE[key] = MappingProxyType(_raise(alg, order, g, mono, memo))
@@ -250,7 +252,7 @@ def _raise(alg, order, g, mono, memo):
                 off = _offsets({}, rest, 1)
                 d = off.get(g[0], 0) - sign * off.get(g[1], 0)
                 _accumulate(out, rest, _scaled(item + d if d else item, c))
-            elif order.is_negative(*item):
+            elif order.rank(alg)[item] < 0:
                 for neg, k in _prepend(alg, order, item, rest):
                     _accumulate(out, neg, Poly.const(k * c))
             else:
@@ -273,7 +275,8 @@ def weight_basis(alg: GLAlgebra, lam: Weight, drop: Weight):
     Returns the empty list when drop is not a non-negative combination of
     positive roots.
     """
-    gens = alg.negative_gens()
+    rank = DISTINGUISHED.rank(alg)
+    gens = sorted((g for g in rank if rank[g] < 0), key=rank.get)
     weights = [alg.gen_weight(j, i) for i, j in gens]  # positive root of e_{ij}
     out = []
 

@@ -217,6 +217,17 @@ class TestErrors:
             "error: bad shuffle entry 'x'; expected a word of entries i and j' like \"1 1' 2 2'\""
         ]
 
+    @pytest.mark.parametrize("argv, message", [
+        # an unprimed entry above m is not read as a primed one
+        (["theta", "--borel", "1 3 2 2'"], "shuffle entry 3 is out of range; gl(2,2) has 1..2 and 1'..2'"),
+        (["verify", "--borel", "1 3 2 4"], "shuffle entry 3 is out of range; gl(2,2) has 1..2 and 1'..2'"),
+        (["theta", "--borel", "1 1' 1' 2'"], "shuffle entry 1' repeats in \"1 1' 1' 2'\""),
+        (["theta", "--borel", "1 1' 2 2' 3'"], "shuffle entry 3' is out of range; gl(2,2) has 1..2 and 1'..2'"),
+    ])
+    def test_bad_shuffle_word(self, capsys, argv, message):
+        assert run(argv + ["--algebra", "2,2"]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
     @pytest.mark.parametrize("command", ["theta", "verify"])
     def test_shuffle_borel_needs_odd_part(self, capsys, command):
         assert run([command, "--algebra", "3", "--borel", "1,2,3"]) == 1

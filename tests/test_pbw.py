@@ -9,14 +9,15 @@ import pytest
 
 from shapovalov.exact_algebra import Poly
 from shapovalov.pbw import (
-    BorelOrder,
     DISTINGUISHED,
+    PBWOrder,
     UEAElement,
     _nf_atoms,
     gl,
     normal_order,
     superbracket,
 )
+from shapovalov.shuffles import enumerate_shuffles
 
 
 def gens_of(alg):
@@ -111,9 +112,7 @@ class TestNormalOrder:
 
     def test_borel_order_classification(self):
         # in the Borel of the shuffle 1 1' 2 2', e_23 is a lowering vector
-        order = BorelOrder((1, 3, 2, 4))
-        assert order.is_negative(2, 3)
-        assert not order.is_negative(3, 2)
+        order = PBWOrder((1, 3, 2, 4))
         alg = gl(2, 2)
         nf = normal_order(alg, [(3, 2), (2, 3)], order=order)
         # e_32 e_23 = -e_23 e_32 + (x3 + x2), now with e_23 the negative factor
@@ -212,6 +211,42 @@ def reference_straightener(m, posword):
     return lambda word: dict(nf(tuple(a if isinstance(a, Poly) else atom(*a) for a in word)))
 
 
+def order_cases():
+    """The distinguished order of every gl(m,n) with m+n <= 5, and every
+    shuffle Borel of gl(2,2) and gl(3,2), endpoint-fixed or not."""
+    for size in range(1, 6):
+        for m in range(1, size + 1):
+            yield pytest.param(gl(m, size - m), None, id=f"gl({m},{size - m})")
+    for m, n in [(2, 2), (3, 2)]:
+        for sh in enumerate_shuffles(m, n, fixed_endpoints=False):
+            yield pytest.param(gl(m, n), sh.word, id=f"gl({m},{n})-{sh}")
+
+
+class TestOrder:
+    @pytest.mark.parametrize("alg, word", order_cases())
+    def test_rank_follows_word(self, alg, word):
+        """e_ij is negative iff i comes after j in the word; negatives come
+        first, by (place of j, place of i), then positives by (place of i,
+        place of j)."""
+        place = {v: k for k, v in enumerate(word or range(1, alg.N + 1))}
+        gens = gens_of(alg)
+        neg = sorted((g for g in gens if place[g[0]] > place[g[1]]), key=lambda g: (place[g[1]], place[g[0]]))
+        pos = sorted((g for g in gens if place[g[0]] < place[g[1]]), key=lambda g: (place[g[0]], place[g[1]]))
+        if word is None:
+            assert neg == [(i, j) for j in range(1, alg.N + 1) for i in range(j + 1, alg.N + 1)]
+        rank = PBWOrder(word).rank(alg)
+        assert sorted(rank) == sorted(gens)
+        assert sorted(gens, key=rank.get) == neg + pos
+        assert [g for g in gens if rank[g] < 0] == [g for g in gens if g in neg]
+
+    def test_identity_word_normalises(self):
+        assert PBWOrder((1, 2, 3)) == DISTINGUISHED == PBWOrder()
+        assert hash(PBWOrder([1, 2, 3])) == hash(DISTINGUISHED)
+        assert PBWOrder((1, 2, 3)).word is None
+        assert PBWOrder((1, 3, 2, 4)) != DISTINGUISHED
+        assert PBWOrder((1, 3, 2, 4)) == PBWOrder([1, 3, 2, 4])
+
+
 class TestReference:
     @pytest.mark.parametrize("m, n, posword", [
         pytest.param(m, n, w, id=f"gl({m},{n})-{''.join(map(str, w))}")
@@ -222,7 +257,7 @@ class TestReference:
         """200 random words of length at most 6, about 40 % of them with a
         Cartan atom (a polynomial or a diagonal unit e_kk)."""
         alg = gl(m, n)
-        order = DISTINGUISHED if list(posword) == sorted(posword) else BorelOrder(posword)
+        order = PBWOrder(posword)
         reference = reference_straightener(m, posword)
         rng = random.Random(f"{m},{n},{posword}")
         gens = gens_of(alg)
