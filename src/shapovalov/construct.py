@@ -21,14 +21,19 @@ U(g); for odd roots the conventions agree after applying to a highest
 weight vector on the defining hyperplane, and in small ranks even as
 elements.
 
-body, evaluate and verma_vector sum over the paths by the Hessenberg column
+body, evaluate and apply sum over the paths by the Hessenberg column
 recurrence instead of term by term.  In the standard ordering, with
-u_a = v_lambda,
+u_a = v,
 
     u_q = sum over a <= p < q of (prod over p < t < q of c_t) e_{q,p} u_p,
 
-and theta v_lambda = u_b: one generator action per pair p < q.  The sum
-over p runs in Horner form, so each step attaches a single linear factor.
+and theta v = u_b: one generator action per pair p < q.  The sum over p
+runs in Horner form, so each step attaches a single linear factor.  apply
+starts from any Verma vector v, and verma_vector(lam) is apply on
+v_lambda.  A path's Cartan factors sit at the right end of its word, next
+to v, so for v of weight mu they are the scalars c_t(mu), by
+H X = X H(x + wt X) for a Cartan polynomial H and a monomial X; an
+inhomogeneous v goes through the chain once per weight.
 The descending chains (standard, middle and arbitrary Borels) and the
 ascending ones (bform) are such lines of indices.  odd-last words are
 (delta chain)(eps chain)(odd generator) and odd-first words their reverses;
@@ -53,7 +58,7 @@ from .exact_algebra import (
     sample_hyperplane,
 )
 from .hessenberg import ORDERINGS, skip_coeff
-from .pbw import GLAlgebra, PBWOrder, UEAElement, _accumulate, gl, normal_order
+from .pbw import GLAlgebra, PBWOrder, UEAElement, _accumulate, _offsets, gl, normal_order
 from .shuffles import Shuffle, diagram_data, eta_weight
 from .verma import (
     VermaVector,
@@ -127,22 +132,38 @@ class ShapovalovElement:
     def pbw_order(self) -> PBWOrder:
         return PBWOrder(self.borel.word if self.borel else None)
 
-    def verma_vector(self, lam: Weight) -> VermaVector:
-        """Image of the highest weight vector, in the Verma module for the
-        element's own Borel subalgebra: one generator action per step of
-        the chain."""
-        alg, order = self.alg, self.pbw_order()
+    def apply(self, v: VermaVector) -> VermaVector:
+        """theta v for any Verma vector v: one generator action per step of
+        the chain, started from each weight part of v, whose weight mu the
+        Cartan factors are evaluated at (see the note at the top)."""
+        alg, lam, order = v.alg, v.lam, v.order
 
         def step(gen, terms):
             if gen is None:
                 return terms
             return act([gen], VermaVector(alg, lam, terms, order)).terms
 
-        def scale(terms, f):
-            c = eval_at(f, lam)
-            return {k: x * c for k, x in terms.items()} if c else {}
+        def scale_at(mu):
+            def scale(terms, f):
+                c = eval_at(f, mu)
+                return {k: x * c for k, x in terms.items()} if c else {}
+            return scale
 
-        return VermaVector(alg, lam, _chain_sum(self.chain, vacuum(alg, lam, order).terms, step, scale), order)
+        parts: dict = {}
+        for mono, c in v.terms.items():
+            off = _offsets({}, mono, 1)
+            parts.setdefault(tuple(off.get(k, 0) for k in range(1, alg.N + 1)), {})[mono] = c
+        out: dict = {}
+        for off, part in parts.items():
+            mu = lam + Weight(lam.m, lam.n, off) if any(off) else lam
+            for key, val in _chain_sum(self.chain, part, step, scale_at(mu)).items():
+                _accumulate(out, key, val)
+        return VermaVector(alg, lam, out, order)
+
+    def verma_vector(self, lam: Weight) -> VermaVector:
+        """Image of the highest weight vector, in the Verma module for the
+        element's own Borel subalgebra."""
+        return self.apply(vacuum(self.alg, lam, self.pbw_order()))
 
     def latex(self) -> str:
         bits = []
@@ -532,12 +553,15 @@ def theta_power(m: int, p: int) -> UEAElement:
 
 
 def square_isotropic_check(m: int, n: int, lam: Weight) -> bool:
-    """theta^2 kills the highest weight vector for isotropic highest root."""
+    """theta^2 kills the highest weight vector for isotropic highest root.
+
+    theta^2 v_lambda goes through the chain twice, theta.apply on
+    theta v_lambda, so the expanded body is never built.
+    """
     theta = theta_glmn_distinguished(m, n)
     if not theta.hyperplane().member(lam):
         raise ValueError("lambda must lie on the root hyperplane")
-    v = theta.verma_vector(lam)
-    return act(theta.body, v).is_zero()
+    return theta.apply(theta.verma_vector(lam)).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -538,10 +538,15 @@ class Hyperplane:
 
 _SAMPLE_BOUND = 1000
 _DRAW_BOUND = 24  # free coordinates are drawn as a/b, |a| <= 24, 1 <= b <= 5
+_MAX_MISSES = 10_000  # consecutive draws without a new point before giving up
 
 
 def sample_hyperplane(hp: Hyperplane, seed: int, count: int) -> list:
-    """Deterministic distinct rational points on hp, coordinates bounded by 10^3."""
+    """Deterministic distinct rational points on hp, coordinates bounded by 10^3.
+
+    Raises ValueError when _MAX_MISSES draws in a row add no new point:
+    the bounded part of hp may hold fewer points than asked for.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
     eta = hp.eta
@@ -560,7 +565,14 @@ def sample_hyperplane(hp: Hyperplane, seed: int, count: int) -> list:
     rng = random.Random(seed)
     points = []
     seen = set()
+    misses = 0
     while len(points) < count:
+        if misses == _MAX_MISSES:
+            raise ValueError(
+                f"{hp}: found {len(points)} of {count} sample points with coordinates "
+                f"bounded by {_SAMPLE_BOUND} before {_MAX_MISSES} draws in a row added none"
+            )
+        misses += 1
         coords = [
             Fraction(rng.randint(-_DRAW_BOUND, _DRAW_BOUND), rng.randint(1, 5)) for _ in range(m + n)
         ]
@@ -580,6 +592,7 @@ def sample_hyperplane(hp: Hyperplane, seed: int, count: int) -> list:
         seen.add(lam.coords)
         assert hp.member(lam)
         points.append(lam)
+        misses = 0
     return points
 
 

@@ -18,7 +18,7 @@ from shapovalov.exact_algebra import (
     sample_hyperplane,
 )
 from shapovalov.hessenberg import build_A_rs, build_B_rs, build_D, det_lr
-from shapovalov.pbw import GLAlgebra, UEAElement, gl, normal_order, sbracket_gens
+from shapovalov.pbw import GLAlgebra, PBWOrder, UEAElement, gl, normal_order, sbracket_gens
 from shapovalov.shuffles import Shuffle, diagram_data, enumerate_shuffles
 from shapovalov.verma import VermaVector, act, is_highest_weight, vacuum, weight_basis
 from shapovalov.construct import (
@@ -574,6 +574,56 @@ class TestChainRecurrence:
         assert 0 < len(calls) <= 10 ** 2
         assert all(len(x) == 1 for x in calls)
         assert len(v.terms) == 2 ** 8
+
+
+# ---------------------------------------------------------------------------
+# theta on any vector through its chain, against the expanded body
+
+_OFF_POINT = [Fraction(7, 2), -3, Fraction(5, 3), 11, Fraction(-1, 4)]
+
+
+def _apply_cases():
+    """(element, order of the start vectors): every root and ordering with
+    m+n <= 5 in its own order, and for every shuffle of gl(2,2) and gl(3,2)
+    its Borel element, or the distinguished one when the shuffle does not
+    fix its endpoints, in the shuffle's order."""
+    for m in range(1, 6):
+        for n in range(6 - m):
+            alg = gl(m, n)
+            for root, (i, j) in alg.positive_roots():
+                for o in ODD_ORDERINGS if i <= m < j else ("standard", "bform"):
+                    t = theta_for_root(alg, root, o)
+                    yield t, t.pbw_order()
+    for m, n in ((2, 2), (3, 2)):
+        for sh in enumerate_shuffles(m, n, fixed_endpoints=False):
+            t = theta_borel(sh) if sh.endpoint_fixed() else theta_glmn_distinguished(m, n)
+            yield t, PBWOrder(sh.word)
+
+
+def _start_vectors(alg, lam, order, theta):
+    """The vacuum, theta v_lambda, two lowering letters on v_lambda, their
+    inhomogeneous sum and the zero vector, all in the given order."""
+    vac = vacuum(alg, lam, order)
+    rank = order.rank(alg)
+    neg = sorted((g for g in rank if rank[g] < 0), key=rank.get)
+    lowered = act([neg[-1], neg[0]], vac)
+    image = act(theta.body, vac)
+    return [vac, image, lowered, vac + image + lowered, VermaVector(alg, lam, order=order)]
+
+
+class TestApply:
+    def test_matches_body_action(self):
+        count = 0
+        for t, order in _apply_cases():
+            alg = t.alg
+            label = (alg, root_to_str(alg, t.eta), t.ordering, str(t.borel), order)
+            off = Weight(alg.m, alg.n, _OFF_POINT[:alg.N])
+            assert not t.hyperplane().member(off), label
+            for lam in (off, generic_point(alg.m, alg.n, [])):
+                for v in _start_vectors(alg, lam, order, t):
+                    assert t.apply(v) == act(t.body, v), (label, v)
+                    count += 1
+        assert count == 2560
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -189,6 +190,15 @@ class TestHyperplane:
         eta = Weight.eps(3, 0, 1) - Weight.eps(3, 0, 3)
         with pytest.raises(ValueError, match="bounded by 1000"):
             sample_hyperplane(Hyperplane(eta, 3000), 0, 1)
+
+    def test_sampling_too_few_points_raises(self):
+        # (1000, -24) is the only point of this line inside the bound
+        hp = Hyperplane(Weight.eps(2, 0, 1) - Weight.eps(2, 0, 2), 1025)
+        assert [p.coords for p in sample_hyperplane(hp, 0, 1)] == [(1000, -24)]
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="found 1 of 2 sample points"):
+            sample_hyperplane(hp, 0, 2)
+        assert time.perf_counter() - start < 2
 
     def test_constraint_poly_vanishes_on_samples(self):
         eta = Weight.eps(3, 0, 1) - Weight.eps(3, 0, 3)

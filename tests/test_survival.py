@@ -15,6 +15,7 @@ from shapovalov.exact_algebra import (
 from shapovalov.pbw import UEAElement, gl
 from shapovalov.verma import act, is_highest_weight, vacuum
 from shapovalov.construct import (
+    ShapovalovElement,
     b_lambda,
     bruhat_covers,
     case1_decompose,
@@ -63,10 +64,20 @@ class TestPowers:
 
 
 class TestIsotropicSquare:
-    @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (2, 3)])
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 4), (5, 1), (1, 5)])
     def test_square_kills_vector(self, m, n):
         t = theta_glmn_distinguished(m, n)
         for lam in sample_hyperplane(t.hyperplane(), 9, 3):
+            assert square_isotropic_check(m, n, lam)
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 2)])
+    def test_square_never_expands_body(self, m, n, monkeypatch):
+        def expanded(self):
+            raise AssertionError("the square check expanded theta")
+
+        monkeypatch.setattr(ShapovalovElement, "body", property(expanded))
+        t = theta_glmn_distinguished(m, n)
+        for lam in sample_hyperplane(t.hyperplane(), 9, 2):
             assert square_isotropic_check(m, n, lam)
 
     def test_off_hyperplane_rejected(self):
