@@ -33,7 +33,10 @@ starts from any Verma vector v, and verma_vector(lam) is apply on
 v_lambda.  A path's Cartan factors sit at the right end of its word, next
 to v, so for v of weight mu they are the scalars c_t(mu), by
 H X = X H(x + wt X) for a Cartan polynomial H and a monomial X; an
-inhomogeneous v goes through the chain once per weight.
+inhomogeneous v goes through the chain once per weight.  The same rule
+gives powers in U(g): theta y = sum over the paths X H of X y H(x + wt y),
+so theta_power starts the chain from y = theta^k, of weight -k eta, and
+attaches each factor shifted by -k eta, one generator times y per step.
 The descending chains (standard, middle and arbitrary Borels) and the
 ascending ones (bform) are such lines of indices.  odd-last words are
 (delta chain)(eps chain)(odd generator) and odd-first words their reverses;
@@ -109,10 +112,10 @@ class ShapovalovElement:
     def hyperplane(self) -> Hyperplane:
         return Hyperplane(self.eta, self.mult)
 
-    def _element(self, scale) -> UEAElement:
-        """Sum over the chain's paths in U(g): a step multiplies by its
-        generator on the left, and scale(x, f) attaches the factor f on the
-        right."""
+    def _element(self, scale, start: UEAElement | None = None) -> UEAElement:
+        """Sum over the chain's paths in U(g), started from start (1 by
+        default): a step multiplies by its generator on the left, and
+        scale(x, f) attaches the factor f on the right."""
         alg = self.alg
 
         def step(gen, terms):
@@ -120,8 +123,9 @@ class ShapovalovElement:
                 return terms
             return (UEAElement.gen(alg, *gen) * UEAElement(alg, terms)).terms
 
+        start = UEAElement.one(alg) if start is None else start
         return UEAElement(alg, _chain_sum(
-            self.chain, UEAElement.one(alg).terms, step, lambda terms, f: scale(UEAElement(alg, terms), f).terms))
+            self.chain, start.terms, step, lambda terms, f: scale(UEAElement(alg, terms), f).terms))
 
     def evaluate(self, lam: Weight) -> UEAElement:
         """The element with its Cartan factors evaluated at lam; they are
@@ -546,10 +550,23 @@ def case2_assembled(dec: CaseDecomposition) -> UEAElement:
 # powers
 
 def theta_power(m: int, p: int) -> UEAElement:
-    """p-th power of the gl(m) element; a lowering element for multiplicity p."""
+    """p-th power of the gl(m) element; a lowering element for multiplicity p.
+
+    theta^(k+1) = theta y for y = theta^k is one pass of theta's chain
+    started from y: a path X H of theta gives X H y = X y H(x + wt y), and
+    y has weight -k eta, eta = eps_1 - eps_m, so each factor is shifted by
+    {1: -k, m: +k} and attached on the right.  scale_central is that
+    product here because every word of theta_gl is lowering: no term of
+    theta^k has a positive part for a factor to move past.
+    """
     if p < 1:
         raise ValueError("need p >= 1")
-    return theta_gl(m).body ** p
+    theta = theta_gl(m)
+    y = UEAElement.one(theta.alg)
+    for k in range(p):
+        wt = {1: -k, m: k}
+        y = theta._element(lambda x, f: x.scale_central(f.shifted(wt)), y)
+    return y
 
 
 def square_isotropic_check(m: int, n: int, lam: Weight) -> bool:

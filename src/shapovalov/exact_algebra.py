@@ -14,7 +14,10 @@ throughout, and rationals only enter when a rational weight is substituted.
 The straightener moves Cartan parts past generators (H(x) e = e H(x + w))
 and evaluates them at sampled weights, so two substitutions are hot and
 have their own kernels: Poly.shifted is a binomial (Taylor) shift, and
-eval_at evaluates monomials in integer arithmetic.  Poly.subs stays the
+eval_at evaluates monomials in integer arithmetic.  The chain sums attach
+one linear factor at a time, so a product with an operand of degree <= 1
+has its own kernel as well (Poly._times_linear): each of that operand's
+terms bumps one exponent of the other's keys.  Poly.subs stays the
 general substitution, for evaluation at generic points: generic_point
 solves linear constraints once and returns a weight with Poly
 coordinates on their zero locus, so an identity on a whole hyperplane
@@ -53,6 +56,11 @@ def _trim(exps):
     while k and exps[k - 1] == 0:
         k -= 1
     return tuple(exps[:k])
+
+
+def _is_linear(p) -> bool:
+    """Every term of p has degree at most 1."""
+    return all(sum(e) <= 1 for e in p.terms)
 
 
 class Poly:
@@ -157,13 +165,22 @@ class Poly:
             c = _coeff(other)
             if not c:
                 return Poly()
+            if type(c) is int:
+                return Poly({e: v * c if type(v) is int else _coeff(v * c) for e, v in self.terms.items()})
             return Poly({e: _coeff(v * c) for e, v in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
+        # a product with the polynomial 1 is the other operand itself
         if other.is_constant():
-            return self * other.terms.get((), 0)
+            c = other.terms.get((), 0)
+            return self if c == 1 else self * c
         if self.is_constant():
-            return other * self.terms.get((), 0)
+            c = self.terms.get((), 0)
+            return other if c == 1 else other * c
+        if _is_linear(other):
+            return self._times_linear(other)
+        if _is_linear(self):
+            return other._times_linear(self)
         # exponent tuples are padded once to a common length k; a sum ends
         # in 0 only where both operands were shorter than k, so only those
         # keys need trimming
@@ -179,6 +196,32 @@ class Poly:
         return Poly({e if e[-1] else _trim(e): c for e, c in out.items() if c})
 
     __rmul__ = __mul__
+
+    def _times_linear(self, lin: "Poly") -> "Poly":
+        """self * lin for lin of degree <= 1.
+
+        A term c x_i of lin adds 1 to exponent i of every key of self, and
+        its constant term scales them.  Bumping one exponent maps trimmed
+        keys to trimmed keys, one to one, so only the terms of lin after the
+        first can meet a key already there.
+        """
+        out = None
+        for el, cl in lin.terms.items():
+            i = len(el) - 1  # el is () or (0, ..., 0, 1)
+            if i < 0:
+                moved = {e: c * cl for e, c in self.terms.items()}
+            else:
+                moved = {
+                    e[:i] + (e[i] + 1,) + e[i + 1:] if i < len(e) else e + (0,) * (i - len(e)) + (1,): c * cl
+                    for e, c in self.terms.items()
+                }
+            if out is None:
+                out = moved
+                continue
+            for e, c in moved.items():
+                s = out.get(e)
+                out[e] = c if s is None else s + c
+        return Poly({e: c for e, c in out.items() if c})
 
     def __pow__(self, k: int):
         if k < 0:

@@ -407,8 +407,12 @@ class UEAElement:
         return NotImplemented
 
     def __pow__(self, k: int):
-        out = UEAElement.one(self.alg)
-        for _ in range(k):
+        if k < 0:
+            raise ValueError("negative power")
+        if k == 0:
+            return UEAElement.one(self.alg)
+        out = self
+        for _ in range(k - 1):
             out = out * self
         return out
 

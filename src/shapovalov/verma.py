@@ -155,7 +155,7 @@ def act(x, v: VermaVector) -> VermaVector:
             if not terms:
                 break
             if isinstance(a, Poly):
-                terms = _cartan(alg, lam, a, terms)
+                terms = _cartan(lam, a, terms)
             elif rank[a] < 0:
                 terms = _lower(alg, order, a, terms)
             else:
@@ -165,15 +165,15 @@ def act(x, v: VermaVector) -> VermaVector:
     return VermaVector(alg, lam, out, order)
 
 
-def _cartan(alg, lam, h, terms):
-    """h mono v_lambda = h(lambda + wt mono) mono v_lambda, for each monomial."""
+def _cartan(lam, h, terms):
+    """h mono v_lambda = h(lambda + wt mono) mono v_lambda, for each monomial:
+    h shifted by wt mono, evaluated at lambda."""
     if h.is_constant():
         c = h.constant_value()
         return {mono: x * c for mono, x in terms.items()} if c else {}
     out: dict = {}
     for mono, x in terms.items():
-        off = _offsets({}, mono, 1)
-        val = eval_at(h, lam + Weight(lam.m, lam.n, [off.get(k, 0) for k in range(1, alg.N + 1)]))
+        val = eval_at(h.shifted(_offsets({}, mono, 1)), lam) if mono else eval_at(h, lam)
         _accumulate(out, mono, x * val)
     return out
 

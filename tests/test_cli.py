@@ -310,6 +310,19 @@ def test_console_entry_point():
     assert "count: 2" in proc.stdout
 
 
+def test_package_runs_as_a_module():
+    def child(*argv):
+        return subprocess.run([sys.executable, "-m", "shapovalov", *argv],
+                              capture_output=True, text=True, env=CHILD_ENV)
+
+    proc = child("theta", "--algebra", "3", "--root", "e1-e3")
+    assert proc.returncode == 0
+    assert "e3,2 e2,1" in proc.stdout
+    proc = child("theta", "--algebra", "3", "--root", "e1-e9")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
 def test_closed_stdout_exits_quietly():
     # the json of e1-e7 is larger than a pipe buffer, so a write fails after the reader leaves
     proc = subprocess.Popen(

@@ -73,6 +73,12 @@ class TestThetaGl:
         with pytest.raises(ValueError):
             theta_gl(1)
 
+    @pytest.mark.parametrize("m,p", [(m, p) for m in range(2, 6) for p in (1, 2, 3)] + [(6, 2)])
+    def test_power_matches_product_of_bodies(self, m, p):
+        # theta_power takes one pass of the chain per factor, with shifted
+        # factors; the UEA product of expanded bodies is the oracle
+        assert theta_power(m, p) == theta_gl(m).body ** p
+
 
 class TestDistinguishedOdd:
     def test_gl11(self):

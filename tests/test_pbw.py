@@ -335,6 +335,16 @@ class TestMultiply:
             ws = [normal_order(alg, w) for w in words]
             assert (ws[0] * ws[1]) * ws[2] == ws[0] * (ws[1] * ws[2])
 
+    def test_power(self):
+        alg = gl(2, 1)
+        x = normal_order(alg, [(2, 1), Poly.x(1) - 2, (3, 2)]) + normal_order(alg, [(1, 3)])
+        assert x ** 0 == UEAElement.one(alg)
+        assert x ** 1 is x
+        assert x ** 3 == x * x * x
+        # as Poly.__pow__ does, a negative power is refused instead of read as 0
+        with pytest.raises(ValueError, match="negative power"):
+            x ** -1
+
 
 class TestQueriesAndIO:
     def test_coefficient_of_absent(self):

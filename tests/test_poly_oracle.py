@@ -87,6 +87,32 @@ def test_mul(a, b):
     assert (p * (q - q)).terms == {} and ((q - q) * p).terms == {}
 
 
+# a linear form as {variable: coefficient}, 0 standing for the constant term
+linear = st.dictionaries(st.integers(0, NVARS), coeffs, max_size=NVARS + 1)
+
+
+def make_linear(terms) -> Poly:
+    return make({tuple(int(k == v) for k in range(1, NVARS + 1)): c for v, c in terms.items()})
+
+
+@given(polys, linear, st.booleans())
+# a constant term, and x4 beyond the keys of the other operand
+@example({(2, 1, 0, 0): 3, (0, 0, 0, 0): -1}, {0: 2, 4: Fraction(1, 2)}, True)
+@example({(0, 2, 0, 0): Fraction(3, 2), (1, 0, 0, 0): 4}, {0: -5, 1: 1, 3: -2}, False)
+# (x1 - x2)(x1 + x2): the cross terms of two linear forms cancel
+@example({(1, 0, 0, 0): 1, (0, 1, 0, 0): -1}, {1: 1, 2: 1}, False)
+@settings(max_examples=50, deadline=None)
+def test_mul_linear(a, b, left):
+    p, lin = make(a), make_linear(b)
+    prod = lin * p if left else p * lin
+    assert same(prod, to_sympy(p) * to_sympy(lin))
+    assert exact(prod)
+    assert all(not e or e[-1] for e in prod.terms)
+    assert all(prod.terms.values())
+    if all(type(c) is int for c in [*p.terms.values(), *lin.terms.values()]):
+        assert all(type(c) is int for c in prod.terms.values())
+
+
 def test_mul_cancels_cross_terms():
     x1, x2, x3 = Poly.x(1), Poly.x(2), Poly.x(3)
     # the cross terms cancel, and x1^2 is padded to three variables and trimmed back
