@@ -2,6 +2,10 @@
 
 Exit codes: 0 on success or verification pass, 2 on verification failure,
 1 on usage errors.  All output is deterministic for a fixed seed.
+
+The argument parser is built once per process, on the first `run`, and
+reused by every later call; `SHAPOVALOV_SAMPLES` is read on every call, so
+each sees the environment as it is then.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import os
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from .exact_algebra import Weight, bilinear_form, sample_hyperplane
@@ -318,17 +323,18 @@ def cmd_kac_coeff(args):
     return 0
 
 
+@cache
 def build_parser():
+    """The parser of every command, built on the first call and then shared.
+
+    `--samples` defaults to None: `run` fills in `SHAPOVALOV_SAMPLES` at
+    each call, so the cached parser holds nothing read from the environment.
+    """
     parser = _Parser(
         prog="shapovalov",
         description="compute, compare and verify Shapovalov elements for gl(m) and gl(m,n)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    env_samples = os.environ.get("SHAPOVALOV_SAMPLES", "5")
-    try:
-        default_samples = int(env_samples)
-    except ValueError:
-        raise ValueError(f"SHAPOVALOV_SAMPLES must be an integer, got {env_samples!r}") from None
 
     def common(p):
         p.add_argument("--algebra", required=True, help="dimensions m,n (n may be 0)")
@@ -345,7 +351,7 @@ def build_parser():
     p.add_argument("--root")
     p.add_argument("--order", default="standard", choices=list(ORDERINGS))
     p.add_argument("--borel")
-    p.add_argument("--samples", type=int, default=default_samples)
+    p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--symbolic", action="store_true")
     p.set_defaults(func=cmd_verify)
@@ -363,7 +369,7 @@ def build_parser():
     p.add_argument("--root", required=True)
     p.add_argument("--orders", help="comma-separated orderings (default: "
                    f"{','.join(EVEN_ORDERS)} for an even root, {','.join(ODD_ORDERS)} for an odd one)")
-    p.add_argument("--samples", type=int, default=default_samples)
+    p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_compare)
 
@@ -384,12 +390,17 @@ def build_parser():
 
 
 def run(argv=None) -> int:
+    env_samples = os.environ.get("SHAPOVALOV_SAMPLES", "5")
+    try:
+        default_samples = int(env_samples)
+    except ValueError:
+        return _usage_error(f"SHAPOVALOV_SAMPLES must be an integer, got {env_samples!r}")
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
-    except ValueError as exc:  # a bad SHAPOVALOV_SAMPLES
-        return _usage_error(str(exc))
+    if getattr(args, "samples", 0) is None:  # verify or compare without --samples
+        args.samples = default_samples
     try:
         return args.func(args)
     except SystemExit as exc:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from math import comb, gcd
 from operator import add
 
@@ -477,19 +478,20 @@ def bilinear_form(mu: Weight, nu: Weight):
     mu._check(nu)
     m = mu.m
     out = Fraction(0)
-    for i in range(m):
-        out = out + mu.coords[i] * nu.coords[i]
-    for j in range(m, m + mu.n):
-        out = out - mu.coords[j] * nu.coords[j]
+    for i, (a, b) in enumerate(zip(mu.coords, nu.coords)):
+        if a and b:  # a zero in either argument adds nothing
+            out = out + a * b if i < m else out - a * b
     return out
 
 
+@cache
 def rho(m: int, n: int = 0) -> Weight:
     """Weyl vector normalized to coordinate sum zero.
 
     Pairs to 1 with eps-side simple roots, 0 with the odd simple root and -1
     with delta-side simple roots; the radical direction is fixed by the zero
     coordinate sum (for m = n any choice pairs identically with all roots).
+    Cached per (m, n): weights are immutable, so every caller shares one.
     """
     if m < 1 or n < 0:
         raise ValueError("need m >= 1, n >= 0")
@@ -529,19 +531,21 @@ def eval_at(p: Poly, lam: Weight):
     a numeric weight.
     """
     coords = lam.coords
-    if any(isinstance(c, Poly) for c in coords) or any(len(e) > len(coords) for e in p.terms):
-        out = p.subs({i + 1: c for i, c in enumerate(coords)})
-        if out.is_constant() and all(isinstance(c, Fraction) for c in coords):
-            return Fraction(out.constant_value())
-        return out
+    try:
+        parts = [(x.numerator, x.denominator) for x in coords]
+    except AttributeError:  # a generic point: Poly coordinates
+        return _eval_by_subs(p, coords)
+    size = len(parts)
     num, den = 0, 1
     for e, c in p.terms.items():
+        if len(e) > size:  # a variable beyond the weight's coordinates
+            return _eval_by_subs(p, coords)
         a, b = c.numerator, c.denominator
         for i, k in enumerate(e):
             if k:
-                x = coords[i]
-                a *= x.numerator ** k
-                b *= x.denominator ** k
+                xn, xd = parts[i]
+                a *= xn ** k
+                b *= xd ** k
         if b != den:  # move to the least common denominator
             lcm = den // gcd(den, b) * b
             num *= lcm // den
@@ -549,6 +553,13 @@ def eval_at(p: Poly, lam: Weight):
             den = lcm
         num += a
     return Fraction(num, den)
+
+
+def _eval_by_subs(p: Poly, coords):
+    out = p.subs({i + 1: c for i, c in enumerate(coords)})
+    if out.is_constant() and all(isinstance(c, Fraction) for c in coords):
+        return Fraction(out.constant_value())
+    return out
 
 
 class Hyperplane:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import shapovalov
+from shapovalov import cli
 from shapovalov.cli import KAC_CAP, RANK_CAP, SAMPLES_CAP, SHUFFLE_CAP, TERM_CAP, run
 
 # a child process imports the package from where this one found it
@@ -100,6 +101,69 @@ class TestVerify:
         err = capsys.readouterr().err
         assert code == 1
         assert err == "error: SHAPOVALOV_SAMPLES must be an integer, got 'abc'\n"
+
+
+class TestParserCache:
+    """The parser is built once per process; SHAPOVALOV_SAMPLES is read per call."""
+
+    VERIFY = ["verify", "--algebra", "2,0", "--root", "e1-e2", "--format", "json"]
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        built = []
+
+        class CountingParser(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", CountingParser)
+        cli.build_parser.cache_clear()
+        try:
+            assert run(self.VERIFY) == 0
+            first = list(built)
+            assert run(["theta", "--algebra", "3", "--root", "e1-e3"]) == 0
+            assert run(["shuffles", "--algebra", "2,2"]) == 0
+        finally:
+            cli.build_parser.cache_clear()
+        # the top-level parser and its subcommand parsers, all from the first call
+        assert built.count("shapovalov") == 1
+        assert built == first
+
+    def test_sample_count_env_is_read_on_every_call(self, capsys, monkeypatch):
+        for value in (2, 3):
+            monkeypatch.setenv("SHAPOVALOV_SAMPLES", str(value))
+            for argv in (self.VERIFY, ["compare", "--algebra", "3", "--root", "e1-e3",
+                                       "--format", "json"]):
+                code, out = capture(capsys, argv)
+                assert code == 0
+                assert json.loads(out)["samples"] == value
+        code, out = capture(capsys, self.VERIFY + ["--samples", "1"])
+        assert code == 0
+        assert json.loads(out)["samples"] == 1
+
+    @pytest.mark.parametrize("argv", [VERIFY, ["theta", "--algebra", "3", "--root", "e1-e3"]])
+    def test_bad_env_after_a_good_one(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("SHAPOVALOV_SAMPLES", "2")
+        assert run(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("SHAPOVALOV_SAMPLES", "abc")
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: SHAPOVALOV_SAMPLES must be an integer, got 'abc'\n"
+
+    def test_usage_error_then_a_good_call(self, capsys):
+        code, before = capture(capsys, self.VERIFY)
+        assert code == 0
+        assert run(self.VERIFY + ["--samples", "7", "--bogus"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: unrecognized arguments: --bogus"]
+        # nothing of the failed call stays in the shared parser
+        code, after = capture(capsys, self.VERIFY)
+        assert code == 0
+        assert after == before
+        assert json.loads(after)["samples"] == 5
 
 
 class TestOtherCommands:

@@ -70,6 +70,35 @@ class TestBilinearForm:
         assert bilinear_form(u + t * v, w) == bilinear_form(u, w) + t * bilinear_form(v, w)
 
 
+    def test_matches_the_coordinate_sum(self):
+        # weights with zero entries, against the signed sum over every coordinate
+        rng = random.Random(4)
+        for _ in range(200):
+            m, n = rng.choice([(1, 0), (3, 0), (2, 2), (3, 2), (1, 3)])
+            u, v = (
+                Weight(m, n, [rng.choice([0, 0, Fraction(rng.randint(-9, 9), rng.randint(1, 4))])
+                              for _ in range(m + n)])
+                for _ in range(2)
+            )
+            expected = (sum(u.coords[i] * v.coords[i] for i in range(m))
+                        - sum(u.coords[j] * v.coords[j] for j in range(m, m + n)))
+            value = bilinear_form(u, v)
+            assert isinstance(value, Fraction)
+            assert value == expected
+
+    def test_generic_point_matches_the_coordinate_sum(self):
+        m, n = 2, 2
+        eta = Weight.eps(m, n, 1) - Weight.delta(m, n, 2)
+        lam = generic_point(m, n, [Hyperplane(eta).constraint_poly()])
+        rng = random.Random(5)
+        for _ in range(20):
+            mu = Weight(m, n, [rng.choice([0, rng.randint(-5, 5)]) for _ in range(m + n)])
+            expected = (sum(lam.coords[i] * mu.coords[i] for i in range(m))
+                        - sum(lam.coords[j] * mu.coords[j] for j in range(m, m + n)))
+            assert bilinear_form(lam, mu) == expected
+            assert bilinear_form(mu, lam) == expected
+
+
 class TestRho:
     def test_pairings_gl32(self):
         r = rho(3, 2)
@@ -144,6 +173,46 @@ class TestCartanPolynomials:
         lam = rand_weight(rng, 2, 2, span=6)
         assert eval_at(p * q, lam) == eval_at(p, lam) * eval_at(q, lam)
         assert eval_at(p + q, lam) == eval_at(p, lam) + eval_at(q, lam)
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_eval_matches_subs(self, seed):
+        # the integer kernel against Poly.subs at the coordinates, read as a Fraction
+        rng = random.Random(seed)
+        m, n = rng.choice([(2, 0), (2, 2), (3, 1)])
+        lam = rand_weight(rng, m, n)
+        mapping = {i + 1: c for i, c in enumerate(lam.coords)}
+        constant = Poly.const(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        for p in (rand_poly(rng, nvars=m + n, nterms=4, deg=3), Poly.zero(), constant):
+            value = eval_at(p, lam)
+            assert isinstance(value, Fraction)
+            assert value == Fraction(p.subs(mapping).constant_value())
+
+    def test_eval_in_more_variables_than_the_weight(self):
+        rng = random.Random(2)
+        for _ in range(20):
+            lam = rand_weight(rng, 2, 1)
+            mapping = {i + 1: c for i, c in enumerate(lam.coords)}
+            p = rand_poly(rng, nvars=3, nterms=3, deg=3) + Poly.x(5) * Poly.x(1)
+            assert eval_at(p, lam) == p.subs(mapping)
+        # x4 beyond the weight, killed by a zero coordinate: a Fraction again
+        lam = Weight(2, 1, [0, 2, 3])
+        value = eval_at(Poly.x(1) * Poly.x(4) + Poly.x(2) * Poly.x(3), lam)
+        assert isinstance(value, Fraction) and value == 6
+        assert eval_at(Poly.x(4) + Poly.x(3), lam) == Poly.x(4) + Poly.const(3)
+
+    def test_eval_at_a_generic_point_matches_subs(self):
+        m, n = 3, 1
+        eta = Weight.eps(m, n, 1) - Weight.delta(m, n, 1)
+        lam = generic_point(m, n, [Hyperplane(eta).constraint_poly()])
+        mapping = {i + 1: c for i, c in enumerate(lam.coords)}
+        rng = random.Random(3)
+        for _ in range(10):
+            p = rand_poly(rng, nvars=m + n, nterms=4, deg=3)
+            assert eval_at(p, lam) == p.subs(mapping)
+        for p in (Poly.zero(), Poly.const(5)):
+            value = eval_at(p, lam)
+            assert isinstance(value, Poly) and value == p
 
     def test_poly_pow_and_subs(self):
         p = Poly.x(1) + Poly.const(1)
