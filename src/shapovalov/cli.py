@@ -17,6 +17,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from math import comb
 
 from .exact_algebra import Weight, bilinear_form, sample_hyperplane
@@ -92,9 +93,41 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(obj, fmt):
     if fmt == "json":
-        print(json.dumps(obj, indent=2, sort_keys=True))
+        print(_json_text(obj))
     else:
         print(obj)
+
+
+def _json_text(obj, pad=""):
+    """obj as `json.dumps(obj, indent=2, sort_keys=True)` writes it, at indent pad.
+
+    The standard library indents only with its pure-Python encoder; this
+    writer emits the same text with C string escaping and one join per
+    list of plain ints (such as the `exps` of `Poly.to_json`).
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = []
+        for k, v in sorted(obj.items()):
+            if not isinstance(k, str):
+                raise TypeError(f"JSON keys must be str, not {type(k).__name__}")
+            items.append(f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}")
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if all(type(v) is int for v in obj):  # bools print as true/false, not 1/0
+            body = sep.join(map(str, obj))
+        else:
+            body = sep.join([_json_text(v, inner) for v in obj])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    return json.dumps(obj)  # a number, bool or None; anything else raises TypeError
 
 
 def _check_terms(count):
@@ -223,11 +256,7 @@ def cmd_compare(args):
     hp = thetas[0].hyperplane()
     points = sample_hyperplane(hp, args.seed, args.samples)
     same_element = all(t.body == thetas[0].body for t in thetas)
-    vector_match = all(
-        t.verma_vector(lam) == thetas[0].verma_vector(lam)
-        for t in thetas
-        for lam in points
-    )
+    vector_match = all(_same_vector(thetas, lam) for lam in points)
     out = {
         "root": args.root,
         "orders": orders,
@@ -243,6 +272,12 @@ def cmd_compare(args):
         args.format,
     )
     return 0 if vector_match else 2
+
+
+def _same_vector(thetas, lam):
+    """Whether every element gives the first one's theta v_lam; stops at the first mismatch."""
+    first = thetas[0].verma_vector(lam)
+    return all(t.verma_vector(lam) == first for t in thetas[1:])
 
 
 def cmd_shuffles(args):

@@ -579,8 +579,8 @@ class Hyperplane:
         return Fraction(self.mult) * bilinear_form(self.eta, self.eta) / 2
 
     def member(self, lam: Weight) -> bool:
-        r = rho(lam.m, lam.n)
-        return bilinear_form(lam + r, self.eta) == self.rhs()
+        eta = self.eta
+        return bilinear_form(lam, eta) + bilinear_form(rho(lam.m, lam.n), eta) == self.rhs()
 
     def constraint_poly(self) -> Poly:
         """Linear polynomial in the coordinates of lam vanishing exactly on the hyperplane."""
@@ -609,11 +609,12 @@ def sample_hyperplane(hp: Hyperplane, seed: int, count: int) -> list:
         -eta.coords[m + j] for j in range(n)
     ]
     pivot = next(i for i, c in enumerate(coeffs) if c)
+    others = [(i, c) for i, c in enumerate(coeffs) if c and i != pivot]  # one entry for a root
     r = rho(m, n)
     target = hp.rhs() - bilinear_form(r, eta)  # required value of (lam, eta)
     # the pivot coordinate is (target - partial) / coeff with |partial| <= spread;
     # when that range misses [-bound, bound], no draw can ever be accepted
-    spread = _DRAW_BOUND * sum(abs(c) for i, c in enumerate(coeffs) if i != pivot)
+    spread = _DRAW_BOUND * sum(abs(c) for _, c in others)
     if abs(target) - spread > _SAMPLE_BOUND * abs(coeffs[pivot]):
         raise ValueError(f"{hp} has no sample point with coordinates bounded by {_SAMPLE_BOUND}")
     rng = random.Random(seed)
@@ -630,15 +631,10 @@ def sample_hyperplane(hp: Hyperplane, seed: int, count: int) -> list:
         coords = [
             Fraction(rng.randint(-_DRAW_BOUND, _DRAW_BOUND), rng.randint(1, 5)) for _ in range(m + n)
         ]
-        partial = sum(
-            (coeffs[i] * coords[i] for i in range(m + n) if i != pivot),
-            Fraction(0),
-        )
-        coords[pivot] = (target - partial) / coeffs[pivot]
-        if any(
-            abs(c.numerator) > _SAMPLE_BOUND or c.denominator > _SAMPLE_BOUND
-            for c in coords
-        ):
+        partial = sum((c * coords[i] for i, c in others), Fraction(0))
+        x = coords[pivot] = (target - partial) / coeffs[pivot]
+        # the drawn coordinates are within the bound by construction
+        if abs(x.numerator) > _SAMPLE_BOUND or x.denominator > _SAMPLE_BOUND:
             continue
         lam = Weight(m, n, coords)
         if lam.coords in seen:

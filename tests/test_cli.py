@@ -5,10 +5,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import shapovalov
 from shapovalov import cli
-from shapovalov.cli import KAC_CAP, RANK_CAP, SAMPLES_CAP, SHUFFLE_CAP, TERM_CAP, run
+from shapovalov.cli import KAC_CAP, RANK_CAP, SAMPLES_CAP, SHUFFLE_CAP, TERM_CAP, _json_text, run
+from shapovalov.construct import ShapovalovElement, parse_root
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
 
 # a child process imports the package from where this one found it
 CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(shapovalov.__file__).resolve().parents[1])}
@@ -164,6 +169,99 @@ class TestParserCache:
         assert code == 0
         assert after == before
         assert json.loads(after)["samples"] == 5
+
+
+texts = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7fé€\U0001f600 ') | st.characters())
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats()
+    | texts
+)
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.lists(st.integers() | st.booleans())  # plain int lists, some with bools mixed in
+    | st.dictionaries(texts, inner),
+    max_leaves=40,
+)
+
+
+class TestJsonText:
+    """`_json_text` writes what json.dumps(indent=2, sort_keys=True) writes."""
+
+    @given(json_values)
+    @example({"b": [1, True, 0], "a": {"\u00e9\"\\\x01": -0.0}, "c": (), "d": {}, "e": []})
+    @example([float("nan"), float("inf"), -float("inf"), None, False, -(2**100), "\ud800"])
+    @example({"exps": [0, 2, 1], "coeff": "-3/2"})
+    def test_matches_the_standard_library(self, obj):
+        assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    def test_golden_json_outputs_reencode(self):
+        cases = [r for r in json.loads(GOLDEN.read_text()) if "json" in r["argv"] and r["code"] == 0]
+        assert len(cases) >= 10
+        for r in cases:
+            obj = json.loads(r["stdout"])
+            assert _json_text(obj) + "\n" == r["stdout"]
+            assert json.dumps(obj, indent=2, sort_keys=True) + "\n" == r["stdout"]
+
+    @pytest.mark.parametrize("obj", [{1: "a"}, {"a": {None: 1}}, [{"a": 1, 2: "b"}]])
+    def test_non_str_key_raises(self, obj):
+        with pytest.raises(TypeError):
+            _json_text(obj)
+
+    def test_other_objects_raise(self):
+        with pytest.raises(TypeError):
+            _json_text({"a": [object()]})
+
+
+class TestCompare:
+    ARGV = ["compare", "--algebra", "2,3", "--root", "e1-d3", "--format", "json"]
+
+    @staticmethod
+    def count_verma_vector(monkeypatch):
+        calls = []
+        original = ShapovalovElement.verma_vector
+
+        def counted(self, lam):
+            calls.append(self.ordering)
+            return original(self, lam)
+
+        monkeypatch.setattr(ShapovalovElement, "verma_vector", counted)
+        return calls
+
+    def test_one_verma_vector_per_ordering_and_point(self, capsys, monkeypatch):
+        monkeypatch.delenv("SHAPOVALOV_SAMPLES", raising=False)
+        calls = self.count_verma_vector(monkeypatch)
+        code, out = capture(capsys, self.ARGV)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["equal_on_hyperplane"] and rep["samples"] == 5
+        assert len(rep["orders"]) == 4
+        assert len(calls) == 4 * 5
+
+    def test_a_differing_ordering_fails(self, capsys, monkeypatch):
+        # bform hands back the element of another root, so theta v_lam differs at every point
+        real = cli.theta_for_root
+
+        def theta_for_root(alg, root, order):
+            if order == "bform":
+                root = parse_root(alg, "e1-e2")
+            return real(alg, root, order)
+
+        monkeypatch.setattr(cli, "theta_for_root", theta_for_root)
+        calls = self.count_verma_vector(monkeypatch)
+        code, out = capture(capsys, ["compare", "--algebra", "3", "--root", "e1-e3",
+                                     "--format", "json"])
+        assert code == 2
+        rep = json.loads(out)
+        assert rep["orders"] == ["standard", "bform"]
+        assert rep["equal_on_hyperplane"] is False
+        assert rep["equal_as_elements"] is False
+        assert '"equal_on_hyperplane": false' in out
+        assert len(calls) == 2  # the first point already differs
 
 
 class TestOtherCommands:

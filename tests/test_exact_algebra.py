@@ -269,6 +269,46 @@ class TestHyperplane:
             sample_hyperplane(hp, 0, 2)
         assert time.perf_counter() - start < 2
 
+    # points recorded before the sampler skipped zero coefficients; every seed must keep its points
+    @pytest.mark.parametrize("m, n, eta, mult, seed, points", [
+        (3, 0, [1, 0, -1], 1, 0,
+         [["1", "-22/3", "2"], ["11/2", "2", "13/2"], ["23", "-3", "24"]]),
+        (2, 2, [1, 0, 0, -1], 1, 7,
+         [["6", "1", "-4", "-6"], ["-3/4", "4", "-22", "3/4"], ["-12", "-19/5", "3", "12"]]),
+        (3, 0, [1, -1, 0], 2, 3, [["6", "5", "-1/5"], ["-3", "-4", "-6"]]),
+        (2, 2, [2, Fraction(1, 2), 0, -3], 1, 11,
+         [["61/8", "5/4", "8/5", "-6"], ["-309/80", "16/5", "-13", "4/3"]]),
+        (3, 0, [0, 1, -1], 1, 5, [["5", "4", "4"], ["-23/4", "-14", "-14"]]),
+        (4, 3, [1, 0, 0, 0, 0, 0, -1], 1, 1,
+         [["-8", "24", "-8", "7/4", "3/2", "-11", "7"],
+          ["22", "14", "5", "-7/2", "13", "-4", "-23"],
+          ["-12/5", "-6", "19/2", "3", "9/2", "6", "7/5"]]),
+    ])
+    def test_sampled_points_are_pinned(self, m, n, eta, mult, seed, points):
+        hp = Hyperplane(Weight(m, n, eta), mult)
+        assert [p.to_json() for p in sample_hyperplane(hp, seed, len(points))] == points
+
+    @pytest.mark.parametrize("m, n, eta, mult", [
+        (3, 0, [1, 0, -1], 2), (2, 2, [1, 0, 0, -1], 1), (2, 2, [0, 1, -1, 0], 1),
+        (2, 2, [2, Fraction(1, 2), 0, -3], 1),
+    ])
+    def test_member_is_the_shifted_form(self, m, n, eta, mult):
+        hp = Hyperplane(Weight(m, n, eta), mult)
+        r = rho(m, n)
+        # a step along a coordinate where eta is nonzero leaves the hyperplane
+        step = Weight.basis(m, n, next(i for i, c in enumerate(eta, 1) if c))
+        for lam in sample_hyperplane(hp, 2, 4):
+            for mu in (lam, lam + step, lam - Fraction(2, 3) * step):
+                expected = bilinear_form(mu + r, hp.eta) == hp.rhs()
+                assert hp.member(mu) == expected
+                assert expected == (mu == lam)
+        on = generic_point(m, n, [hp.constraint_poly()])
+        off = generic_point(m, n, [])
+        for mu, inside in ((on, True), (off, False)):
+            assert isinstance(mu.coords[0], Poly)
+            assert (bilinear_form(mu + r, hp.eta) == hp.rhs()) is inside
+            assert hp.member(mu) is inside
+
     def test_constraint_poly_vanishes_on_samples(self):
         eta = Weight.eps(3, 0, 1) - Weight.eps(3, 0, 3)
         hp = Hyperplane(eta, 2)
