@@ -33,7 +33,11 @@ starts from any Verma vector v, and verma_vector(lam) is apply on
 v_lambda.  A path's Cartan factors sit at the right end of its word, next
 to v, so for v of weight mu they are the scalars c_t(mu), by
 H X = X H(x + wt X) for a Cartan polynomial H and a monomial X; an
-inhomogeneous v goes through the chain once per weight.  The same rule
+inhomogeneous v goes through the chain once per weight.  Like the Verma
+action, apply is fraction-free: a node holds integer numerators over one
+denominator, a factor multiplies them by c_t at the integer point
+D * mu (D the common denominator of lambda) and puts D on the
+denominator, and sums meet over the least common denominator.  The same rule
 gives powers in U(g): theta y = sum over the paths X H of X y H(x + wt y),
 so theta_power starts the chain from y = theta^k, of weight -k eta, and
 attaches each factor shifted by -k eta, one generator times y per step.
@@ -56,15 +60,17 @@ from .exact_algebra import (
     Weight,
     bilinear_form,
     eval_at,
+    eval_scaled,
     generic_point,
     rho_pairing,
     sample_hyperplane,
 )
 from .hessenberg import ORDERINGS, skip_coeff
-from .pbw import GLAlgebra, PBWOrder, UEAElement, _accumulate, _offsets, gl, normal_order
+from .pbw import GLAlgebra, PBWOrder, UEAElement, _offsets, gl, normal_order
 from .shuffles import Shuffle, diagram_data, eta_weight
 from .verma import (
     VermaVector,
+    _merge,
     act,
     coefficients_in_word_basis,
     coords_in_basis,
@@ -118,14 +124,15 @@ class ShapovalovElement:
         scale(x, f) attaches the factor f on the right."""
         alg = self.alg
 
-        def step(gen, terms):
+        def step(gen, terms, den):
             if gen is None:
-                return terms
-            return (UEAElement.gen(alg, *gen) * UEAElement(alg, terms)).terms
+                return terms, den
+            return (UEAElement.gen(alg, *gen) * UEAElement(alg, terms)).terms, 1
 
         start = UEAElement.one(alg) if start is None else start
-        return UEAElement(alg, _chain_sum(
-            self.chain, start.terms, step, lambda terms, f: scale(UEAElement(alg, terms), f).terms))
+        terms, _ = _chain_sum(self.chain, start.terms, step,
+                              lambda terms, den, f: (scale(UEAElement(alg, terms), f).terms, 1))
+        return UEAElement(alg, terms)
 
     def evaluate(self, lam: Weight) -> UEAElement:
         """The element with its Cartan factors evaluated at lam; they are
@@ -139,30 +146,37 @@ class ShapovalovElement:
     def apply(self, v: VermaVector) -> VermaVector:
         """theta v for any Verma vector v: one generator action per step of
         the chain, started from each weight part of v, whose weight mu the
-        Cartan factors are evaluated at (see the note at the top)."""
+        Cartan factors are evaluated at (see the note at the top).  Like the
+        action, it is fraction-free: a factor f multiplies the numerators
+        by f at the integer point D * mu and puts D^deg f on the
+        denominator (Weight.scaled gives D and D * lambda)."""
         alg, lam, order = v.alg, v.lam, v.order
+        D, point = lam.scaled()
 
-        def step(gen, terms):
+        def step(gen, nums, den):
             if gen is None:
-                return terms
-            return act([gen], VermaVector(alg, lam, terms, order)).terms
+                return nums, den
+            w = act([gen], VermaVector.over(alg, lam, nums, den, order))
+            return w.nums, w.den
 
-        def scale_at(mu):
-            def scale(terms, f):
-                c = eval_at(f, mu)
-                return {k: x * c for k, x in terms.items()} if c else {}
+        def scale_at(at):
+            def scale(nums, den, f):
+                d = f.degree()
+                c = eval_scaled(f, at, D, d)
+                return ({k: x * c for k, x in nums.items()} if c else {}), den * D ** d
             return scale
 
         parts: dict = {}
-        for mono, c in v.terms.items():
+        for mono, c in v.nums.items():
             off = _offsets({}, mono, 1)
             parts.setdefault(tuple(off.get(k, 0) for k in range(1, alg.N + 1)), {})[mono] = c
         out: dict = {}
+        den = 1
         for off, part in parts.items():
-            mu = lam + Weight(lam.m, lam.n, off) if any(off) else lam
-            for key, val in _chain_sum(self.chain, part, step, scale_at(mu)).items():
-                _accumulate(out, key, val)
-        return VermaVector(alg, lam, out, order)
+            at = tuple(x + D * k for x, k in zip(point, off)) if any(off) else point
+            nums, d = _chain_sum(self.chain, part, step, scale_at(at), v.den)
+            den = _merge(out, den, nums, d)
+        return VermaVector.over(alg, lam, out, den, order)
 
     def verma_vector(self, lam: Weight) -> VermaVector:
         """Image of the highest weight vector, in the Verma module for the
@@ -194,26 +208,28 @@ class ShapovalovElement:
         }
 
 
-def _chain_sum(chain, start: dict, step, scale) -> dict:
-    """Terms of the sum over the chain's paths, in Horner form.
+def _chain_sum(chain, start: dict, step, scale, den: int = 1):
+    """Terms of the sum over the chain's paths, in Horner form, as
+    (terms, denominator): a value is its terms over an int denominator,
+    which the Verma action needs and U(g) leaves at 1.
 
-    Node 0 holds start.  Each later node runs through its sources (p, gen,
-    factors) in order: it adds step(gen, value at p), then multiplies all it
-    holds by each of the factors with scale.  The last node's value is
-    returned.  Attaching one linear factor at a time to a partial sum keeps
-    the Cartan products small.
+    Node 0 holds start over den.  Each later node runs through its sources
+    (p, gen, factors) in order: it adds step(gen, value at p), then
+    multiplies all it holds by each of the factors with scale.  The last
+    node's value is returned.  Attaching one linear factor at a time to a
+    partial sum keeps the Cartan products small.
     """
-    vals = [start]
+    vals = [(start, den)]
     for sources in chain:
         acc: dict = {}
+        den = 1
         for p, gen, factors in sources:
-            if vals[p]:
-                for key, val in step(gen, vals[p]).items():
-                    _accumulate(acc, key, val)
+            if vals[p][0]:
+                den = _merge(acc, den, *step(gen, *vals[p]))
             for _, f in factors:
                 if acc:
-                    acc = scale(acc, f)
-        vals.append(acc)
+                    acc, den = scale(acc, den, f)
+        vals.append((acc, den))
     return vals[-1]
 
 

@@ -14,14 +14,16 @@ throughout, and rationals only enter when a rational weight is substituted.
 The straightener moves Cartan parts past generators (H(x) e = e H(x + w))
 and evaluates them at sampled weights, so two substitutions are hot and
 have their own kernels: Poly.shifted is a binomial (Taylor) shift, and
-eval_at evaluates monomials in integer arithmetic.  The chain sums attach
-one linear factor at a time, so a product with an operand of degree <= 1
-has its own kernel as well (Poly._times_linear): each of that operand's
-terms bumps one exponent of the other's keys.  Poly.subs stays the
-general substitution, for evaluation at generic points: generic_point
-solves linear constraints once and returns a weight with Poly
-coordinates on their zero locus, so an identity on a whole hyperplane
-is checked by evaluating there and testing for zero.
+eval_scaled evaluates at the integer point D * lambda (Weight.scaled reads
+a weight once as its common denominator D and those integers), times D^d;
+eval_at divides by D^d once, and the Verma action keeps the integer.  The
+chain sums attach one linear factor at a time, so a product with an
+operand of degree <= 1 has its own kernel as well (Poly._times_linear):
+each of that operand's terms bumps one exponent of the other's keys.
+generic_point solves linear constraints once, with the general
+substitution Poly.subs, and returns a weight with Poly coordinates on
+their zero locus, so an identity on a whole hyperplane is checked by
+evaluating there (the same kernel, with D = 1) and testing for zero.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
-from math import comb, gcd
+from math import comb, lcm
 from operator import add
 
 
@@ -250,8 +252,8 @@ class Poly:
         """Substitute x_i -> mapping[i] (Poly or rational) for listed variables.
 
         The general route: each monomial is expanded with Poly products and
-        added into one result dict.  Shifts and numeric evaluation have
-        their own kernels (shifted, eval_at).
+        added into one result dict.  Shifts and evaluation have their own
+        kernels (shifted, eval_scaled).
         """
         out = {}
         powers = {}
@@ -386,7 +388,7 @@ class Weight:
     variables, used to verify identities on the whole hyperplane at once.
     """
 
-    __slots__ = ("m", "n", "coords")
+    __slots__ = ("m", "n", "coords", "_scaled")
 
     def __init__(self, m: int, n: int, coords):
         coords = tuple(
@@ -397,6 +399,7 @@ class Weight:
         self.m = m
         self.n = n
         self.coords = coords
+        self._scaled = None
 
     @staticmethod
     def zero(m, n) -> "Weight":
@@ -424,6 +427,21 @@ class Weight:
         c = [Fraction(0)] * (m + n)
         c[i - 1] = Fraction(1)
         return Weight(m, n, c)
+
+    def scaled(self):
+        """(D, D * coords): the least common denominator D of the coordinates
+        and the integers D * lambda_i, computed once per weight.  A weight
+        with Poly coordinates gives D = 1 and its coordinates as Polys."""
+        s = self._scaled
+        if s is None:
+            coords = self.coords
+            if all(type(c) is Fraction for c in coords):
+                D = lcm(*(c.denominator for c in coords))
+                s = (D, tuple(c.numerator * (D // c.denominator) for c in coords))
+            else:
+                s = (1, tuple(c if isinstance(c, Poly) else Poly.const(c) for c in coords))
+            self._scaled = s
+        return s
 
     def _check(self, other):
         if self.m != other.m or self.n != other.n:
@@ -520,67 +538,74 @@ def rho_pairing(beta: Weight, c=0) -> Poly:
     return h_of_weight(beta) + Poly.const(bilinear_form(rho(beta.m, beta.n), beta) + c)
 
 
+def eval_scaled(p: Poly, point, D: int, d: int):
+    """D^d times p at x = point / D, for d >= deg p: the sum over the terms
+    c x^k of p of c * prod point_i^k_i * D^(d - |k|).
+
+    point is D * lambda (Weight.scaled): integers for a numeric weight, so
+    with integer coefficients the result is an int; Polys at a generic
+    point, where D = 1.  A variable beyond the point stands for itself, as
+    D * x_i.  This is the one evaluation kernel: eval_at divides its result
+    by D^deg p, and the Verma action keeps it as a numerator.
+    """
+    num = 0
+    size = len(point)
+    for e, c in p.terms.items():
+        if len(e) > size:
+            point = tuple(point) + tuple(D * Poly.x(i) for i in range(size + 1, len(e) + 1))
+            size = len(e)
+        s = 0
+        for i, k in enumerate(e):
+            if k:
+                c *= point[i] if k == 1 else point[i] ** k
+                s += k
+        num += c if s == d or D == 1 else c * D ** (d - s)
+    return num
+
+
 def eval_at(p: Poly, lam: Weight):
     """Evaluate p at x_i = i-th coordinate of lam.
 
-    Returns a Fraction for numeric weights and p in x_1..x_{m+n}: each
-    monomial c * prod lam_i^k_i is evaluated in integers over the running
-    common denominator, and one Fraction is built at the end.  A symbolic
-    weight (Poly coordinates) or a p in further variables goes through
-    subs and gives a Poly, or a Fraction when the result is a constant of
-    a numeric weight.
+    The kernel eval_scaled at the point D * lam, divided once by D^deg p.
+    Returns a Fraction for a numeric weight and p in x_1..x_{m+n}.  A
+    symbolic weight (Poly coordinates) or a p in further variables gives a
+    Poly, or a Fraction when the result is a constant of a numeric weight.
     """
-    coords = lam.coords
-    try:
-        parts = [(x.numerator, x.denominator) for x in coords]
-    except AttributeError:  # a generic point: Poly coordinates
-        return _eval_by_subs(p, coords)
-    size = len(parts)
-    num, den = 0, 1
-    for e, c in p.terms.items():
-        if len(e) > size:  # a variable beyond the weight's coordinates
-            return _eval_by_subs(p, coords)
-        a, b = c.numerator, c.denominator
-        for i, k in enumerate(e):
-            if k:
-                xn, xd = parts[i]
-                a *= xn ** k
-                b *= xd ** k
-        if b != den:  # move to the least common denominator
-            lcm = den // gcd(den, b) * b
-            num *= lcm // den
-            a *= lcm // b
-            den = lcm
-        num += a
-    return Fraction(num, den)
-
-
-def _eval_by_subs(p: Poly, coords):
-    out = p.subs({i + 1: c for i, c in enumerate(coords)})
-    if out.is_constant() and all(isinstance(c, Fraction) for c in coords):
-        return Fraction(out.constant_value())
-    return out
+    D, point = lam.scaled()
+    d = p.degree()
+    num = eval_scaled(p, point, D, d)
+    numeric = not point or type(point[0]) is int
+    if isinstance(num, Poly):
+        if numeric and num.is_constant():
+            return Fraction(num.constant_value(), D ** d)
+        return num if D == 1 else num * Fraction(1, D ** d)
+    if not numeric:  # a constant p at a generic point
+        return Poly.const(num)
+    return Fraction(num, D ** d) if D != 1 else Fraction(num)
 
 
 class Hyperplane:
     """Locus (lam + rho, eta) = mult * (eta,eta)/2 in the dual Cartan."""
 
-    __slots__ = ("eta", "mult")
+    __slots__ = ("eta", "mult", "_rhs")
 
     def __init__(self, eta: Weight, mult: int = 1):
         if mult < 1:
             raise ValueError("multiplicity must be a positive integer")
+        if eta.is_zero():
+            raise ValueError("eta = 0 defines no hyperplane: (lam + rho, 0) = 0 for every lam")
         if bilinear_form(eta, eta) == 0 and mult != 1:
             raise ValueError("isotropic roots only admit multiplicity 1")
         self.eta = eta
         self.mult = mult
+        self._rhs = Fraction(mult) * bilinear_form(eta, eta) / 2
 
     def rhs(self) -> Fraction:
-        return Fraction(self.mult) * bilinear_form(self.eta, self.eta) / 2
+        return self._rhs
 
     def member(self, lam: Weight) -> bool:
         eta = self.eta
-        return bilinear_form(lam, eta) + bilinear_form(rho(lam.m, lam.n), eta) == self.rhs()
+        return bilinear_form(lam, eta) + bilinear_form(rho(lam.m, lam.n), eta) == self._rhs
 
     def constraint_poly(self) -> Poly:
         """Linear polynomial in the coordinates of lam vanishing exactly on the hyperplane."""

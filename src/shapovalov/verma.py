@@ -1,25 +1,36 @@
 """Verma modules M(lambda) for gl(m,n) with the partition-indexed weight basis.
 
 A vector is stored as a map from canonical negative PBW monomials to
-coefficients; v_lambda is the empty monomial with coefficient 1.  An element
-of U(g) acts one letter at a time from the right, with no splice: a negative
-generator goes in front of each monomial (_prepend), a Cartan part is
-evaluated at lambda plus the monomial's weight, and a positive generator
-acts by the Leibniz rule, so no word with a positive generator is ever
-straightened.  _prepend puts the generator in front when it sorts before the
-monomial's first factor and raises that factor's exponent when it equals it,
-so only words left out of order reach the straightening kernel.
-Coefficients are Fractions for numeric lambda and polynomials in the free
-parameters when lambda is a generic point (exact_algebra.generic_point), so
-a vector that is zero there is zero on the whole locus at once.
+numerators over one common denominator; v_lambda is the empty monomial
+with numerator 1 over 1.  An element of U(g) acts one letter at a time from
+the right, with no splice: a negative generator goes in front of each
+monomial (_prepend), a Cartan part is evaluated at lambda plus the
+monomial's weight, and a positive generator acts by the Leibniz rule, so no
+word with a positive generator is ever straightened.  _prepend puts the
+generator in front when it sorts before the monomial's first factor and
+raises that factor's exponent when it equals it, so only words left out of
+order reach the straightening kernel.
+
+The action is fraction-free.  lambda is read once as its common
+denominator D and the integers D * lambda_i (Weight.scaled), and each
+letter multiplies the numerators by integers and puts its own factor on
+the denominator: a Cartan letter of degree d is evaluated at the integer
+point D * (lambda + wt mono) and puts D^d there, a raising result h of
+degree <= 1 multiplies by h(lambda) * D and puts D there, and a lowering
+coefficient is an integer.  At a generic point (exact_algebra.generic_point)
+D is 1 and the numerators are polynomials in the free parameters, so a
+vector that is zero there is zero on the whole locus at once; numeric and
+symbolic lambda share one path.  terms, the read-only view of the
+coefficients, builds one Fraction per monomial when it is read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 
-from .exact_algebra import Poly, Weight, eval_at
+from .exact_algebra import Poly, Weight, eval_scaled
 from .pbw import (
     _NF_CACHE,
     DISTINGUISHED,
@@ -35,43 +46,77 @@ from .pbw import (
 
 
 class VermaVector:
-    """Weight-homogeneous element of M(lambda).
+    """Weight-homogeneous element of M(lambda): nums / den, with nums a map
+    from negative monomials to numerators (ints, or Polys at a generic
+    point) and den a positive int.
 
     Monomial keys are negative PBW monomials for the vector's triangular
     order; the default is the distinguished one, and a Borel order is used
-    when verifying elements attached to other Borel subalgebras.
+    when verifying elements attached to other Borel subalgebras.  terms
+    may hold ints, Fractions and Polys; they are brought over one
+    denominator.
     """
 
-    __slots__ = ("alg", "lam", "terms", "order")
+    __slots__ = ("alg", "lam", "nums", "den", "order", "_terms")
 
     def __init__(self, alg: GLAlgebra, lam: Weight, terms=None, order: PBWOrder = DISTINGUISHED):
+        terms = dict(terms) if terms else {}
+        den = lcm(*(c.denominator for c in terms.values() if isinstance(c, Fraction)))
+        nums = {k: c.numerator * (den // c.denominator) if isinstance(c, Fraction) else c * den
+                for k, c in terms.items() if c}
+        self._set(alg, lam, nums, den, order)
+
+    def _set(self, alg, lam, nums, den, order):
         self.alg = alg
         self.lam = lam
-        self.terms = dict(terms) if terms else {}
+        self.nums = nums
+        self.den = den
         self.order = order
+        self._terms = None
+
+    @classmethod
+    def over(cls, alg: GLAlgebra, lam: Weight, nums: dict, den: int,
+             order: PBWOrder = DISTINGUISHED) -> "VermaVector":
+        """The vector nums / den; nums holds no zero and is not copied."""
+        v = cls.__new__(cls)
+        v._set(alg, lam, nums, den, order)
+        return v
+
+    @property
+    def terms(self):
+        """Read-only map from negative monomials to coefficients: Fractions,
+        or Polys at a generic point."""
+        t = self._terms
+        if t is None:
+            den = self.den
+            t = self._terms = MappingProxyType({
+                k: (n if den == 1 else n * Fraction(1, den)) if isinstance(n, Poly) else Fraction(n, den)
+                for k, n in self.nums.items()})
+        return t
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __add__(self, other):
         if self.lam != other.lam or self.order != other.order:
             raise ValueError("vectors live in different Verma module presentations")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _accumulate(out, k, c)
-        return VermaVector(self.alg, self.lam, out, self.order)
+        out = dict(self.nums)
+        den = _merge(out, self.den, other.nums, other.den)
+        return VermaVector.over(self.alg, self.lam, out, den, self.order)
 
     def __neg__(self):
-        return VermaVector(self.alg, self.lam, {k: -c for k, c in self.terms.items()}, self.order)
+        return VermaVector.over(self.alg, self.lam, {k: -c for k, c in self.nums.items()},
+                                self.den, self.order)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __rmul__(self, c):
-        if not _nonzero(c):
+        if not c:
             return VermaVector(self.alg, self.lam, order=self.order)
-        return VermaVector(
-            self.alg, self.lam, {k: c * v for k, v in self.terms.items()}, self.order
+        num, den = (c.numerator, c.denominator) if isinstance(c, Fraction) else (c, 1)
+        return VermaVector.over(
+            self.alg, self.lam, {k: v * num for k, v in self.nums.items()}, self.den * den, self.order
         )
 
     __mul__ = __rmul__
@@ -79,16 +124,18 @@ class VermaVector:
     def __eq__(self, other):
         if not isinstance(other, VermaVector):
             return NotImplemented
-        return (
-            self.lam == other.lam
-            and self.order == other.order
-            and self.terms == other.terms
-        )
+        if self.lam != other.lam or self.order != other.order or self.nums.keys() != other.nums.keys():
+            return False
+        a, b = self.den, other.den
+        if a == b:
+            return self.nums == other.nums
+        theirs = other.nums
+        return all(n * b == theirs[k] * a for k, n in self.nums.items())
 
     def weight(self):
         """Weight of the vector (lambda plus the common monomial weight)."""
         w = None
-        for neg in self.terms:
+        for neg in self.nums:
             cur = self.lam
             for i, j, e in neg:
                 cur = cur + e * self.alg.gen_weight(i, j)
@@ -99,7 +146,7 @@ class VermaVector:
         return w
 
     def __str__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         bits = []
         for neg, c in sorted(self.terms.items()):
@@ -122,14 +169,26 @@ class VermaVector:
         }
 
 
-def _nonzero(c) -> bool:
-    if isinstance(c, Poly):
-        return not c.is_zero()
-    return c != 0
+def _merge(acc: dict, den: int, nums: dict, d: int) -> int:
+    """Add nums / d to acc / den in place, over their least common
+    denominator, which it returns."""
+    if not acc:
+        den = d
+    factor = 1
+    if d != den:
+        common = lcm(den, d)
+        if common != den:
+            up = common // den
+            for k in acc:
+                acc[k] *= up
+        factor, den = common // d, common
+    for k, c in nums.items():
+        _accumulate(acc, k, c if factor == 1 else c * factor)
+    return den
 
 
 def vacuum(alg: GLAlgebra, lam: Weight, order: PBWOrder = DISTINGUISHED) -> VermaVector:
-    return VermaVector(alg, lam, {(): Fraction(1)}, order)
+    return VermaVector.over(alg, lam, {(): 1}, 1, order)
 
 
 def act(x, v: VermaVector) -> VermaVector:
@@ -139,51 +198,68 @@ def act(x, v: VermaVector) -> VermaVector:
     time from the right: a negative generator is put in front of each
     monomial (_lower), a positive generator acts by the Leibniz rule
     (_raise_all), and a Cartan element is evaluated at lambda plus the
-    monomial's weight (_cartan).
+    monomial's weight (_cartan).  Each word's numerators carry their own
+    denominator until they are added to the result.
     """
     alg, lam, order = v.alg, v.lam, v.order
     rank = order.rank(alg)
+    D, point = lam.scaled()
     if isinstance(x, UEAElement):
         words = [_expand_key(n) + [h] + _expand_key(p) for (n, p), h in x.terms.items()]
     else:
         words = [[a if isinstance(a, Poly) else Poly.x(a[0]) if a[0] == a[1] else (a[0], a[1])
                   for a in x]]
     out: dict = {}
+    den = 1
     for word in words:
-        terms = v.terms
+        nums, d = v.nums, v.den
         for a in reversed(word):
-            if not terms:
+            if not nums:
                 break
             if isinstance(a, Poly):
-                terms = _cartan(lam, a, terms)
+                nums, f = _cartan(D, point, a, nums)
+                d *= f
             elif rank[a] < 0:
-                terms = _lower(alg, order, a, terms)
+                nums = _lower(alg, order, a, nums)
             else:
-                terms = _raise_all(alg, order, lam, a, terms)
-        for neg, c in terms.items():
-            _accumulate(out, neg, c)
-    return VermaVector(alg, lam, out, order)
+                nums = _raise_all(alg, order, D, point, a, nums)
+                d *= D
+        if not out and nums is not v.nums:
+            out, den = nums, d  # a fresh dict: the first word's numerators
+        elif nums:
+            den = _merge(out, den, nums, d)
+    return VermaVector.over(alg, lam, out, den, order)
 
 
-def _cartan(lam, h, terms):
+def _cartan(D, point, h, nums):
     """h mono v_lambda = h(lambda + wt mono) mono v_lambda, for each monomial:
-    h shifted by wt mono, evaluated at lambda."""
-    if h.is_constant():
+    h at the integer point D * (lambda + wt mono).  Returns the numerators
+    and the factor they put on the denominator, D^deg h (a constant h
+    multiplies by its numerator and puts its denominator there)."""
+    d = h.degree()
+    if not d:
         c = h.constant_value()
-        return {mono: x * c for mono, x in terms.items()} if c else {}
+        if not c:
+            return {}, 1
+        num = c.numerator
+        return (nums if num == 1 else {mono: x * num for mono, x in nums.items()}), c.denominator
     out: dict = {}
-    for mono, x in terms.items():
-        val = eval_at(h.shifted(_offsets({}, mono, 1)), lam) if mono else eval_at(h, lam)
-        _accumulate(out, mono, x * val)
-    return out
+    for mono, x in nums.items():
+        at = point
+        if mono:
+            at = list(point)
+            for k, o in _offsets({}, mono, 1).items():
+                at[k - 1] += D * o
+        _accumulate(out, mono, x * eval_scaled(h, at, D, d))
+    return out, D ** d
 
 
-def _lower(alg, order, g, terms):
+def _lower(alg, order, g, nums):
     """The negative generator g in front of each monomial (_prepend)."""
     out: dict = {}
-    for mono, x in terms.items():
+    for mono, x in nums.items():
         for neg, c in _prepend(alg, order, g, mono):
-            _accumulate(out, neg, x * c)
+            _accumulate(out, neg, x if c == 1 else x * c)
     return out
 
 
@@ -208,21 +284,21 @@ def _prepend(alg, order, g, mono):
     return ((((g[0], g[1], 1),) + mono, 1),)
 
 
-def _raise_all(alg, order, lam, g, terms):
-    """The positive generator g on each monomial.  The lambda-free result
-    for (g, monomial) is cached as {negative monomial: linear Poly} and
-    evaluated at lambda; _raise's intermediate results are shared across
-    the monomials of this one application."""
+def _raise_all(alg, order, D, point, g, nums):
+    """The positive generator g on each monomial, times D.  The lambda-free
+    result for (g, monomial) is cached as {negative monomial: Poly of degree
+    <= 1}, and each h in it multiplies by the integer h(lambda) * D;
+    _raise's intermediate results are shared across the monomials of this
+    one application."""
     memo: dict = {}
     out: dict = {}
-    for mono, x in terms.items():
+    for mono, x in nums.items():
         key = ("raise", alg.m, alg.n, order.word, g, mono)
         res = _NF_CACHE.get(key)
         if res is None:
             res = _NF_CACHE[key] = MappingProxyType(_raise(alg, order, g, mono, memo))
         for neg, h in res.items():
-            val = h.terms[()] if h.is_constant() else eval_at(h, lam)
-            _accumulate(out, neg, x * val)
+            _accumulate(out, neg, x * eval_scaled(h, point, D, 1))
     return out
 
 

@@ -243,6 +243,25 @@ class TestHyperplane:
         with pytest.raises(ValueError):
             Hyperplane(eta, 2)
 
+    def test_zero_eta_is_refused(self):
+        # (lam + rho, 0) = 0 for every lam: no hyperplane, and nothing to
+        # sample (the sampler used to fail with a bare StopIteration)
+        for mult in (1, 2):
+            with pytest.raises(ValueError, match="eta = 0 defines no hyperplane"):
+                Hyperplane(Weight(2, 1, [0, 0, 0]), mult)
+
+    def test_rhs_is_computed_once(self, monkeypatch):
+        import shapovalov.exact_algebra as ea
+
+        eta = Weight.eps(4, 3, 1) - Weight.delta(4, 3, 3)
+        hp = Hyperplane(eta, 1)
+        lam = sample_hyperplane(hp, 0, 1)[0]
+        calls = []
+        form = ea.bilinear_form
+        monkeypatch.setattr(ea, "bilinear_form", lambda a, b: calls.append((a, b)) or form(a, b))
+        assert hp.member(lam) and hp.rhs() == 0
+        assert all(eta is b and a is not eta for a, b in calls) and len(calls) == 2
+
     def test_sampling(self):
         eta = Weight.eps(2, 2, 1) - Weight.delta(2, 2, 2)
         hp = Hyperplane(eta)

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shapovalov import pbw, verma
 from shapovalov.exact_algebra import Hyperplane, Poly, Weight, eval_at, generic_point, sample_hyperplane
@@ -22,6 +24,13 @@ from shapovalov.shuffles import enumerate_shuffles
 
 def rand_weight(rng, m, n):
     return Weight(m, n, [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(m + n)])
+
+
+COPRIME = (7, 11, 97)  # pairwise coprime, so common denominators grow to their products
+
+
+def coprime_weight(rng, m, n):
+    return Weight(m, n, [Fraction(rng.randint(-99, 99), rng.choice(COPRIME)) for _ in range(m + n)])
 
 
 class TestAct:
@@ -156,19 +165,25 @@ def order_basis(alg, order, drop):
 class TestActOracle:
     """act against the UEA product route on random weight-space vectors."""
 
-    @pytest.mark.parametrize("generic", [False, True], ids=["numeric", "generic"])
+    @pytest.mark.parametrize("point", ["numeric", "generic", "coprime"])
     @pytest.mark.parametrize("shuffle", [False, True], ids=["distinguished", "shuffle"])
     @pytest.mark.parametrize("mn", [(4, 0), (2, 2), (3, 2), (2, 3)])
-    def test_matches_product_route(self, mn, shuffle, generic):
+    def test_matches_product_route(self, mn, shuffle, point):
+        """coprime draws lambda and the vector's coefficients over 7, 11 and
+        97, so every letter of the action changes the common denominator."""
         m, n = mn
         alg = gl(m, n)
         N = alg.N
-        rng = random.Random(1000 * m + 100 * n + 10 * shuffle + generic)
+        generic = point == "generic"
+        rng = random.Random(1000 * m + 100 * n + 10 * shuffle + ["numeric", "generic", "coprime"].index(point))
         order = PBWOrder(rng.sample(range(1, N + 1), N)) if shuffle else DISTINGUISHED
         if generic:
             lam = generic_point(m, n, [Hyperplane(alg.gen_weight(1, N)).constraint_poly()])
+        elif point == "coprime":
+            lam = coprime_weight(rng, m, n)
         else:
             lam = rand_weight(rng, m, n)
+        dens = COPRIME if point == "coprime" else (1, 2, 3, 4)
         gens = [(i, j) for i in range(1, N + 1) for j in range(1, N + 1) if i != j]
         negs = order_gens(alg, order)
         carts = [Poly.x(1) - Poly.x(N) + 3, Poly.x(2) * Poly.x(N - 1) - Poly.x(1)]
@@ -182,7 +197,7 @@ class TestActOracle:
             if not shuffle:
                 assert sorted(basis) == sorted(order_basis(alg, order, drop))
             assert basis
-            v = VermaVector(alg, lam, {mono: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+            v = VermaVector(alg, lam, {mono: Fraction(rng.randint(-9, 9) or 1, rng.choice(dens))
                                        for mono in basis}, order)
             words = [[], [(2, 2)], [carts[0]]] + [[g] for g in gens]
             for _ in range(4 if generic else 12):
@@ -196,6 +211,72 @@ class TestActOracle:
                 assert act(x, v).terms == expected, word
                 if not shuffle:  # the UEA product is the distinguished one
                     assert product_route(x, v) == expected, word
+
+
+MONOS = [(), ((2, 1, 1),), ((3, 1, 1),), ((2, 1, 1), (3, 2, 1)), ((3, 2, 2),)]
+scalars = st.one_of(
+    st.integers(-30, 30),
+    st.builds(Fraction, st.integers(-30, 30), st.sampled_from((1, 2, 3) + COPRIME)),
+)
+linear_polys = st.builds(
+    lambda c0, c1, c2: Poly.const(c0) + c1 * Poly.x(1) + c2 * Poly.x(2), scalars, scalars, scalars)
+coefficients = st.one_of(scalars, linear_polys)
+vectors = st.dictionaries(st.sampled_from(MONOS), coefficients, max_size=len(MONOS))
+
+
+def ref_sum(a, b, sign=1):
+    """a + sign * b on plain coefficient dicts, zeros dropped."""
+    out = {k: c for k, c in a.items() if c}
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + sign * c
+    return {k: c for k, c in out.items() if c}
+
+
+class TestVectorArithmetic:
+    """VermaVector keeps numerators over one denominator; every operation
+    agrees with plain coefficient dicts (Fractions, and Polys for generic
+    coefficients), including sums that cancel to zero."""
+
+    LAM = Weight(3, 0, [Fraction(1, 7), Fraction(-2, 11), 5])
+
+    def vec(self, terms):
+        return VermaVector(gl(3), self.LAM, terms)
+
+    @given(vectors, vectors, coefficients)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_dicts(self, a, b, c):
+        u, w = self.vec(a), self.vec(b)
+        assert u.terms == ref_sum(a, {})
+        assert u.is_zero() == (not ref_sum(a, {}))
+        if all(not isinstance(x, Poly) for x in a.values()):
+            assert all(type(n) is int for n in u.nums.values())
+            assert all(type(x) is Fraction for x in u.terms.values())
+        assert (u + w).terms == ref_sum(a, b)
+        assert (u - w).terms == ref_sum(a, b, -1)
+        assert (-u).terms == ref_sum({}, a, -1)
+        assert (c * u).terms == {k: x for k, x in ((k, c * x) for k, x in a.items()) if x}
+        assert (u * c) == (c * u)
+        assert (u == w) == (ref_sum(a, b, -1) == {})
+        assert (u + w - w) == u and (u + w - w).terms == u.terms
+        assert (u - u).is_zero() and (u - u).terms == {}
+        assert (u + w).is_zero() == (not ref_sum(a, b))
+
+    @given(vectors)
+    @settings(max_examples=50, deadline=None)
+    def test_cancelling_sums(self, a):
+        # the same vector over another denominator: scaled up and down again
+        u = self.vec(a)
+        scaled = Fraction(1, 97) * (97 * u)
+        assert scaled == u and scaled.terms == u.terms
+        assert (u + (-1) * scaled).is_zero()
+        assert (Fraction(1, 7) * u + Fraction(-1, 7) * u).is_zero()
+
+    def test_presentations_must_match(self):
+        u = self.vec({(): 1})
+        other = VermaVector(gl(3), Weight(3, 0, [0, 0, 0]), {(): 1})
+        with pytest.raises(ValueError):
+            u + other
+        assert u != other
 
 
 class TestActWork:
