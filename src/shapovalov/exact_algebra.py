@@ -653,15 +653,13 @@ def sample_hyperplane(hp: Hyperplane, seed: int, count: int) -> list:
                 f"bounded by {_SAMPLE_BOUND} before {_MAX_MISSES} draws in a row added none"
             )
         misses += 1
-        coords = [
-            Fraction(rng.randint(-_DRAW_BOUND, _DRAW_BOUND), rng.randint(1, 5)) for _ in range(m + n)
-        ]
-        partial = sum((c * coords[i] for i, c in others), Fraction(0))
-        x = coords[pivot] = (target - partial) / coeffs[pivot]
+        # int pairs first: Fractions only for the coordinates a point needs
+        draws = [(rng.randint(-_DRAW_BOUND, _DRAW_BOUND), rng.randint(1, 5)) for _ in range(m + n)]
+        x = (target - sum(c * Fraction(*draws[i]) for i, c in others)) / coeffs[pivot]
         # the drawn coordinates are within the bound by construction
         if abs(x.numerator) > _SAMPLE_BOUND or x.denominator > _SAMPLE_BOUND:
             continue
-        lam = Weight(m, n, coords)
+        lam = Weight(m, n, [x if i == pivot else Fraction(p, q) for i, (p, q) in enumerate(draws)])
         if lam.coords in seen:
             continue
         seen.add(lam.coords)

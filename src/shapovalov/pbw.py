@@ -22,11 +22,12 @@ is ordered.  Products go through one splice: the product of terms
 straightens the generator word n1 p1 n2 p2 once, and puts each Cartan part
 back with a single shift.  The UEA product and normal_order (a free word
 with Cartan atoms is the product of its runs) use it; the Verma action
-does not (see verma.act), it calls the kernel on words of negative
-generators only.  The kernel caches every word it straightens: a word has
-no Cartan part, so its normal form serves every product it is met in.
-A triangular order (PBWOrder) maps each generator to an int rank, and the
-kernel and the Verma action compare ranks only.
+does not (see verma.act) and calls no kernel.  The kernel caches every
+word it straightens: a word has no Cartan part, so its normal form serves
+every product it is met in.  A triangular order (PBWOrder) maps each
+generator to an int rank, and the kernel and the Verma action compare
+ranks only; both read brackets and signs from the algebra's one table
+(GLAlgebra.brackets).
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ class GLAlgebra:
         self.n = n
         self.N = m + n
         self.rho = rho(m, n)
+        self.brackets = _Brackets(self)
 
     def parity(self, i: int) -> int:
         return 0 if i <= self.m else 1
@@ -110,6 +112,23 @@ def sbracket_gens(alg: GLAlgebra, a, b):
     if l == i:
         out.append(((k, j), -sign))
     return out
+
+
+class _Brackets(dict):
+    """The bracket table of one gl(m,n), alg.brackets: (sign,
+    sbracket_gens(alg, a, b)) for pairs (a, b) of generators, with
+    sign = (-1)^{|a||b|}; each pair is computed on first use."""
+
+    def __init__(self, alg):
+        super().__init__()
+        self.alg = alg
+
+    def __missing__(self, pair):
+        (i, j), (k, l) = pair
+        m = self.alg.m
+        sign = -1 if (i > m) != (j > m) and (k > m) != (l > m) else 1
+        out = self[pair] = (sign, tuple(sbracket_gens(self.alg, *pair)) if j == k or i == l else ())
+        return out
 
 
 def superbracket(alg: GLAlgebra, a, b) -> "UEAElement":
@@ -232,6 +251,7 @@ def _nf_atoms(alg: GLAlgebra, atoms, *, order: PBWOrder = DISTINGUISHED) -> Mapp
     if hit is not None:
         return hit
     rank = order.rank(alg)
+    table = alg.brackets
     out: dict = {}
     # each word carries where its scan starts: a rewrite at k leaves the
     # pairs before k - 1 ordered, so the first violation is not before it
@@ -244,12 +264,12 @@ def _nf_atoms(alg: GLAlgebra, atoms, *, order: PBWOrder = DISTINGUISHED) -> Mapp
             continue
         a, b = word[k], word[k + 1]
         head, tail = word[:k], word[k + 2:]
-        if a == b and alg.gen_parity(*a):
+        sign, bracket = table[a, b]
+        if a == b and sign < 0:
             continue  # isotropic square is zero
-        sign = -1 if alg.gen_parity(*a) and alg.gen_parity(*b) else 1
         start = max(k - 1, 0)
         stack.append((head + (b, a) + tail, coeff * sign, cart, start))
-        for item, c in sbracket_gens(alg, a, b):
+        for item, c in bracket:
             if isinstance(item, Poly):
                 # item = x_i - sign x_j picks up wt(tail) at i minus sign times it at j
                 i, j = a

@@ -3,31 +3,34 @@
 A vector is stored as a map from canonical negative PBW monomials to
 numerators over one common denominator; v_lambda is the empty monomial
 with numerator 1 over 1.  An element of U(g) acts one letter at a time from
-the right, with no splice: a negative generator goes in front of each
-monomial (_prepend), a Cartan part is evaluated at lambda plus the
-monomial's weight, and a positive generator acts by the Leibniz rule, so no
-word with a positive generator is ever straightened.  _prepend puts the
-generator in front when it sorts before the monomial's first factor and
-raises that factor's exponent when it equals it, so only words left out of
-order reach the straightening kernel.
+the right.  A Cartan part is evaluated at lambda plus the monomial's
+weight.  A generator g, negative or positive, goes through one Leibniz
+recursion on the monomial's first factor x (_leibniz):
+g x rest = [g, x] rest + (-1)^{|g||x|} x (g rest).  A negative g stops at
+once when it sorts before x or equals it, a positive g at v_lambda, which
+it kills.  No word reaches the straightening kernel; it serves UEA
+products only.
 
 The action is fraction-free.  lambda is read once as its common
 denominator D and the integers D * lambda_i (Weight.scaled), and each
 letter multiplies the numerators by integers and puts its own factor on
 the denominator: a Cartan letter of degree d is evaluated at the integer
-point D * (lambda + wt mono) and puts D^d there, a raising result h of
-degree <= 1 multiplies by h(lambda) * D and puts D there, and a lowering
-coefficient is an integer.  At a generic point (exact_algebra.generic_point)
-D is 1 and the numerators are polynomials in the free parameters, so a
-vector that is zero there is zero on the whole locus at once; numeric and
-symbolic lambda share one path.  terms, the read-only view of the
-coefficients, builds one Fraction per monomial when it is read.
+point D * (lambda + wt mono) and puts D^d there, a raising value, the
+integer linear form c0 + sum c_i lambda_i, becomes c0 * D + sum c_i *
+(D * lambda_i) and puts D there, and a lowering value is an integer.  At a
+generic point (exact_algebra.generic_point) D is 1 and the numerators are
+polynomials in the free parameters, so a vector that is zero there is zero
+on the whole locus at once; numeric and symbolic lambda share one path.
+terms, the read-only view of the coefficients, builds one Fraction per
+monomial when it is read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
+from operator import mul
 from types import MappingProxyType
 
 from .exact_algebra import Poly, Weight, eval_scaled
@@ -39,9 +42,9 @@ from .pbw import (
     UEAElement,
     _accumulate,
     _expand_key,
-    _nf_atoms,
+    _nf_atoms,  # kept only because perfbench/tests/test_perfbench.py:102 asserts the binding
     _offsets,
-    sbracket_gens,
+    _rank_table,
 )
 
 
@@ -195,15 +198,15 @@ def act(x, v: VermaVector) -> VermaVector:
     """Action of x (UEAElement or free word) on a Verma vector.
 
     Each term n h p of x, and a free word as a whole, acts one letter at a
-    time from the right: a negative generator is put in front of each
-    monomial (_lower), a positive generator acts by the Leibniz rule
-    (_raise_all), and a Cartan element is evaluated at lambda plus the
-    monomial's weight (_cartan).  Each word's numerators carry their own
+    time from the right: a generator acts on each monomial by the Leibniz
+    recursion (_letter), and a Cartan element is evaluated at lambda plus
+    the monomial's weight (_cartan).  Each word's numerators carry their own
     denominator until they are added to the result.
     """
     alg, lam, order = v.alg, v.lam, v.order
     rank = order.rank(alg)
     D, point = lam.scaled()
+    at = (D,) + point
     if isinstance(x, UEAElement):
         words = [_expand_key(n) + [h] + _expand_key(p) for (n, p), h in x.terms.items()]
     else:
@@ -219,11 +222,10 @@ def act(x, v: VermaVector) -> VermaVector:
             if isinstance(a, Poly):
                 nums, f = _cartan(D, point, a, nums)
                 d *= f
-            elif rank[a] < 0:
-                nums = _lower(alg, order, a, nums)
             else:
-                nums = _raise_all(alg, order, D, point, a, nums)
-                d *= D
+                nums = _letter(alg, order, a, nums, at)
+                if rank[a] >= 0:
+                    d *= D
         if not out and nums is not v.nums:
             out, den = nums, d  # a fresh dict: the first word's numerators
         elif nums:
@@ -254,95 +256,103 @@ def _cartan(D, point, h, nums):
     return out, D ** d
 
 
-def _lower(alg, order, g, nums):
-    """The negative generator g in front of each monomial (_prepend)."""
+def _letter(alg, order, g, nums, at):
+    """The generator g on each monomial of nums (_leibniz).  A lowering
+    value is an int; a raising one is a linear form, worth
+    c0 * D + sum c_i * (D * lambda_i) at at = (D, D * lambda_1, ...), so it
+    puts D on the denominator.  At a generic point D is 1 and the
+    D * lambda_i are Polys.  The result for (g, mono) is stored in
+    _NF_CACHE unless its step stops at once."""
+    step, memo = _leibniz(alg, order.word)
+    memo.clear()
+    head = (alg.m, alg.n, order.word, g)
     out: dict = {}
     for mono, x in nums.items():
-        for neg, c in _prepend(alg, order, g, mono):
-            _accumulate(out, neg, x if c == 1 else x * c)
-    return out
-
-
-def _prepend(alg, order, g, mono):
-    """(negative monomial, coefficient) pairs of g mono, for a negative
-    generator g and a canonical negative monomial mono.
-
-    g goes in front as it is when it sorts before mono's first factor, and
-    raises that factor's exponent when it equals it (an odd square is 0);
-    only the words that are not already ordered go to the kernel.  Such a
-    word has no Cartan part and its normal form does not depend on lambda,
-    so the kernel stores it.
-    """
-    if mono:
-        i, j, e = mono[0]
-        if g == (i, j):
-            return () if alg.gen_parity(i, j) else ((((i, j, e + 1),) + mono[1:], 1),)
-        rank = order.rank(alg)
-        if rank[g] > rank[i, j]:
-            nf = _nf_atoms(alg, (g,) + tuple(_expand_key(mono)), order=order)
-            return [(neg, h.terms[()]) for (neg, _), h in nf.items()]
-    return ((((g[0], g[1], 1),) + mono, 1),)
-
-
-def _raise_all(alg, order, D, point, g, nums):
-    """The positive generator g on each monomial, times D.  The lambda-free
-    result for (g, monomial) is cached as {negative monomial: Poly of degree
-    <= 1}, and each h in it multiplies by the integer h(lambda) * D;
-    _raise's intermediate results are shared across the monomials of this
-    one application."""
-    memo: dict = {}
-    out: dict = {}
-    for mono, x in nums.items():
-        key = ("raise", alg.m, alg.n, order.word, g, mono)
+        key = head + (mono,)
         res = _NF_CACHE.get(key)
         if res is None:
-            res = _NF_CACHE[key] = MappingProxyType(_raise(alg, order, g, mono, memo))
-        for neg, h in res.items():
-            _accumulate(out, neg, x * eval_scaled(h, point, D, 1))
+            res = step(g, mono)
+            if (g, mono) in memo:
+                _NF_CACHE[key] = res
+        for neg, v in res:
+            if type(v) is not int:
+                v = sum(map(mul, v, at))
+            _accumulate(out, neg, x if v == 1 else x * v)
     return out
 
 
-def _raise(alg, order, g, mono, memo):
-    """g mono v_lambda for g positive in the order, as {negative monomial: Poly}
-    with Polys of degree at most 1 to be evaluated at lambda.
+@lru_cache(maxsize=None)
+def _leibniz(alg, word):
+    """step(g, mono) for one algebra and order word: the (negative monomial,
+    value) pairs of g mono v_lambda, for a generator g and a canonical
+    negative monomial mono.  A value is an int when g is negative; when g is
+    positive it is the integer linear form (c0, c1, ..., cN) of
+    c0 + sum c_i lambda_i.
 
-    Leibniz rule on the first letter x of mono = x rest, with g v_lambda = 0:
-    g x rest = [g, x] rest + (-1)^{|g||x|} x (g rest).  The bracket is a
-    negative generator (put in front of rest), a Cartan element H
-    (H rest v_lambda = H(lambda + wt rest) rest v_lambda) or a positive
-    generator (recurse).
+    Leibniz rule on the first letter x of mono = x rest:
+    g x rest = [g, x] rest + (-1)^{|g||x|} x (g rest), and x goes back in
+    front of each monomial of g rest by the same rule.  A negative g stops
+    when it sorts before x (it goes in front) or equals it (x's exponent
+    goes up; an odd square is 0), a positive g at the empty monomial, since
+    g v_lambda = 0.  The bracket is a generator, or the Cartan element
+    x_a -+ x_b for g = e_ab, worth lambda_a -+ lambda_b plus wt rest there.
+    Returns step and memo, which holds the result of every step that does
+    not stop at once, on (g, mono); no result depends on lambda.  _letter
+    clears memo for each letter, so it holds one letter's steps.
     """
-    key = (g, mono)
-    out = memo.get(key)
-    if out is not None:
-        return out
-    out = {}
-    if mono:
+    rank = _rank_table(alg.N, word)
+    table = alg.brackets
+    memo: dict = {}
+    zero = (0,) * alg.N
+
+    def step(g, mono):
+        r = rank[g]
+        if not mono:
+            return ((((g[0], g[1], 1),), 1),) if r < 0 else ()
         i, j, e = mono[0]
         x = (i, j)
+        if r <= rank[x]:  # so g is negative, like x
+            if g != x:
+                return ((((g[0], g[1], 1),) + mono, 1),)
+            return () if table[g, g][0] < 0 else ((((i, j, e + 1),) + mono[1:], 1),)
+        key = (g, mono)
+        out = memo.get(key)
+        if out is not None:
+            return out
+        sign, bracket = table[g, x]
         rest = ((i, j, e - 1),) + mono[1:] if e > 1 else mono[1:]
-        sign = -1 if alg.gen_parity(*g) and alg.gen_parity(*x) else 1
-        for item, c in sbracket_gens(alg, g, x):
+        acc: dict = {}
+        for item, c in bracket:
             if isinstance(item, Poly):
-                # item = x_a - sign x_b for g = e_ab, moved past rest
+                a, b = g
                 off = _offsets({}, rest, 1)
-                d = off.get(g[0], 0) - sign * off.get(g[1], 0)
-                _accumulate(out, rest, _scaled(item + d if d else item, c))
-            elif order.rank(alg)[item] < 0:
-                for neg, k in _prepend(alg, order, item, rest):
-                    _accumulate(out, neg, Poly.const(k * c))
+                form = [0] * (alg.N + 1)
+                form[0], form[a], form[b] = off.get(a, 0) - sign * off.get(b, 0), 1, -sign
+                _add(acc, rest, tuple(form), c)
             else:
-                for neg, h in _raise(alg, order, item, rest, memo).items():
-                    _accumulate(out, neg, _scaled(h, c))
-        for neg, h in _raise(alg, order, g, rest, memo).items():
-            for neg2, k in _prepend(alg, order, x, neg):
-                _accumulate(out, neg2, _scaled(h, k * sign))
-    memo[key] = out
-    return out
+                pad = r >= 0 and rank[item] < 0  # an int inside a raising step
+                for neg, v in step(item, rest):
+                    _add(acc, neg, (v,) + zero if pad else v, c)
+        for neg, v in step(g, rest):
+            for neg2, k in step(x, neg):
+                _add(acc, neg2, v, k * sign)
+        out = memo[key] = tuple(acc.items())
+        return out
+
+    return step, memo
 
 
-def _scaled(h, c):
-    return h if c == 1 else h * c
+def _add(acc, key, v, c):
+    """acc[key] += c * v, for an int or a linear form v; a zero is dropped."""
+    s = acc.get(key)
+    if s is None:
+        acc[key] = v if c == 1 else v * c if type(v) is int else tuple(c * t for t in v)
+        return
+    s = s + v * c if type(v) is int else tuple(a + c * t for a, t in zip(s, v))
+    if s if type(s) is int else any(s):
+        acc[key] = s
+    else:
+        acc.pop(key, None)
 
 
 def weight_basis(alg: GLAlgebra, lam: Weight, drop: Weight):

@@ -280,71 +280,56 @@ class TestVectorArithmetic:
 
 
 class TestActWork:
-    def test_raising_check_straightens_only_negative_words(self, monkeypatch):
-        """The raising check runs no splice, and the kernel receives only
-        words of negative generators that are not already ordered."""
+    def test_action_calls_no_kernel(self, monkeypatch):
+        """Every letter of the action goes through the Leibniz recursion:
+        lowering the chain of theta_gl(8), the raising check, and a body and
+        a power with words of both signs reach no straightening kernel.
+        The elements are built first, since the UEA product does use it."""
         theta = theta_gl(8)
         lam = sample_hyperplane(theta.hyperplane(), seed=3, count=1)[0]
-        words = []
-        kernel = verma._nf_atoms
+        odd = theta_glmn_distinguished(3, 2)
+        body = odd.body
+        mu = sample_hyperplane(odd.hyperplane(), seed=1, count=1)[0]
+        power = theta_power(4, 2)
 
-        def nf(alg, atoms, *, order=DISTINGUISHED):
-            words.append((tuple(atoms), order))
-            return kernel(alg, atoms, order=order)
+        def kernel(*args, **kwargs):
+            raise AssertionError("the Verma action calls no straightening kernel")
 
-        def splice(*args, **kwargs):
-            raise AssertionError("the Verma action does not splice")
-
-        cache = {}
-        monkeypatch.setattr(pbw, "_NF_CACHE", cache)
-        monkeypatch.setattr(verma, "_NF_CACHE", cache)
-        monkeypatch.setattr(verma, "_nf_atoms", nf)
-        monkeypatch.setattr(pbw, "_splice", splice)
+        monkeypatch.setattr(verma, "_nf_atoms", kernel)
+        monkeypatch.setattr(pbw, "_nf_atoms", kernel)
         assert is_highest_weight(theta.verma_vector(lam))
-        assert not hasattr(verma, "_splice")
-        assert words  # the chain steps that are not already ordered
-        for atoms, order in words:
-            assert set(atoms) <= set(order_gens(theta.alg, order)), atoms
-            assert pbw._violation(theta.alg, atoms, order.rank(theta.alg)) is not None, atoms
+        v = odd.verma_vector(mu)
+        assert act(body, vacuum(odd.alg, mu)) == v
+        assert act(body, v).is_zero()  # theta^2 for an isotropic root
+        assert not act(power, vacuum(gl(4), rand_weight(random.Random(2), 4, 0))).is_zero()
 
-    def test_kernel_gets_one_generator_before_an_ordered_tail(self, monkeypatch):
-        """The action lowers one generator at a time: each word the kernel
-        receives is a negative generator in front of a canonical monomial.
-        Such a word does not depend on lambda and the kernel stores every
-        word, so repeating an action calls no kernel."""
-        words = []
-        kernel = verma._nf_atoms
-
-        def nf(alg, atoms, *, order=DISTINGUISHED):
-            words.append((alg, tuple(atoms), order))
-            return kernel(alg, atoms, order=order)
-
+    def test_repeated_act_adds_no_cache_entry(self, monkeypatch):
+        """A (generator, monomial) result depends on neither lambda nor the
+        vector, so the cache holds it once: repeating an action, or acting
+        at another weight, stores nothing new."""
         cache = {}
         monkeypatch.setattr(pbw, "_NF_CACHE", cache)
         monkeypatch.setattr(verma, "_NF_CACHE", cache)
-        monkeypatch.setattr(verma, "_nf_atoms", nf)
         theta = theta_glmn_distinguished(3, 2)
-        lam = sample_hyperplane(theta.hyperplane(), seed=1, count=1)[0]
-        act(theta.body, theta.verma_vector(lam))
+        body = theta.body
+        lam, mu = sample_hyperplane(theta.hyperplane(), seed=1, count=2)
         power = theta_power(4, 2)
         v = vacuum(gl(4), rand_weight(random.Random(2), 4, 0))
-        act(power, v)
-        assert words
-        for alg, atoms, order in words:
-            assert set(atoms) <= set(order_gens(alg, order)), atoms
-            assert pbw._violation(alg, atoms[1:], order.rank(alg)) is None, atoms
-        words.clear()
-        act(power, v)
-        assert words == []
+        first = act(body, vacuum(theta.alg, lam)), act(power, v)
+        assert cache
+        size = len(cache)
+        assert (act(body, vacuum(theta.alg, lam)), act(power, v)) == first
+        act(body, vacuum(theta.alg, mu))
+        assert len(cache) == size
 
 
-def prepend_cases():
-    """Every gl(m,n) with m+n <= 5 in the distinguished order, and every
-    shuffle Borel of gl(2,2) and gl(3,2)."""
-    for size in range(2, 6):
+def prepend_cases(size_cap=5):
+    """Every gl(m,n) with m+n <= size_cap in the distinguished order, and every
+    shuffle Borel of gl(2,2) and, for size_cap 5, gl(3,2)."""
+    for size in range(2, size_cap + 1):
         for m in range(1, size + 1):
             yield pytest.param(gl(m, size - m), DISTINGUISHED, id=f"gl({m},{size - m})")
-    for m, n in [(2, 2), (3, 2)]:
+    for m, n in [(2, 2), (3, 2)][:size_cap - 3]:
         for sh in enumerate_shuffles(m, n, fixed_endpoints=False):
             yield pytest.param(gl(m, n), PBWOrder(sh.word), id=f"gl({m},{n})-{sh}")
 
@@ -354,20 +339,38 @@ def kernel_prepend(alg, order, g, mono):
     return {neg: h.terms[()] for (neg, _), h in nf.items()}
 
 
+def leibniz(alg, order, g, mono):
+    """The recursion's result for g mono as a dict, each linear form
+    (c0, c1, ..., cN) written as the Poly c0 + sum c_i x_i."""
+    out = {}
+    for neg, v in verma._leibniz(alg, order.word)[0](g, mono):
+        if type(v) is not int:
+            v = sum((c * Poly.x(i) for i, c in enumerate(v) if i and c), Poly.const(v[0]))
+        out[neg] = v
+    return out
+
+
+def monomials(alg, order, degree):
+    """Canonical negative monomials of the order of total degree at most degree."""
+    gens = order_gens(alg, order)
+    for size in range(degree + 1):
+        for combo in combinations_with_replacement(gens, size):
+            mono = monomial(alg, combo)
+            if mono is not None:
+                yield mono
+
+
 class TestPrepend:
     @pytest.mark.parametrize("alg, order", prepend_cases())
     def test_matches_kernel(self, alg, order):
         """g mono for every negative generator g and every canonical negative
-        monomial of total degree at most 3."""
+        monomial of total degree at most 3, and at most 4 for m+n <= 4:
+        exponents up to 4, and a generator that travels past three factors."""
         gens = order_gens(alg, order)
-        for size in range(4):
-            for combo in combinations_with_replacement(gens, size):
-                mono = monomial(alg, combo)
-                if mono is None:
-                    continue
-                for g in gens:
-                    assert dict(verma._prepend(alg, order, g, mono)) == \
-                        kernel_prepend(alg, order, g, mono), (g, mono)
+        for mono in monomials(alg, order, 4 if alg.N <= 4 else 3):
+            for g in gens:
+                expected = kernel_prepend(alg, order, g, mono)
+                assert leibniz(alg, order, g, mono) == expected, (g, mono)
 
     @pytest.mark.parametrize("alg, order, g, mono, expected", [
         # an odd square dies
@@ -381,8 +384,25 @@ class TestPrepend:
         (gl(2, 1), DISTINGUISHED, (3, 2), (), {((3, 2, 1),): 1}),
     ])
     def test_cheap_cases(self, alg, order, g, mono, expected):
-        assert dict(verma._prepend(alg, order, g, mono)) == expected
+        assert leibniz(alg, order, g, mono) == expected
         assert kernel_prepend(alg, order, g, mono) == expected
+
+
+class TestRaising:
+    @pytest.mark.parametrize("alg, order", prepend_cases(4))
+    def test_matches_normal_order(self, alg, order):
+        """g mono v_lambda for every positive generator g of the order,
+        simple or not, and every canonical negative monomial of total degree
+        at most 3: the recursion's linear forms are the Cartan parts of the
+        normal-ordered word g mono that have no positive factor."""
+        place = {v: k for k, v in enumerate(order_seq(alg, order))}
+        positive = [(i, j) for i in place for j in place if place[i] < place[j]]
+        for mono in monomials(alg, order, 3):
+            word = list(pbw._expand_key(mono))
+            for g in positive:
+                expected = {n: h for (n, p), h in normal_order(alg, [g] + word, order).terms.items()
+                            if not p}
+                assert leibniz(alg, order, g, mono) == expected, (g, mono)
 
 
 def brute_force_partitions(alg, drop):
