@@ -66,10 +66,11 @@ from .exact_algebra import (
     sample_hyperplane,
 )
 from .hessenberg import ORDERINGS, skip_coeff
-from .pbw import GLAlgebra, PBWOrder, UEAElement, _offsets, gl, normal_order
+from .pbw import GLAlgebra, PBWOrder, UEAElement, gl, normal_order
 from .shuffles import Shuffle, diagram_data, eta_weight
 from .verma import (
     VermaVector,
+    _codec,
     _merge,
     act,
     coefficients_in_word_basis,
@@ -166,10 +167,10 @@ class ShapovalovElement:
                 return ({k: x * c for k, x in nums.items()} if c else {}), den * D ** d
             return scale
 
+        offsets = _codec(alg, order.word).offsets
         parts: dict = {}
         for mono, c in v.nums.items():
-            off = _offsets({}, mono, 1)
-            parts.setdefault(tuple(off.get(k, 0) for k in range(1, alg.N + 1)), {})[mono] = c
+            parts.setdefault(offsets(mono), {})[mono] = c
         out: dict = {}
         den = 1
         for off, part in parts.items():

@@ -2,10 +2,16 @@
 
 A vector is stored as a map from canonical negative PBW monomials to
 numerators over one common denominator; v_lambda is the empty monomial
-with numerator 1 over 1.  An element of U(g) acts one letter at a time from
-the right.  A Cartan part is evaluated at lambda plus the monomial's
-weight.  A generator g, negative or positive, goes through one Leibniz
-recursion on the monomial's first factor x (_leibniz):
+with numerator 1 over 1.  Inside the module a monomial is a flat tuple of
+ints (_Codec): the letter x^e is e * G + r, with r the place of x among the
+G generators in the order's rank table, so raising an exponent adds G.
+Monomials are decoded to (i, j, e) triples only where a vector is read
+(terms, weight, str, to_json) and encoded where one is built from triples.
+
+An element of U(g) acts one letter at a time from the right.  A Cartan
+part is evaluated at lambda plus the monomial's weight.  A generator g,
+negative or positive, goes through one Leibniz recursion on the
+monomial's first factor x (_leibniz):
 g x rest = [g, x] rest + (-1)^{|g||x|} x (g rest).  A negative g stops at
 once when it sorts before x or equals it, a positive g at v_lambda, which
 it kills.  No word reaches the straightening kernel; it serves UEA
@@ -35,7 +41,6 @@ from types import MappingProxyType
 
 from .exact_algebra import Poly, Weight, eval_scaled
 from .pbw import (
-    _NF_CACHE,
     DISTINGUISHED,
     GLAlgebra,
     PBWOrder,
@@ -43,7 +48,6 @@ from .pbw import (
     _accumulate,
     _expand_key,
     _nf_atoms,  # kept only because perfbench/tests/test_perfbench.py:102 asserts the binding
-    _offsets,
     _rank_table,
 )
 
@@ -56,8 +60,9 @@ class VermaVector:
     Monomial keys are negative PBW monomials for the vector's triangular
     order; the default is the distinguished one, and a Borel order is used
     when verifying elements attached to other Borel subalgebras.  terms
-    may hold ints, Fractions and Polys; they are brought over one
-    denominator.
+    maps (i, j, e) monomials to ints, Fractions and Polys; the monomials
+    are encoded for the order (_Codec) and the coefficients brought over
+    one denominator.  nums is keyed by the codes.
     """
 
     __slots__ = ("alg", "lam", "nums", "den", "order", "_terms")
@@ -65,7 +70,8 @@ class VermaVector:
     def __init__(self, alg: GLAlgebra, lam: Weight, terms=None, order: PBWOrder = DISTINGUISHED):
         terms = dict(terms) if terms else {}
         den = lcm(*(c.denominator for c in terms.values() if isinstance(c, Fraction)))
-        nums = {k: c.numerator * (den // c.denominator) if isinstance(c, Fraction) else c * den
+        encode = _codec(alg, order.word).encode
+        nums = {encode(k): c.numerator * (den // c.denominator) if isinstance(c, Fraction) else c * den
                 for k, c in terms.items() if c}
         self._set(alg, lam, nums, den, order)
 
@@ -80,20 +86,22 @@ class VermaVector:
     @classmethod
     def over(cls, alg: GLAlgebra, lam: Weight, nums: dict, den: int,
              order: PBWOrder = DISTINGUISHED) -> "VermaVector":
-        """The vector nums / den; nums holds no zero and is not copied."""
+        """The vector nums / den; nums is keyed by codes, holds no zero and
+        is not copied."""
         v = cls.__new__(cls)
         v._set(alg, lam, nums, den, order)
         return v
 
     @property
     def terms(self):
-        """Read-only map from negative monomials to coefficients: Fractions,
-        or Polys at a generic point."""
+        """Read-only map from negative (i, j, e) monomials to coefficients:
+        Fractions, or Polys at a generic point."""
         t = self._terms
         if t is None:
             den = self.den
+            decode = _codec(self.alg, self.order.word).decode
             t = self._terms = MappingProxyType({
-                k: (n if den == 1 else n * Fraction(1, den)) if isinstance(n, Poly) else Fraction(n, den)
+                decode(k): (n if den == 1 else n * Fraction(1, den)) if isinstance(n, Poly) else Fraction(n, den)
                 for k, n in self.nums.items()})
         return t
 
@@ -136,17 +144,12 @@ class VermaVector:
         return all(n * b == theirs[k] * a for k, n in self.nums.items())
 
     def weight(self):
-        """Weight of the vector (lambda plus the common monomial weight)."""
-        w = None
-        for neg in self.nums:
-            cur = self.lam
-            for i, j, e in neg:
-                cur = cur + e * self.alg.gen_weight(i, j)
-            if w is None:
-                w = cur
-            elif w != cur:
-                return None
-        return w
+        """Weight of the vector (lambda plus the common monomial weight), or
+        None if it is zero or inhomogeneous."""
+        found = set(map(_codec(self.alg, self.order.word).offsets, self.nums))
+        if len(found) != 1:
+            return None
+        return self.lam + Weight(self.alg.m, self.alg.n, found.pop())
 
     def __str__(self):
         if not self.nums:
@@ -204,7 +207,9 @@ def act(x, v: VermaVector) -> VermaVector:
     denominator until they are added to the result.
     """
     alg, lam, order = v.alg, v.lam, v.order
-    rank = order.rank(alg)
+    codec = _codec(alg, order.word)
+    index, half = codec.index, codec.G // 2
+    leibniz = _leibniz(alg, order.word)
     D, point = lam.scaled()
     at = (D,) + point
     if isinstance(x, UEAElement):
@@ -220,11 +225,12 @@ def act(x, v: VermaVector) -> VermaVector:
             if not nums:
                 break
             if isinstance(a, Poly):
-                nums, f = _cartan(D, point, a, nums)
+                nums, f = _cartan(D, point, a, nums, codec.offsets)
                 d *= f
             else:
-                nums = _letter(alg, order, a, nums, at)
-                if rank[a] >= 0:
+                g = index[a]
+                nums = _letter(leibniz, g, nums, at)
+                if g >= half:
                     d *= D
         if not out and nums is not v.nums:
             out, den = nums, d  # a fresh dict: the first word's numerators
@@ -233,11 +239,12 @@ def act(x, v: VermaVector) -> VermaVector:
     return VermaVector.over(alg, lam, out, den, order)
 
 
-def _cartan(D, point, h, nums):
+def _cartan(D, point, h, nums, offsets):
     """h mono v_lambda = h(lambda + wt mono) mono v_lambda, for each monomial:
-    h at the integer point D * (lambda + wt mono).  Returns the numerators
-    and the factor they put on the denominator, D^deg h (a constant h
-    multiplies by its numerator and puts its denominator there)."""
+    h at the integer point D * (lambda + wt mono), with wt mono read from
+    offsets (_Codec.offsets).  Returns the numerators and the factor they
+    put on the denominator, D^deg h (a constant h multiplies by its
+    numerator and puts its denominator there)."""
     d = h.degree()
     if not d:
         c = h.constant_value()
@@ -249,44 +256,105 @@ def _cartan(D, point, h, nums):
     for mono, x in nums.items():
         at = point
         if mono:
-            at = list(point)
-            for k, o in _offsets({}, mono, 1).items():
-                at[k - 1] += D * o
+            at = tuple(p + D * o if o else p for p, o in zip(point, offsets(mono)))
         _accumulate(out, mono, x * eval_scaled(h, at, D, d))
     return out, D ** d
 
 
-def _letter(alg, order, g, nums, at):
-    """The generator g on each monomial of nums (_leibniz).  A lowering
-    value is an int; a raising one is a linear form, worth
-    c0 * D + sum c_i * (D * lambda_i) at at = (D, D * lambda_1, ...), so it
-    puts D on the denominator.  At a generic point D is 1 and the
-    D * lambda_i are Polys.  The result for (g, mono) is stored in
-    _NF_CACHE unless its step stops at once."""
-    step, memo = _leibniz(alg, order.word)
+def _letter(leibniz, g, nums, at):
+    """The generator with code g on each monomial of nums, by the
+    recursion leibniz = _leibniz(alg, word).  A lowering value is an int; a
+    raising one is a linear form, worth c0 * D + sum c_i * (D * lambda_i) at
+    at = (D, D * lambda_1, ...), so it puts D on the denominator.  At a
+    generic point D is 1 and the D * lambda_i are Polys, and a zero
+    coefficient multiplies none of them.  The result for (g, mono) is
+    stored in the recursion's results unless its step stops at once."""
+    step, memo, results = leibniz
     memo.clear()
-    head = (alg.m, alg.n, order.word, g)
+    generic = isinstance(at[-1], Poly)
     out: dict = {}
     for mono, x in nums.items():
-        key = head + (mono,)
-        res = _NF_CACHE.get(key)
+        key = (g, mono)
+        res = results.get(key)
         if res is None:
             res = step(g, mono)
-            if (g, mono) in memo:
-                _NF_CACHE[key] = res
+            if key in memo:
+                results[key] = res
         for neg, v in res:
             if type(v) is not int:
-                v = sum(map(mul, v, at))
+                v = sum([c * a for c, a in zip(v, at) if c]) if generic else sum(map(mul, v, at))
             _accumulate(out, neg, x if v == 1 else x * v)
     return out
 
 
+class _Table(dict):
+    """A dict filled on first use: a missing key k is stored as fill(k)."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        out = self[key] = self.fill(key)
+        return out
+
+
+class _Codec:
+    """Int codes of the negative monomials of one algebra and order word
+    (_codec).  The letter x^e is the int e * G + r, where r is the place of
+    x among the G generators in the order's rank table, the negative ones
+    first (r < G // 2) in factor order; so r = c % G, e = c // G, and
+    raising x's exponent adds G.  A monomial is the tuple of its letters'
+    codes.  weight maps a code to wt x^e as N int offsets; it is filled on
+    first use."""
+
+    __slots__ = ("G", "gens", "index", "weight", "zero")
+
+    def __init__(self, alg, word):
+        rank = _rank_table(alg.N, word)
+        self.G = G = len(rank)
+        self.gens = gens = sorted(rank, key=rank.get)
+        self.index = {g: r for r, g in enumerate(gens)}
+        self.zero = zero = (0,) * alg.N
+
+        def weight(c):
+            (i, j), e = gens[c % G], c // G
+            w = list(zero)
+            w[i - 1] += e
+            w[j - 1] -= e
+            return tuple(w)
+
+        self.weight = _Table(weight)
+
+    def encode(self, mono):
+        G, index = self.G, self.index
+        return tuple(e * G + index[i, j] for i, j, e in mono)
+
+    def decode(self, mono):
+        G, gens = self.G, self.gens
+        return tuple(gens[c % G] + (c // G,) for c in mono)
+
+    def offsets(self, mono):
+        """wt mono as N int offsets."""
+        if len(mono) == 1:
+            return self.weight[mono[0]]
+        return tuple(map(sum, zip(*map(self.weight.__getitem__, mono)))) if mono else self.zero
+
+
+@lru_cache(maxsize=None)
+def _codec(alg, word):
+    return _Codec(alg, word)
+
+
 @lru_cache(maxsize=None)
 def _leibniz(alg, word):
-    """step(g, mono) for one algebra and order word: the (negative monomial,
-    value) pairs of g mono v_lambda, for a generator g and a canonical
-    negative monomial mono.  A value is an int when g is negative; when g is
-    positive it is the integer linear form (c0, c1, ..., cN) of
+    """(step, memo, results) for one algebra and order word.  step(g, mono)
+    gives the (negative monomial, value) pairs of g mono v_lambda, for the
+    code g of a generator and a canonical negative monomial mono, all in
+    the order's codes (_Codec).  A value is an int when g is negative; when
+    g is positive it is the integer linear form (c0, c1, ..., cN) of
     c0 + sum c_i lambda_i.
 
     Leibniz rule on the first letter x of mono = x rest:
@@ -296,50 +364,67 @@ def _leibniz(alg, word):
     goes up; an odd square is 0), a positive g at the empty monomial, since
     g v_lambda = 0.  The bracket is a generator, or the Cartan element
     x_a -+ x_b for g = e_ab, worth lambda_a -+ lambda_b plus wt rest there.
-    Returns step and memo, which holds the result of every step that does
-    not stop at once, on (g, mono); no result depends on lambda.  _letter
-    clears memo for each letter, so it holds one letter's steps.
+    Brackets come from alg.brackets through a table indexed by g * G + x
+    and filled on first use.  memo holds the result of every step that
+    does not stop at once, on (g, mono); _letter clears it for each letter,
+    and keeps in results, across letters, what it asked of step.  No result
+    depends on lambda.
     """
-    rank = _rank_table(alg.N, word)
-    table = alg.brackets
+    codec = _codec(alg, word)
+    G, gens, index, offsets, zero = codec.G, codec.gens, codec.index, codec.offsets, codec.zero
+    half = G // 2
+    pairs = alg.brackets
+
+    def entry(key):
+        """(sign, ((code, c), ...), Cartan pair or None) of [g, x], key = g * G + x."""
+        a, b = gens[key // G], gens[key % G]
+        sign, terms = pairs[a, b]
+        if not terms:
+            return sign, (), None
+        items = tuple((index[item], c) for item, c in terms if not isinstance(item, Poly))
+        return sign, items, a if len(items) < len(terms) else None
+
+    table = _Table(entry)
     memo: dict = {}
-    zero = (0,) * alg.N
+    results: dict = {}
+    size = alg.N + 1
 
     def step(g, mono):
-        r = rank[g]
         if not mono:
-            return ((((g[0], g[1], 1),), 1),) if r < 0 else ()
-        i, j, e = mono[0]
-        x = (i, j)
-        if r <= rank[x]:  # so g is negative, like x
+            return (((g + G,), 1),) if g < half else ()
+        c = mono[0]
+        x = c % G
+        if g <= x:  # so g is negative, like x
             if g != x:
-                return ((((g[0], g[1], 1),) + mono, 1),)
-            return () if table[g, g][0] < 0 else ((((i, j, e + 1),) + mono[1:], 1),)
+                return (((g + G,) + mono, 1),)
+            return () if table[g * G + g][0] < 0 else (((c + G,) + mono[1:], 1),)
         key = (g, mono)
         out = memo.get(key)
         if out is not None:
             return out
-        sign, bracket = table[g, x]
-        rest = ((i, j, e - 1),) + mono[1:] if e > 1 else mono[1:]
+        sign, bracket, cartan = table[g * G + x]
+        rest = ((c - G,) + mono[1:]) if c >= 2 * G else mono[1:]
         acc: dict = {}
-        for item, c in bracket:
-            if isinstance(item, Poly):
-                a, b = g
-                off = _offsets({}, rest, 1)
-                form = [0] * (alg.N + 1)
-                form[0], form[a], form[b] = off.get(a, 0) - sign * off.get(b, 0), 1, -sign
-                _add(acc, rest, tuple(form), c)
-            else:
-                pad = r >= 0 and rank[item] < 0  # an int inside a raising step
-                for neg, v in step(item, rest):
-                    _add(acc, neg, (v,) + zero if pad else v, c)
+        if cartan:
+            a, b = cartan
+            off = offsets(rest)
+            form = [0] * size
+            form[0], form[a], form[b] = off[a - 1] - sign * off[b - 1], 1, -sign
+            _add(acc, rest, tuple(form), 1)
+        for item, k in bracket:
+            pad = g >= half and item < half  # an int inside a raising step
+            for neg, v in step(item, rest):
+                _add(acc, neg, (v,) + zero if pad else v, k)
         for neg, v in step(g, rest):
+            if not neg or x < neg[0] % G:  # x goes in front, as step(x, neg) would put it
+                _add(acc, (x + G,) + neg, v, sign)
+                continue
             for neg2, k in step(x, neg):
                 _add(acc, neg2, v, k * sign)
         out = memo[key] = tuple(acc.items())
         return out
 
-    return step, memo
+    return step, memo, results
 
 
 def _add(acc, key, v, c):

@@ -303,24 +303,51 @@ class TestActWork:
         assert act(body, v).is_zero()  # theta^2 for an isotropic root
         assert not act(power, vacuum(gl(4), rand_weight(random.Random(2), 4, 0))).is_zero()
 
-    def test_repeated_act_adds_no_cache_entry(self, monkeypatch):
+    def test_repeated_act_adds_no_cache_entry(self):
         """A (generator, monomial) result depends on neither lambda nor the
-        vector, so the cache holds it once: repeating an action, or acting
-        at another weight, stores nothing new."""
-        cache = {}
-        monkeypatch.setattr(pbw, "_NF_CACHE", cache)
-        monkeypatch.setattr(verma, "_NF_CACHE", cache)
+        vector, so the recursion's results hold it once: repeating an
+        action, or acting at another weight, stores nothing new.  The
+        straightening kernel's cache holds no action result."""
+        verma._leibniz.cache_clear()
         theta = theta_glmn_distinguished(3, 2)
         body = theta.body
         lam, mu = sample_hyperplane(theta.hyperplane(), seed=1, count=2)
         power = theta_power(4, 2)
         v = vacuum(gl(4), rand_weight(random.Random(2), 4, 0))
-        first = act(body, vacuum(theta.alg, lam)), act(power, v)
-        assert cache
-        size = len(cache)
-        assert (act(body, vacuum(theta.alg, lam)), act(power, v)) == first
-        act(body, vacuum(theta.alg, mu))
-        assert len(cache) == size
+
+        def acts(lam):
+            w = act(body, vacuum(theta.alg, lam))
+            return [w, act(power, v)] + [act([g], w) for g in theta.alg.simple_raising()]
+
+        kernel = len(pbw._NF_CACHE)
+        first = acts(lam)
+        results = verma._leibniz(theta.alg, None)[2]
+        assert results
+        size = len(results)
+        assert acts(lam) == first
+        acts(mu)
+        assert len(results) == size
+        assert len(pbw._NF_CACHE) == kernel
+
+    def test_generic_raising_multiplies_no_poly_by_zero(self, monkeypatch):
+        """At a generic point a raising value is a linear form in Polys; its
+        zero coefficients are skipped, so no Poly is multiplied by int 0."""
+        theta = theta_gl(6)
+        lam = generic_point(6, 0, [theta.hyperplane().constraint_poly()])
+        v = theta.verma_vector(lam)
+        times = Poly.__mul__
+        seen = []
+
+        def checked(p, other):
+            seen.append(other)
+            assert not (type(other) is int and other == 0), "a Poly multiplied by int 0"
+            return times(p, other)
+
+        monkeypatch.setattr(Poly, "__mul__", checked)
+        monkeypatch.setattr(Poly, "__rmul__", checked)
+        for g in theta.alg.simple_raising():
+            assert act([g], v).is_zero()
+        assert seen
 
 
 def prepend_cases(size_cap=5):
@@ -341,12 +368,14 @@ def kernel_prepend(alg, order, g, mono):
 
 def leibniz(alg, order, g, mono):
     """The recursion's result for g mono as a dict, each linear form
-    (c0, c1, ..., cN) written as the Poly c0 + sum c_i x_i."""
+    (c0, c1, ..., cN) written as the Poly c0 + sum c_i x_i.  g and mono are
+    encoded for the order, and the result's monomials decoded."""
+    codec = verma._codec(alg, order.word)
     out = {}
-    for neg, v in verma._leibniz(alg, order.word)[0](g, mono):
+    for neg, v in verma._leibniz(alg, order.word)[0](codec.index[g], codec.encode(mono)):
         if type(v) is not int:
             v = sum((c * Poly.x(i) for i, c in enumerate(v) if i and c), Poly.const(v[0]))
-        out[neg] = v
+        out[codec.decode(neg)] = v
     return out
 
 
@@ -403,6 +432,35 @@ class TestRaising:
                 expected = {n: h for (n, p), h in normal_order(alg, [g] + word, order).terms.items()
                             if not p}
                 assert leibniz(alg, order, g, mono) == expected, (g, mono)
+
+
+class TestCodec:
+    @pytest.mark.parametrize("alg, order", prepend_cases())
+    def test_round_trip(self, alg, order):
+        """A monomial is encoded for the order where a vector is built from
+        it and decoded where the vector is read: terms gives it back
+        unchanged, and weight() is lambda plus its weight."""
+        lam = rand_weight(random.Random(alg.N), alg.m, alg.n)
+        for mono in monomials(alg, order, 3):
+            v = VermaVector(alg, lam, {mono: 1}, order)
+            assert v.terms == {mono: 1}
+            expected = lam
+            for i, j, e in mono:
+                expected = expected + e * alg.gen_weight(i, j)
+            assert v.weight() == expected, mono
+
+    def test_exponent_far_above_generator_count(self):
+        """gl(3) has G = 6 generators; e_21^50 survives encoding, decoding
+        and the action: e_21 raises its exponent, and e_12 e_21^50 v_lambda
+        = 50 (lambda_1 - lambda_2 - 49) e_21^49 v_lambda."""
+        alg = gl(3)
+        lam = Weight(3, 0, [Fraction(7, 2), -1, 4])
+        v = VermaVector(alg, lam, {((2, 1, 50),): 1})
+        assert v.terms == {((2, 1, 50),): 1}
+        assert v.weight() == lam + 50 * alg.gen_weight(2, 1)
+        assert act([(2, 1)], v).terms == {((2, 1, 51),): 1}
+        assert act([(1, 2)], v).terms == {((2, 1, 49),): 50 * (lam.coords[0] - lam.coords[1] - 49)}
+        assert str(v) == "(1) e21^50"
 
 
 def brute_force_partitions(alg, drop):
