@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -53,6 +54,10 @@ SHUFFLE_CAP = 10**5  # most words the shuffles command will list
 RANK_CAP = 100  # largest m+n any command accepts
 SAMPLES_CAP = 100  # most sample points verify and compare will check
 KAC_CAP = 2**8  # largest weight space, in monomials, kac-coeff will solve in
+# largest |exponent| of a weight coordinate such as 1e3: Fraction builds
+# 10^|exponent|, in a time that grows without bound, and Python prints no
+# int of more than 4300 digits
+EXPONENT_CAP = 1000
 # the orderings compare checks by default, for an even and an odd root
 EVEN_ORDERS = ["standard", "bform"]
 ODD_ORDERS = ["middle", "odd-last", "odd-first", "bform"]
@@ -75,8 +80,13 @@ def _parse_algebra(text):
 
 def _parse_weight(alg, text):
     try:
-        coords = [Fraction(t) for t in text.split(",")]
-        return Weight(alg.m, alg.n, coords)
+        coords = text.split(",")
+        for t in coords:
+            exponent = re.search(r"[eE]([-+]?[\d_]+)\s*$", t)
+            if exponent and abs(int(exponent[1])) > EXPONENT_CAP:
+                raise SystemExit(_usage_error(
+                    f"weight coordinate {t!r} has an exponent beyond {EXPONENT_CAP} in size"))
+        return Weight(alg.m, alg.n, [Fraction(t) for t in coords])
     except (ValueError, ZeroDivisionError):
         raise SystemExit(_usage_error(f"bad weight {text!r}"))
 

@@ -66,11 +66,10 @@ from .exact_algebra import (
     sample_hyperplane,
 )
 from .hessenberg import ORDERINGS, skip_coeff
-from .pbw import GLAlgebra, PBWOrder, UEAElement, gl, normal_order
+from .pbw import GLAlgebra, PBWOrder, UEAElement, _codes, gl, normal_order
 from .shuffles import Shuffle, diagram_data, eta_weight
 from .verma import (
     VermaVector,
-    _codec,
     _merge,
     act,
     coefficients_in_word_basis,
@@ -167,7 +166,7 @@ class ShapovalovElement:
                 return ({k: x * c for k, x in nums.items()} if c else {}), den * D ** d
             return scale
 
-        offsets = _codec(alg, order.word).offsets
+        offsets = _codes(alg, order.word).offsets
         parts: dict = {}
         for mono, c in v.nums.items():
             parts.setdefault(offsets(mono), {})[mono] = c

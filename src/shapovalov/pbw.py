@@ -24,17 +24,20 @@ back with a single shift.  The UEA product and normal_order (a free word
 with Cartan atoms is the product of its runs) use it; the Verma action
 does not (see verma.act) and calls no kernel.  The kernel caches every
 word it straightens: a word has no Cartan part, so its normal form serves
-every product it is met in.  A triangular order (PBWOrder) maps each
-generator to an int rank, and the kernel and the Verma action compare
-ranks only; both read brackets and signs from the algebra's one table
-(GLAlgebra.brackets).
+every product it is met in.
+
+A triangular order (PBWOrder) numbers the G generators in factor order,
+once per algebra and order word (_codes): the negative ones take the
+codes below G // 2.  The kernel and the Verma action rewrite over these
+int codes, compare codes only, and read brackets and signs from the one
+code-indexed table of the numbering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import MappingProxyType
 
 from .exact_algebra import Poly, Weight, _coeff, rho
@@ -55,7 +58,6 @@ class GLAlgebra:
         self.n = n
         self.N = m + n
         self.rho = rho(m, n)
-        self.brackets = _Brackets(self)
 
     def parity(self, i: int) -> int:
         return 0 if i <= self.m else 1
@@ -114,23 +116,6 @@ def sbracket_gens(alg: GLAlgebra, a, b):
     return out
 
 
-class _Brackets(dict):
-    """The bracket table of one gl(m,n), alg.brackets: (sign,
-    sbracket_gens(alg, a, b)) for pairs (a, b) of generators, with
-    sign = (-1)^{|a||b|}; each pair is computed on first use."""
-
-    def __init__(self, alg):
-        super().__init__()
-        self.alg = alg
-
-    def __missing__(self, pair):
-        (i, j), (k, l) = pair
-        m = self.alg.m
-        sign = -1 if (i > m) != (j > m) and (k > m) != (l > m) else 1
-        out = self[pair] = (sign, tuple(sbracket_gens(self.alg, *pair)) if j == k or i == l else ())
-        return out
-
-
 def superbracket(alg: GLAlgebra, a, b) -> "UEAElement":
     """Public bracket: a, b are generator pairs or Cartan Polys."""
     if isinstance(a, Poly) or isinstance(b, Poly):
@@ -155,9 +140,7 @@ def superbracket(alg: GLAlgebra, a, b) -> "UEAElement":
 class PBWOrder:
     """Triangular decomposition given by a word of 1..N: e_{ij} is negative
     iff i comes after j.  No word, or the identity, is the distinguished
-    order (i > j).  rank(alg) numbers the generators in factor order: the
-    negative ones below 0 by the positions of (j, i), the positive ones
-    from 0 by the positions of (i, j).
+    order (i > j).  _codes(alg, order.word) numbers its generators.
     """
 
     word: tuple | None = None
@@ -166,19 +149,97 @@ class PBWOrder:
         word = tuple(self.word or ())
         object.__setattr__(self, "word", None if word == tuple(range(1, len(word) + 1)) else word)
 
-    def rank(self, alg) -> dict:
-        return _rank_table(alg.N, self.word)
+
+class _Table(dict):
+    """A dict filled on first use: a missing key k is stored as fill(k)."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        out = self[key] = self.fill(key)
+        return out
+
+
+class _Codes:
+    """The numbering of the generators of one algebra and order word
+    (_codes).  gens lists the G generators in factor order: the negative
+    ones by the positions of (j, i) in the word, then the positive ones by
+    the positions of (i, j); code maps a generator to its place, so a code
+    below G // 2 is negative, and refuses a generator outside the algebra
+    with a ValueError.  A word of generators is a tuple of codes.
+
+    A negative monomial is a tuple of letters: x^e is the int e * G +
+    code[x], so r = c % G, e = c // G, and raising x's exponent adds G.
+    weight maps a letter to wt x^e as N int offsets.  bracket maps
+    a * G + b, for generator codes a and b, to (sign, items, h): sign is
+    (-1)^{|a||b|}, and [a, b] is the sum of c times the generator coded r
+    over the pairs (r, c) of items, plus h, the Cartan element x_i -+ x_j
+    when a, b are e_ij, e_ji (None otherwise).  Both tables are filled on
+    first use."""
+
+    __slots__ = ("alg", "G", "gens", "code", "weight", "bracket", "zero")
+
+    def __init__(self, alg, word):
+        seq, N = word or range(1, alg.N + 1), alg.N
+        self.alg = alg
+        self.gens = gens = [(seq[a], seq[b]) for b in range(N) for a in range(b + 1, N)]
+        gens += [(seq[a], seq[b]) for a in range(N) for b in range(a + 1, N)]
+        self.G = G = len(gens)
+        self.code = _Table(partial(_outside, alg))
+        self.code.update((g, r) for r, g in enumerate(gens))
+        self.zero = zero = (0,) * N
+
+        def weight(c):
+            (i, j), e = gens[c % G], c // G
+            w = list(zero)
+            w[i - 1] += e
+            w[j - 1] -= e
+            return tuple(w)
+
+        self.weight = _Table(weight)
+        self.bracket = _Table(self._bracket)
+
+    def _bracket(self, key):
+        a, b = self.gens[key // self.G], self.gens[key % self.G]
+        (i, j), (k, l) = a, b
+        sign = -1 if self.alg.gen_parity(i, j) and self.alg.gen_parity(k, l) else 1
+        if j != k and i != l:
+            return sign, (), None
+        terms = sbracket_gens(self.alg, a, b)
+        items = tuple((self.code[g], c) for g, c in terms if not isinstance(g, Poly))
+        return sign, items, None if items else terms[0][0]
+
+    def encode(self, mono):
+        G, code = self.G, self.code
+        return tuple(e * G + code[i, j] for i, j, e in mono)
+
+    def decode(self, mono):
+        G, gens = self.G, self.gens
+        return tuple(gens[c % G] + (c // G,) for c in mono)
+
+    def offsets(self, mono):
+        """wt mono as N int offsets."""
+        if len(mono) == 1:
+            return self.weight[mono[0]]
+        return tuple(map(sum, zip(*map(self.weight.__getitem__, mono)))) if mono else self.zero
 
 
 @lru_cache(maxsize=None)
-def _rank_table(N, word):
-    """{(i, j): rank} for every generator of gl(m,n), N = m + n (shared)."""
-    seq = word or range(1, N + 1)
-    neg = [(seq[a], seq[b]) for b in range(N) for a in range(b + 1, N)]
-    pos = [(seq[a], seq[b]) for a in range(N) for b in range(a + 1, N)]
-    rank = {g: k - len(neg) for k, g in enumerate(neg)}
-    rank.update((g, k) for k, g in enumerate(pos))
-    return rank
+def _codes(alg, word):
+    return _Codes(alg, word)
+
+
+def _outside(alg, g):
+    raise ValueError(f"generator {tuple(g)} is not in {alg}")
+
+
+def _cartan_unit(alg, i):
+    """x_i, for the diagonal unit e_ii of alg."""
+    return Poly.x(i) if 1 <= i <= alg.N else _outside(alg, (i, i))
 
 
 DISTINGUISHED = PBWOrder()
@@ -187,15 +248,14 @@ DISTINGUISHED = PBWOrder()
 # ---------------------------------------------------------------------------
 # normal ordering
 
-def _violation(alg, word, rank, start=0):
-    """Index of the first adjacent pair out of the rank table's order at or
-    after start, or None."""
+def _violation(word, codes, start=0):
+    """Index of the first adjacent pair of codes out of order at or after
+    start, or None."""
+    G, bracket = codes.G, codes.bracket
     for k in range(start, len(word) - 1):
         a, b = word[k], word[k + 1]
-        if rank[a] > rank[b]:
-            return k
-        if a == b and alg.gen_parity(*a):
-            return k  # odd square, the term dies
+        if a > b or a == b and bracket[a * G + a][0] < 0:
+            return k  # an odd square: the term dies
     return None
 
 
@@ -216,18 +276,20 @@ def _accumulate(acc, key, val):
         acc.pop(key, None)
 
 
-def _fold(word, coeff, cart, out, rank):
-    """Accumulate an ordered word, times the Cartan part cart carried at its
-    right end (None for 1), into the terms dict."""
+def _fold(word, coeff, cart, out, codes):
+    """Accumulate an ordered word of codes, times the Cartan part cart
+    carried at its right end (None for 1), into the terms dict; its runs
+    of equal codes become (i, j, e) triples."""
+    half, gens = codes.G // 2, codes.gens
     neg = []
     pos = []
-    for a in word:
-        part = neg if rank[a] < 0 else pos
-        if part and part[-1][0] == a[0] and part[-1][1] == a[1]:
-            part[-1][2] += 1
+    for c in word:
+        part = neg if c < half else pos
+        if part and part[-1][0] == c:
+            part[-1][1] += 1
         else:
-            part.append([a[0], a[1], 1])
-    key = (tuple(tuple(t) for t in neg), tuple(tuple(t) for t in pos))
+            part.append([c, 1])
+    key = (tuple(gens[c] + (e,) for c, e in neg), tuple(gens[c] + (e,) for c, e in pos))
     if cart is None:
         _accumulate(out, key, Poly.const(coeff))
     else:  # pos H = H(x - wt pos) pos
@@ -240,45 +302,44 @@ _NF_CACHE: dict = {}
 def _nf_atoms(alg: GLAlgebra, atoms, *, order: PBWOrder = DISTINGUISHED) -> MappingProxyType:
     """Straighten a word of generator pairs; returns a read-only {(neg, pos): Poly}.
 
-    The Cartan part x_i -+ x_j of a bracket [e_ij, e_ji] moves to the right
-    end of the word, shifted by the weight it passes, and rides there until
-    the word is ordered.  Every word is cached; the cache holds the
-    read-only views it hands out, so no caller can change a later
-    straightening.
+    The word is rewritten over the order's codes (_codes).  The Cartan part
+    x_i -+ x_j of a bracket [e_ij, e_ji] moves to the right end of the
+    word, shifted by the weight it passes, and rides there until the word
+    is ordered.  Every word is cached; the cache holds the read-only views
+    it hands out, so no caller can change a later straightening.
     """
     key = (alg.m, alg.n, order.word, tuple(atoms))
     hit = _NF_CACHE.get(key)
     if hit is not None:
         return hit
-    rank = order.rank(alg)
-    table = alg.brackets
+    codes = _codes(alg, order.word)
+    G, gens, bracket, offsets = codes.G, codes.gens, codes.bracket, codes.offsets
     out: dict = {}
     # each word carries where its scan starts: a rewrite at k leaves the
     # pairs before k - 1 ordered, so the first violation is not before it
-    stack = [(tuple(atoms), 1, None, 0)]
+    stack = [(tuple(map(codes.code.__getitem__, key[3])), 1, None, 0)]
     while stack:
         word, coeff, cart, start = stack.pop()
-        k = _violation(alg, word, rank, start)
+        k = _violation(word, codes, start)
         if k is None:
-            _fold(word, coeff, cart, out, rank)
+            _fold(word, coeff, cart, out, codes)
             continue
         a, b = word[k], word[k + 1]
+        if a == b:
+            continue  # an odd square is zero
         head, tail = word[:k], word[k + 2:]
-        sign, bracket = table[a, b]
-        if a == b and sign < 0:
-            continue  # isotropic square is zero
+        sign, items, h = bracket[a * G + b]
         start = max(k - 1, 0)
         stack.append((head + (b, a) + tail, coeff * sign, cart, start))
-        for item, c in bracket:
-            if isinstance(item, Poly):
-                # item = x_i - sign x_j picks up wt(tail) at i minus sign times it at j
-                i, j = a
-                d = sum((g[0] == i) - (g[1] == i) - sign * ((g[0] == j) - (g[1] == j))
-                        for g in tail)
-                h = item + d if d else item
-                stack.append((head + tail, coeff * c, h if cart is None else cart * h, start))
-            else:
-                stack.append((head + (item,) + tail, coeff * c, cart, start))
+        for item, c in items:
+            stack.append((head + (item,) + tail, coeff * c, cart, start))
+        if h is not None:
+            # h = x_i - sign x_j picks up wt(tail) at i minus sign times it at j
+            i, j = gens[a]
+            off = offsets([c + G for c in tail])
+            d = off[i - 1] - sign * off[j - 1]
+            h = h + d if d else h
+            stack.append((head + tail, coeff, h if cart is None else cart * h, start))
     out = _NF_CACHE[key] = MappingProxyType(out)
     return out
 
@@ -336,7 +397,7 @@ def normal_order(alg: GLAlgebra, word, order: PBWOrder = DISTINGUISHED) -> "UEAE
     runs, carts = [[]], []
     for a in word:
         if isinstance(a, Poly) or a[0] == a[1]:
-            h = a if isinstance(a, Poly) else Poly.x(a[0])
+            h = a if isinstance(a, Poly) else _cartan_unit(alg, a[0])
             if carts and not runs[-1]:
                 carts[-1] = carts[-1] * h
             else:

@@ -3,8 +3,8 @@
 A vector is stored as a map from canonical negative PBW monomials to
 numerators over one common denominator; v_lambda is the empty monomial
 with numerator 1 over 1.  Inside the module a monomial is a flat tuple of
-ints (_Codec): the letter x^e is e * G + r, with r the place of x among the
-G generators in the order's rank table, so raising an exponent adds G.
+ints in the order's numbering of the generators (pbw._codes): the letter
+x^e is e * G + r, with r the code of x, so raising an exponent adds G.
 Monomials are decoded to (i, j, e) triples only where a vector is read
 (terms, weight, str, to_json) and encoded where one is built from triples.
 
@@ -46,9 +46,10 @@ from .pbw import (
     PBWOrder,
     UEAElement,
     _accumulate,
+    _cartan_unit,
+    _codes,
     _expand_key,
     _nf_atoms,  # kept only because perfbench/tests/test_perfbench.py:102 asserts the binding
-    _rank_table,
 )
 
 
@@ -61,8 +62,8 @@ class VermaVector:
     order; the default is the distinguished one, and a Borel order is used
     when verifying elements attached to other Borel subalgebras.  terms
     maps (i, j, e) monomials to ints, Fractions and Polys; the monomials
-    are encoded for the order (_Codec) and the coefficients brought over
-    one denominator.  nums is keyed by the codes.
+    are encoded for the order (pbw._codes) and the coefficients brought
+    over one denominator.  nums is keyed by the codes.
     """
 
     __slots__ = ("alg", "lam", "nums", "den", "order", "_terms")
@@ -70,7 +71,7 @@ class VermaVector:
     def __init__(self, alg: GLAlgebra, lam: Weight, terms=None, order: PBWOrder = DISTINGUISHED):
         terms = dict(terms) if terms else {}
         den = lcm(*(c.denominator for c in terms.values() if isinstance(c, Fraction)))
-        encode = _codec(alg, order.word).encode
+        encode = _codes(alg, order.word).encode
         nums = {encode(k): c.numerator * (den // c.denominator) if isinstance(c, Fraction) else c * den
                 for k, c in terms.items() if c}
         self._set(alg, lam, nums, den, order)
@@ -99,7 +100,7 @@ class VermaVector:
         t = self._terms
         if t is None:
             den = self.den
-            decode = _codec(self.alg, self.order.word).decode
+            decode = _codes(self.alg, self.order.word).decode
             t = self._terms = MappingProxyType({
                 decode(k): (n if den == 1 else n * Fraction(1, den)) if isinstance(n, Poly) else Fraction(n, den)
                 for k, n in self.nums.items()})
@@ -146,7 +147,7 @@ class VermaVector:
     def weight(self):
         """Weight of the vector (lambda plus the common monomial weight), or
         None if it is zero or inhomogeneous."""
-        found = set(map(_codec(self.alg, self.order.word).offsets, self.nums))
+        found = set(map(_codes(self.alg, self.order.word).offsets, self.nums))
         if len(found) != 1:
             return None
         return self.lam + Weight(self.alg.m, self.alg.n, found.pop())
@@ -207,15 +208,15 @@ def act(x, v: VermaVector) -> VermaVector:
     denominator until they are added to the result.
     """
     alg, lam, order = v.alg, v.lam, v.order
-    codec = _codec(alg, order.word)
-    index, half = codec.index, codec.G // 2
+    codes = _codes(alg, order.word)
+    code, half = codes.code, codes.G // 2
     leibniz = _leibniz(alg, order.word)
     D, point = lam.scaled()
     at = (D,) + point
     if isinstance(x, UEAElement):
         words = [_expand_key(n) + [h] + _expand_key(p) for (n, p), h in x.terms.items()]
     else:
-        words = [[a if isinstance(a, Poly) else Poly.x(a[0]) if a[0] == a[1] else (a[0], a[1])
+        words = [[a if isinstance(a, Poly) else _cartan_unit(alg, a[0]) if a[0] == a[1] else (a[0], a[1])
                   for a in x]]
     out: dict = {}
     den = 1
@@ -225,10 +226,10 @@ def act(x, v: VermaVector) -> VermaVector:
             if not nums:
                 break
             if isinstance(a, Poly):
-                nums, f = _cartan(D, point, a, nums, codec.offsets)
+                nums, f = _cartan(D, point, a, nums, codes.offsets)
                 d *= f
             else:
-                g = index[a]
+                g = code[a]
                 nums = _letter(leibniz, g, nums, at)
                 if g >= half:
                     d *= D
@@ -242,8 +243,8 @@ def act(x, v: VermaVector) -> VermaVector:
 def _cartan(D, point, h, nums, offsets):
     """h mono v_lambda = h(lambda + wt mono) mono v_lambda, for each monomial:
     h at the integer point D * (lambda + wt mono), with wt mono read from
-    offsets (_Codec.offsets).  Returns the numerators and the factor they
-    put on the denominator, D^deg h (a constant h multiplies by its
+    offsets (pbw._Codes.offsets).  Returns the numerators and the factor
+    they put on the denominator, D^deg h (a constant h multiplies by its
     numerator and puts its denominator there)."""
     d = h.degree()
     if not d:
@@ -287,74 +288,13 @@ def _letter(leibniz, g, nums, at):
     return out
 
 
-class _Table(dict):
-    """A dict filled on first use: a missing key k is stored as fill(k)."""
-
-    __slots__ = ("fill",)
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        out = self[key] = self.fill(key)
-        return out
-
-
-class _Codec:
-    """Int codes of the negative monomials of one algebra and order word
-    (_codec).  The letter x^e is the int e * G + r, where r is the place of
-    x among the G generators in the order's rank table, the negative ones
-    first (r < G // 2) in factor order; so r = c % G, e = c // G, and
-    raising x's exponent adds G.  A monomial is the tuple of its letters'
-    codes.  weight maps a code to wt x^e as N int offsets; it is filled on
-    first use."""
-
-    __slots__ = ("G", "gens", "index", "weight", "zero")
-
-    def __init__(self, alg, word):
-        rank = _rank_table(alg.N, word)
-        self.G = G = len(rank)
-        self.gens = gens = sorted(rank, key=rank.get)
-        self.index = {g: r for r, g in enumerate(gens)}
-        self.zero = zero = (0,) * alg.N
-
-        def weight(c):
-            (i, j), e = gens[c % G], c // G
-            w = list(zero)
-            w[i - 1] += e
-            w[j - 1] -= e
-            return tuple(w)
-
-        self.weight = _Table(weight)
-
-    def encode(self, mono):
-        G, index = self.G, self.index
-        return tuple(e * G + index[i, j] for i, j, e in mono)
-
-    def decode(self, mono):
-        G, gens = self.G, self.gens
-        return tuple(gens[c % G] + (c // G,) for c in mono)
-
-    def offsets(self, mono):
-        """wt mono as N int offsets."""
-        if len(mono) == 1:
-            return self.weight[mono[0]]
-        return tuple(map(sum, zip(*map(self.weight.__getitem__, mono)))) if mono else self.zero
-
-
-@lru_cache(maxsize=None)
-def _codec(alg, word):
-    return _Codec(alg, word)
-
-
 @lru_cache(maxsize=None)
 def _leibniz(alg, word):
     """(step, memo, results) for one algebra and order word.  step(g, mono)
     gives the (negative monomial, value) pairs of g mono v_lambda, for the
     code g of a generator and a canonical negative monomial mono, all in
-    the order's codes (_Codec).  A value is an int when g is negative; when
-    g is positive it is the integer linear form (c0, c1, ..., cN) of
+    the order's codes (pbw._codes).  A value is an int when g is negative;
+    when g is positive it is the integer linear form (c0, c1, ..., cN) of
     c0 + sum c_i lambda_i.
 
     Leibniz rule on the first letter x of mono = x rest:
@@ -364,27 +304,14 @@ def _leibniz(alg, word):
     goes up; an odd square is 0), a positive g at the empty monomial, since
     g v_lambda = 0.  The bracket is a generator, or the Cartan element
     x_a -+ x_b for g = e_ab, worth lambda_a -+ lambda_b plus wt rest there.
-    Brackets come from alg.brackets through a table indexed by g * G + x
-    and filled on first use.  memo holds the result of every step that
-    does not stop at once, on (g, mono); _letter clears it for each letter,
-    and keeps in results, across letters, what it asked of step.  No result
-    depends on lambda.
+    Brackets come from the numbering's table (pbw._Codes.bracket).  memo
+    holds the result of every step that does not stop at once, on
+    (g, mono); _letter clears it for each letter, and keeps in results,
+    across letters, what it asked of step.  No result depends on lambda.
     """
-    codec = _codec(alg, word)
-    G, gens, index, offsets, zero = codec.G, codec.gens, codec.index, codec.offsets, codec.zero
+    codes = _codes(alg, word)
+    G, gens, table, offsets, zero = codes.G, codes.gens, codes.bracket, codes.offsets, codes.zero
     half = G // 2
-    pairs = alg.brackets
-
-    def entry(key):
-        """(sign, ((code, c), ...), Cartan pair or None) of [g, x], key = g * G + x."""
-        a, b = gens[key // G], gens[key % G]
-        sign, terms = pairs[a, b]
-        if not terms:
-            return sign, (), None
-        items = tuple((index[item], c) for item, c in terms if not isinstance(item, Poly))
-        return sign, items, a if len(items) < len(terms) else None
-
-    table = _Table(entry)
     memo: dict = {}
     results: dict = {}
     size = alg.N + 1
@@ -405,8 +332,8 @@ def _leibniz(alg, word):
         sign, bracket, cartan = table[g * G + x]
         rest = ((c - G,) + mono[1:]) if c >= 2 * G else mono[1:]
         acc: dict = {}
-        if cartan:
-            a, b = cartan
+        if cartan is not None:
+            a, b = gens[g]
             off = offsets(rest)
             form = [0] * size
             form[0], form[a], form[b] = off[a - 1] - sign * off[b - 1], 1, -sign
@@ -446,8 +373,8 @@ def weight_basis(alg: GLAlgebra, lam: Weight, drop: Weight):
     Returns the empty list when drop is not a non-negative combination of
     positive roots.
     """
-    rank = DISTINGUISHED.rank(alg)
-    gens = sorted((g for g in rank if rank[g] < 0), key=rank.get)
+    codes = _codes(alg, None)
+    gens = codes.gens[:codes.G // 2]
     weights = [alg.gen_weight(j, i) for i, j in gens]  # positive root of e_{ij}
     out = []
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import shapovalov
 from shapovalov import cli
-from shapovalov.cli import KAC_CAP, RANK_CAP, SAMPLES_CAP, SHUFFLE_CAP, TERM_CAP, _json_text, run
+from shapovalov.cli import (EXPONENT_CAP, KAC_CAP, RANK_CAP, SAMPLES_CAP, SHUFFLE_CAP, TERM_CAP,
+                            _json_text, run)
 from shapovalov.construct import ShapovalovElement, parse_root
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
@@ -445,6 +446,12 @@ class TestErrors:
          None, "--orders repeats 'bform'"),
         (["kac-coeff", "--algebra", "6,5", "--root", "e1-d5", "--weight", ",".join(["0"] * 11)],
          None, f"the weight space has {2**9} monomials, more than the kac-coeff cap of {KAC_CAP}"),
+        (["kac-coeff", "--algebra", "2,1", "--root", "e1-d1", "--weight", "1e30000000,0,0"], None,
+         f"weight coordinate '1e30000000' has an exponent beyond {EXPONENT_CAP} in size"),
+        (["det", "--algebra", "3", "--matrix", "D", "--weight", "0,1e-30000000,0"], None,
+         f"weight coordinate '1e-30000000' has an exponent beyond {EXPONENT_CAP} in size"),
+        (["minimal", "--algebra", "2,1", "--weight", f"0,0,1E+{EXPONENT_CAP + 1}"], None,
+         f"weight coordinate '1E+{EXPONENT_CAP + 1}' has an exponent beyond {EXPONENT_CAP} in size"),
     ])
     def test_input_caps(self, capsys, monkeypatch, argv, env, message):
         # refused from the arguments alone, before anything is built
@@ -454,6 +461,14 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {message}"]
+
+    def test_weight_coordinates_in_every_notation(self, capsys):
+        """Fractions, decimals and exponents up to the cap are read exactly."""
+        argv = ["kac-coeff", "--algebra", "2,1", "--root", "e1-d1", "--format", "json", "--weight"]
+        assert run(argv + [f"1e3,3/4,-1.5e-{EXPONENT_CAP}"]) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert run(argv + [f"1000,0.75,-15/1{'0' * (EXPONENT_CAP + 1)}"]) == 0
+        assert json.loads(capsys.readouterr().out) == first
 
     def test_rank_cap_admits_its_bound(self, capsys):
         assert run(["verify", "--algebra", f"{RANK_CAP - 1},1", "--root", "e1-e2",

@@ -70,7 +70,7 @@ def root(shape):
 def weight(shape):
     N = sum(shape) if shape else 4
     coord = st.one_of(st.integers(-9, 9).map(str), rational, st.integers(-10**30, 10**30).map(str),
-                      st.sampled_from(["1/0", "x", ""]))
+                      st.sampled_from(["1/0", "x", "", "1e30000000", "1e-30000000"]))
     size = st.one_of(st.just(N), st.just(N), st.just(N), st.integers(0, N + 2))
     return size.flatmap(lambda k: st.lists(coord, min_size=k, max_size=k)).map(",".join)
 

@@ -18,7 +18,7 @@ from shapovalov.exact_algebra import (
     sample_hyperplane,
 )
 from shapovalov.hessenberg import build_A_rs, build_B_rs, build_D, det_lr
-from shapovalov.pbw import GLAlgebra, PBWOrder, UEAElement, gl, normal_order, sbracket_gens
+from shapovalov.pbw import GLAlgebra, PBWOrder, UEAElement, _codes, gl, normal_order, sbracket_gens
 from shapovalov.shuffles import Shuffle, diagram_data, enumerate_shuffles
 from shapovalov.verma import VermaVector, act, is_highest_weight, vacuum, weight_basis
 from shapovalov.construct import (
@@ -610,8 +610,8 @@ def _start_vectors(alg, lam, order, theta):
     """The vacuum, theta v_lambda, two lowering letters on v_lambda, their
     inhomogeneous sum and the zero vector, all in the given order."""
     vac = vacuum(alg, lam, order)
-    rank = order.rank(alg)
-    neg = sorted((g for g in rank if rank[g] < 0), key=rank.get)
+    codes = _codes(alg, order.word)
+    neg = codes.gens[:codes.G // 2]
     lowered = act([neg[-1], neg[0]], vac)
     image = act(theta.body, vac)
     return [vac, image, lowered, vac + image + lowered, VermaVector(alg, lam, order=order)]
@@ -630,6 +630,28 @@ class TestApply:
                     assert t.apply(v) == act(t.body, v), (label, v)
                     count += 1
         assert count == 2560
+
+
+class TestOddSquare:
+    def test_square_kills_vacuum_off_every_hyperplane(self):
+        """theta^2 = 0 for every odd root and odd ordering, so theta^2
+        v_lambda vanishes at a generic point with no constraint, not only
+        on the hyperplane that square_isotropic_check asks for; where
+        m+n <= 5 the square of the body is zero in U(g) itself."""
+        count = 0
+        for m, n in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3), (3, 3)]:
+            alg = gl(m, n)
+            lam = generic_point(m, n, [])
+            for i in range(1, m + 1):
+                for j in range(m + 1, m + n + 1):
+                    for o in ODD_ORDERINGS:
+                        t = theta_for_root(alg, alg.gen_weight(i, j), o)
+                        label = (alg, i, j, o)
+                        assert t.apply(t.verma_vector(lam)).is_zero(), label
+                        if m + n <= 5:
+                            assert (t.body * t.body).is_zero(), label
+                        count += 1
+        assert count == 120
 
 
 # ---------------------------------------------------------------------------

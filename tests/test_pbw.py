@@ -12,6 +12,7 @@ from shapovalov.pbw import (
     DISTINGUISHED,
     PBWOrder,
     UEAElement,
+    _codes,
     _nf_atoms,
     gl,
     normal_order,
@@ -234,10 +235,10 @@ class TestOrder:
         pos = sorted((g for g in gens if place[g[0]] < place[g[1]]), key=lambda g: (place[g[0]], place[g[1]]))
         if word is None:
             assert neg == [(i, j) for j in range(1, alg.N + 1) for i in range(j + 1, alg.N + 1)]
-        rank = PBWOrder(word).rank(alg)
-        assert sorted(rank) == sorted(gens)
-        assert sorted(gens, key=rank.get) == neg + pos
-        assert [g for g in gens if rank[g] < 0] == [g for g in gens if g in neg]
+        codes = _codes(alg, PBWOrder(word).word)
+        assert sorted(codes.code) == sorted(gens)
+        assert sorted(gens, key=codes.code.get) == neg + pos == codes.gens
+        assert [g for g in gens if codes.code[g] < codes.G // 2] == [g for g in gens if g in neg]
 
     def test_identity_word_normalises(self):
         assert PBWOrder((1, 2, 3)) == DISTINGUISHED == PBWOrder()

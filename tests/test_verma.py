@@ -34,6 +34,19 @@ def coprime_weight(rng, m, n):
 
 
 class TestAct:
+    @pytest.mark.parametrize("g", [(4, 4), (0, 0), (4, 1), (1, 4), (0, 2), (4, 5)])
+    def test_generator_outside_the_algebra_is_refused(self, g):
+        """A generator outside gl(2,1), diagonal or not, raises ValueError
+        naming it and the algebra, in the action and in normal ordering,
+        also inside a longer word."""
+        alg = gl(2, 1)
+        v = act([(2, 1)], vacuum(alg, Weight(2, 1, [3, 1, 2])))
+        message = rf"generator \({g[0]}, {g[1]}\) is not in gl\(2,1\)"
+        for call in (lambda: act([g], v), lambda: act([(3, 1), g, (2, 1)], v),
+                     lambda: normal_order(alg, [g]), lambda: normal_order(alg, [(1, 2), g])):
+            with pytest.raises(ValueError, match=message):
+                call()
+
     def test_raising_kills_vacuum(self):
         alg = gl(2, 0)
         lam = Weight(2, 0, [3, 1])
@@ -370,12 +383,12 @@ def leibniz(alg, order, g, mono):
     """The recursion's result for g mono as a dict, each linear form
     (c0, c1, ..., cN) written as the Poly c0 + sum c_i x_i.  g and mono are
     encoded for the order, and the result's monomials decoded."""
-    codec = verma._codec(alg, order.word)
+    codes = pbw._codes(alg, order.word)
     out = {}
-    for neg, v in verma._leibniz(alg, order.word)[0](codec.index[g], codec.encode(mono)):
+    for neg, v in verma._leibniz(alg, order.word)[0](codes.code[g], codes.encode(mono)):
         if type(v) is not int:
             v = sum((c * Poly.x(i) for i, c in enumerate(v) if i and c), Poly.const(v[0]))
-        out[codec.decode(neg)] = v
+        out[codes.decode(neg)] = v
     return out
 
 
