@@ -27,26 +27,29 @@ u_a = v,
 
     u_q = sum over a <= p < q of (prod over p < t < q of c_t) e_{q,p} u_p,
 
-and theta v = u_b: one generator action per pair p < q.  The sum over p
-runs in Horner form, so each step attaches a single linear factor.  apply
-starts from any Verma vector v, and verma_vector(lam) is apply on
-v_lambda.  A path's Cartan factors sit at the right end of its word, next
-to v, so for v of weight mu they are the scalars c_t(mu), by
-H X = X H(x + wt X) for a Cartan polynomial H and a monomial X; an
-inhomogeneous v goes through the chain once per weight.  Like the Verma
-action, apply is fraction-free: a node holds integer numerators over one
-denominator, a factor multiplies them by c_t at the integer point
-D * mu (D the common denominator of lambda) and puts D on the
-denominator, and sums meet over the least common denominator.  The same rule
-gives powers in U(g): theta y = sum over the paths X H of X y H(x + wt y),
-so theta_power starts the chain from y = theta^k, of weight -k eta, and
-attaches each factor shifted by -k eta, one generator times y per step.
-The descending chains (standard, middle and arbitrary Borels) and the
-ascending ones (bform) are such lines of indices.  odd-last words are
-(delta chain)(eps chain)(odd generator) and odd-first words their reverses;
-their chains take the odd generator, the eps walk and the delta walk in
-acting order.  terms lists the paths one by one, for printing and for the
-partial expansions.
+and theta v = u_b: one generator action per pair p < q, the sum over p in
+Horner form, so each step attaches a single linear factor.  The descending
+chains (standard, middle and arbitrary Borels) and the ascending ones
+(bform) are such lines of indices.  odd-last words are (delta chain)(eps
+chain)(odd generator) and odd-first words their reverses; their chains
+take the odd generator, the eps walk and the delta walk in acting order.
+
+Every generator of a chain is lowering for the element's own order, and a
+path's Cartan factors sit at the right end of its word.  So body and
+evaluate sum in U(n-) (x) U(h) over the order's int codes: a step is the
+Verma action's lowering step (verma._letter), a factor multiplies each
+Cartan part, and a Borel element's terms are normal-ordered at the end.
+hessenberg.det_lr, on UEA products, is an independent route to them.  As
+theta y = sum over the paths X H of X y H(x + wt y), theta_power starts the
+chain from y = theta^k and shifts each factor by wt y = -k eta.  apply
+starts from any Verma vector v (verma_vector(lam) is apply on v_lambda);
+for v of weight mu the factors are the scalars c_t(mu), as
+H X = X H(x + wt X), and an inhomogeneous v goes through the chain once
+per weight.  Like the action, apply is fraction-free: a factor multiplies
+the integer numerators by c_t at the integer point D * mu (D the common
+denominator of lambda) and puts D on the denominator, and sums meet over
+the least common denominator.  terms lists the paths one by one, for
+printing and the partial expansions.
 """
 
 from __future__ import annotations
@@ -66,10 +69,12 @@ from .exact_algebra import (
     sample_hyperplane,
 )
 from .hessenberg import ORDERINGS, skip_coeff
-from .pbw import GLAlgebra, PBWOrder, UEAElement, _codes, gl, normal_order
+from .pbw import GLAlgebra, PBWOrder, UEAElement, _codes, _expand_key, gl, normal_order
 from .shuffles import Shuffle, diagram_data, eta_weight
 from .verma import (
     VermaVector,
+    _leibniz,
+    _letter,
     _merge,
     act,
     coefficients_in_word_basis,
@@ -106,7 +111,7 @@ class ShapovalovElement:
     @property
     def body(self) -> UEAElement:
         if self._body is None:
-            self._body = self._element(_times_cartan)
+            self._body = self._element(lambda f: f)
         return self._body
 
     @property
@@ -118,27 +123,31 @@ class ShapovalovElement:
     def hyperplane(self) -> Hyperplane:
         return Hyperplane(self.eta, self.mult)
 
-    def _element(self, scale, start: UEAElement | None = None) -> UEAElement:
-        """Sum over the chain's paths in U(g), started from start (1 by
-        default): a step multiplies by its generator on the left, and
-        scale(x, f) attaches the factor f on the right."""
-        alg = self.alg
+    def _element(self, factor, start: UEAElement | None = None) -> UEAElement:
+        """Sum over the chain's paths from start (1 by default, no positive
+        part), each Cartan factor f attached as factor(f); see the top note."""
+        alg, word = self.alg, self.pbw_order().word
+        codes, leibniz = _codes(alg, word), _leibniz(alg, word)
+        start = {(): Poly.one()} if start is None else {
+            codes.encode(n + p): h for (n, p), h in start.terms.items()}
 
         def step(gen, terms, den):
-            if gen is None:
-                return terms, den
-            return (UEAElement.gen(alg, *gen) * UEAElement(alg, terms)).terms, 1
+            return _letter(leibniz, codes.code[gen], terms), den
 
-        start = UEAElement.one(alg) if start is None else start
-        terms, _ = _chain_sum(self.chain, start.terms, step,
-                              lambda terms, den, f: (scale(UEAElement(alg, terms), f).terms, 1))
-        return UEAElement(alg, terms)
+        def scale(terms, den, f):
+            c = factor(f)
+            return ({k: x * c for k, x in terms.items()} if c else {}), den
+
+        terms, _ = _chain_sum(self.chain, start, step, scale)
+        if word is None:
+            return UEAElement(alg, {(codes.decode(k), ()): h for k, h in terms.items()})
+        return _sum_terms(alg, [(_expand_key(codes.decode(k)), (h,)) for k, h in terms.items()])
 
     def evaluate(self, lam: Weight) -> UEAElement:
         """The element with its Cartan factors evaluated at lam; they are
         scalars there, so this is meaningful for non-distinguished Borels as
         well."""
-        return self._element(lambda x, f: x * eval_at(f, lam))
+        return self._element(lambda f: eval_at(f, lam))
 
     def pbw_order(self) -> PBWOrder:
         return PBWOrder(self.borel.word if self.borel else None)
@@ -154,8 +163,6 @@ class ShapovalovElement:
         D, point = lam.scaled()
 
         def step(gen, nums, den):
-            if gen is None:
-                return nums, den
             w = act([gen], VermaVector.over(alg, lam, nums, den, order))
             return w.nums, w.den
 
@@ -214,10 +221,10 @@ def _chain_sum(chain, start: dict, step, scale, den: int = 1):
     which the Verma action needs and U(g) leaves at 1.
 
     Node 0 holds start over den.  Each later node runs through its sources
-    (p, gen, factors) in order: it adds step(gen, value at p), then
-    multiplies all it holds by each of the factors with scale.  The last
-    node's value is returned.  Attaching one linear factor at a time to a
-    partial sum keeps the Cartan products small.
+    (p, gen, factors) in order: it adds the value at p, times gen by step
+    unless gen is None, then multiplies all it holds by each factor with
+    scale.  The last node's value is returned.  Attaching one linear factor
+    at a time to a partial sum keeps the Cartan products small.
     """
     vals = [(start, den)]
     for sources in chain:
@@ -225,20 +232,12 @@ def _chain_sum(chain, start: dict, step, scale, den: int = 1):
         den = 1
         for p, gen, factors in sources:
             if vals[p][0]:
-                den = _merge(acc, den, *step(gen, *vals[p]))
+                den = _merge(acc, den, *(vals[p] if gen is None else step(gen, *vals[p])))
             for _, f in factors:
                 if acc:
                     acc, den = scale(acc, den, f)
         vals.append((acc, den))
     return vals[-1]
-
-
-def _times_cartan(x: UEAElement, h: Poly) -> UEAElement:
-    """x h for a Cartan polynomial h; scale_central is that product when no
-    term of x has a positive part for h to move past."""
-    if any(pos for _, pos in x.terms):
-        return x * UEAElement.from_cartan(x.alg, h)
-    return x.scale_central(h)
 
 
 # A chain lists, for each node after node 0, its sources (p, generator or
@@ -460,12 +459,11 @@ class CaseDecomposition:
 
 def _sum_terms(alg, terms) -> UEAElement:
     """Term-by-term sum of (word, factors) pairs: the decompositions below
-    sum classes of terms that are not the paths of a chain."""
+    sum classes of terms that are not the paths of a chain, and a Borel
+    element's body is normal-ordered with it."""
     total = UEAElement.zero(alg)
     for word, factors in terms:
-        # the Cartan factors sit to the right of the whole word, so they go
-        # through the straightener (for non-distinguished Borels the word's
-        # normal form has positive parts)
+        # the factors sit right of the word and may move past positive parts
         total = total + normal_order(alg, list(word) + list(factors))
     return total
 
@@ -571,17 +569,15 @@ def theta_power(m: int, p: int) -> UEAElement:
     theta^(k+1) = theta y for y = theta^k is one pass of theta's chain
     started from y: a path X H of theta gives X H y = X y H(x + wt y), and
     y has weight -k eta, eta = eps_1 - eps_m, so each factor is shifted by
-    {1: -k, m: +k} and attached on the right.  scale_central is that
-    product here because every word of theta_gl is lowering: no term of
-    theta^k has a positive part for a factor to move past.
+    {1: -k, m: +k} and multiplies the coefficients, which sit on the right
+    of theta^k's lowering monomials.
     """
     if p < 1:
         raise ValueError("need p >= 1")
-    theta = theta_gl(m)
-    y = UEAElement.one(theta.alg)
+    theta, y = theta_gl(m), None
     for k in range(p):
         wt = {1: -k, m: k}
-        y = theta._element(lambda x, f: x.scale_central(f.shifted(wt)), y)
+        y = theta._element(lambda f: f.shifted(wt), y)
     return y
 
 

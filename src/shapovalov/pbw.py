@@ -22,9 +22,9 @@ is ordered.  Products go through one splice: the product of terms
 straightens the generator word n1 p1 n2 p2 once, and puts each Cartan part
 back with a single shift.  The UEA product and normal_order (a free word
 with Cartan atoms is the product of its runs) use it; the Verma action
-does not (see verma.act) and calls no kernel.  The kernel caches every
-word it straightens: a word has no Cartan part, so its normal form serves
-every product it is met in.
+and construct's chain sums do not (see verma.act) and call no kernel.
+The kernel caches every word it straightens: a word has no Cartan part,
+so its normal form serves every product it is met in.
 
 A triangular order (PBWOrder) numbers the G generators in factor order,
 once per algebra and order word (_codes): the negative ones take the
@@ -214,8 +214,18 @@ class _Codes:
         return sign, items, None if items else terms[0][0]
 
     def encode(self, mono):
-        G, code = self.G, self.code
-        return tuple(e * G + code[i, j] for i, j, e in mono)
+        """Codes of a canonical negative monomial; others are refused by name."""
+        G, code, out = self.G, self.code, []
+        for i, j, e in mono:
+            r = code[i, j]
+            why = ("a positive generator" if r >= G // 2 else
+                   "factors out of order or repeated" if out and r <= out[-1] % G else
+                   "an exponent below 1 or not an int" if type(e) is not int or e < 1 else
+                   "an odd factor with exponent above 1" if e > 1 and self.alg.gen_parity(i, j) else None)
+            if why:
+                raise ValueError(f"{tuple(mono)} is not a canonical negative monomial of {self.alg}: {why}")
+            out.append(e * G + r)
+        return tuple(out)
 
     def decode(self, mono):
         G, gens = self.G, self.gens
@@ -442,12 +452,6 @@ class UEAElement:
     @staticmethod
     def one(alg) -> "UEAElement":
         return UEAElement(alg, {((), ()): Poly.one()})
-
-    @staticmethod
-    def from_cartan(alg, p: Poly) -> "UEAElement":
-        if p.is_zero():
-            return UEAElement(alg)
-        return UEAElement(alg, {((), ()): p})
 
     @staticmethod
     def gen(alg, i, j) -> "UEAElement":

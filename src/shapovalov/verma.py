@@ -262,17 +262,17 @@ def _cartan(D, point, h, nums, offsets):
     return out, D ** d
 
 
-def _letter(leibniz, g, nums, at):
+def _letter(leibniz, g, nums, at=None):
     """The generator with code g on each monomial of nums, by the
-    recursion leibniz = _leibniz(alg, word).  A lowering value is an int; a
-    raising one is a linear form, worth c0 * D + sum c_i * (D * lambda_i) at
-    at = (D, D * lambda_1, ...), so it puts D on the denominator.  At a
-    generic point D is 1 and the D * lambda_i are Polys, and a zero
-    coefficient multiplies none of them.  The result for (g, mono) is
-    stored in the recursion's results unless its step stops at once."""
+    recursion leibniz = _leibniz(alg, word).  A lowering value is an int, so
+    a lowering g takes no at; a raising one is a linear form, worth c0 * D +
+    sum c_i * (D * lambda_i) at at = (D, D * lambda_1, ...): it puts D on
+    the denominator.  At a generic point D is 1, the D * lambda_i are Polys
+    and a zero coefficient multiplies none of them.  The result for (g,
+    mono) is kept in the recursion's results unless its step stops at once."""
     step, memo, results = leibniz
     memo.clear()
-    generic = isinstance(at[-1], Poly)
+    generic = at is not None and isinstance(at[-1], Poly)
     out: dict = {}
     for mono, x in nums.items():
         key = (g, mono)

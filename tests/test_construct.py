@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from shapovalov import construct
+from shapovalov import construct, pbw
 from shapovalov.exact_algebra import (
     Hyperplane,
     Poly,
@@ -73,7 +73,7 @@ class TestThetaGl:
         with pytest.raises(ValueError):
             theta_gl(1)
 
-    @pytest.mark.parametrize("m,p", [(m, p) for m in range(2, 6) for p in (1, 2, 3)] + [(6, 2)])
+    @pytest.mark.parametrize("m,p", [(m, p) for m in range(2, 6) for p in (1, 2, 3)] + [(6, 2), (3, 4), (4, 4)])
     def test_power_matches_product_of_bodies(self, m, p):
         # theta_power takes one pass of the chain per factor, with shifted
         # factors; the UEA product of expanded bodies is the oracle
@@ -558,12 +558,35 @@ class TestChainRecurrence:
             assert t.evaluate(lam) == _term_evaluate(t, lam), o
 
     def test_cartan_factor_moves_past_positive_parts(self):
-        # shuffle chains attach factors to sums with positive parts, where
-        # scaling the coefficients would be wrong: e12 x1 = (x1 - 1) e12
-        alg = gl(2, 0)
+        # a shuffle chain runs in its own order, where its words are
+        # lowering; in the distinguished form they have positive parts, which
+        # the factors must move past, so scaling the coefficients would be
+        # wrong: e12 x1 = (x1 - 1) e12
+        alg = gl(1, 1)
+        chain = (((0, (1, 2), ((0, Poly.x(1)),)),),)
+        t = construct.ShapovalovElement(alg, alg.gen_weight(2, 1), 1, "borel", chain,
+                                        borel=Shuffle.parse(1, 1, "1' 1"))
         x = normal_order(alg, [(1, 2)])
-        assert construct._times_cartan(x, Poly.x(1)) == normal_order(alg, [(1, 2), Poly.x(1)])
-        assert construct._times_cartan(x, Poly.x(1)) != x.scale_central(Poly.x(1))
+        assert t.body == normal_order(alg, [(1, 2), Poly.x(1)])
+        assert t.body != x.scale_central(Poly.x(1))
+
+    def test_chain_sums_call_no_kernel(self, monkeypatch):
+        # every generator of a distinguished chain is lowering, so body and
+        # theta_power run on the Leibniz recursion's lowering step alone and
+        # leave the straightening kernel's cache empty
+        monkeypatch.setattr(pbw, "_NF_CACHE", {})
+        assert theta_gl(6).body.terms
+        assert theta_power(4, 2).terms
+        assert not pbw._NF_CACHE
+
+    def test_chain_start_must_be_canonical(self):
+        # the start of a chain sum is encoded as the Verma vectors are, so a
+        # positive part or an odd square is refused
+        t = theta_glmn_distinguished(2, 1)
+        alg = t.alg
+        for start in (normal_order(alg, [(1, 2)]), UEAElement(alg, {(((3, 1, 2),), ()): Poly.one()})):
+            with pytest.raises(ValueError, match="not a canonical negative monomial"):
+                t._element(lambda f: f, start)
 
     def test_vector_takes_at_most_n_squared_actions(self, monkeypatch):
         calls = []

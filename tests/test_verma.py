@@ -475,6 +475,25 @@ class TestCodec:
         assert act([(1, 2)], v).terms == {((2, 1, 49),): 50 * (lam.coords[0] - lam.coords[1] - 49)}
         assert str(v) == "(1) e21^50"
 
+    @pytest.mark.parametrize("mono, why", [
+        (((1, 2, 1),), "a positive generator"),
+        (((3, 2, 1), (2, 1, 1)), "factors out of order or repeated"),
+        (((2, 1, 1), (2, 1, 1)), "factors out of order or repeated"),
+        (((2, 1, 0),), "an exponent below 1"),
+        (((2, 1, 1.5),), "not an int"),
+        (((3, 1, 2),), "an odd factor with exponent above 1"),
+    ])
+    def test_non_canonical_monomial_is_refused(self, mono, why):
+        """Only canonical negative monomials are encoded: a positive
+        generator, factors out of the order's factor order or repeated, an
+        exponent below 1 or not an int, and an odd square are each refused
+        by name."""
+        alg = gl(2, 1)
+        lam = Weight(2, 1, [3, 1, 2])
+        with pytest.raises(ValueError, match=why) as err:
+            VermaVector(alg, lam, {mono: 1})
+        assert str(tuple(mono)) in str(err.value)
+
 
 def brute_force_partitions(alg, drop):
     """Multisets of positive roots summing to drop, counted directly."""
