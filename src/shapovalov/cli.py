@@ -35,7 +35,9 @@ from .hessenberg import (
 from .pbw import gl
 from .shuffles import Shuffle, enumerate_shuffles
 from .construct import (
+    EVEN_ORDERINGS,
     INDEPENDENCE_CAP,
+    ODD_ORDERINGS,
     b_lambda,
     is_dominant_even,
     is_independent,
@@ -58,9 +60,6 @@ KAC_CAP = 2**8  # largest weight space, in monomials, kac-coeff will solve in
 # 10^|exponent|, in a time that grows without bound, and Python prints no
 # int of more than 4300 digits
 EXPONENT_CAP = 1000
-# the orderings compare checks by default, for an even and an odd root
-EVEN_ORDERS = ["standard", "bform"]
-ODD_ORDERS = ["middle", "odd-last", "odd-first", "bform"]
 
 
 def _parse_algebra(text):
@@ -256,7 +255,7 @@ def cmd_compare(args):
     _check_root_terms(alg, root)
     ij = alg.root_from_weight(root)
     if args.orders is None:
-        orders = ODD_ORDERS if ij is not None and alg.gen_parity(*ij) else EVEN_ORDERS
+        orders = list(ODD_ORDERINGS if ij is not None and alg.gen_parity(*ij) else EVEN_ORDERINGS)
     else:
         orders = args.orders.split(",")
     repeated = sorted(o for o, k in Counter(orders).items() if k > 1)
@@ -413,7 +412,7 @@ def build_parser():
     p = common(sub.add_parser("compare", help="compare factor orderings of one element"))
     p.add_argument("--root", required=True)
     p.add_argument("--orders", help="comma-separated orderings (default: "
-                   f"{','.join(EVEN_ORDERS)} for an even root, {','.join(ODD_ORDERS)} for an odd one)")
+                   f"{','.join(EVEN_ORDERINGS)} for an even root, {','.join(ODD_ORDERINGS)} for an odd one)")
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_compare)

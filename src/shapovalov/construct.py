@@ -696,14 +696,14 @@ def is_independent(alg: GLAlgebra, gamma: Weight, lam: Weight) -> bool:
     if gamma not in blam:
         raise ValueError("gamma must belong to B(lambda)")
     r, s = _gamma_indices(alg, gamma)
-    basis = weight_basis(alg, lam, gamma)
+    basis = weight_basis(alg, gamma)
     target_vec = coords_in_basis(theta_odd_alg(alg, r, s, "odd-last").verma_vector(lam), basis)
     columns = []
     for gamma_p in blam:
         if gamma_p == gamma:
             continue
         diff = gamma - gamma_p
-        monos = weight_basis(alg, lam, diff)
+        monos = weight_basis(alg, diff)
         if not monos:
             continue
         rp, sp = _gamma_indices(alg, gamma_p)
@@ -717,7 +717,7 @@ def is_independent(alg: GLAlgebra, gamma: Weight, lam: Weight) -> bool:
 def ordered_basis_coefficient(alg, gamma: Weight, v: VermaVector, odd_position: str):
     """Coefficient of the plain lowering generator e_{-gamma} in v, expanded
     in the PBW-like basis whose monomials put their odd factor first or last."""
-    monos = weight_basis(alg, v.lam, gamma)
+    monos = weight_basis(alg, gamma)
     words = []
     pure_index = None
     for idx, mono in enumerate(monos):

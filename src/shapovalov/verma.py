@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import lcm
 from operator import mul
 from types import MappingProxyType
@@ -367,53 +368,44 @@ def _add(acc, key, v, c):
         acc.pop(key, None)
 
 
-def weight_basis(alg: GLAlgebra, lam: Weight, drop: Weight):
-    """All canonical negative PBW monomials of weight -drop, in a fixed order.
+def weight_basis(alg: GLAlgebra, drop: Weight):
+    """All canonical negative PBW monomials of weight -drop for the
+    distinguished order, as tuples of (i, j, e) triples.
 
-    Returns the empty list when drop is not a non-negative combination of
-    positive roots.
+    drop is read in simple-root coordinates, the partial sums c_k = drop_1
+    + ... + drop_k: it lies in the positive cone iff c_N = 0 and every c_k
+    is a non-negative integer, and the list is empty otherwise.  A factor
+    e_ij (i > j) takes 1 from each of c_j ... c_{i-1}, so an even factor's
+    exponent is at most their minimum and an odd one's at most 1.  The
+    monomials come in ascending lexicographic order of their exponent
+    vectors over the factor order (pbw._codes).
     """
+    if any(x.denominator != 1 for x in drop.coords):
+        return []
+    c = list(accumulate(x.numerator for x in drop.coords))
+    if c.pop() or any(x < 0 for x in c):
+        return []
     codes = _codes(alg, None)
     gens = codes.gens[:codes.G // 2]
-    weights = [alg.gen_weight(j, i) for i, j in gens]  # positive root of e_{ij}
     out = []
 
-    def total_height(w):
-        return sum(abs(c) for c in w.coords)
+    def rec(idx, mono):
+        if not any(c):
+            out.append(mono)
+        elif idx < len(gens):
+            i, j = gens[idx]
+            span = range(j - 1, i - 1)  # c_j ... c_{i-1}
+            rec(idx + 1, mono)
+            cap = min(c[j - 1:i - 1])
+            cap = min(cap, 1) if alg.gen_parity(i, j) else cap
+            for e in range(1, cap + 1):
+                for k in span:
+                    c[k] -= 1
+                rec(idx + 1, mono + ((i, j, e),))
+            for k in span:
+                c[k] += cap
 
-    def rec(idx, remaining, acc):
-        if remaining.is_zero():
-            out.append(tuple(acc))
-            return
-        if idx == len(gens):
-            return
-        if any(c.denominator != 1 for c in remaining.coords):
-            return
-        i, j = gens[idx]
-        w = weights[idx]
-        cap = 1 if alg.gen_parity(i, j) else int(total_height(remaining))
-        rec(idx + 1, remaining, acc)
-        cur = remaining
-        for e in range(1, cap + 1):
-            cur = cur - w
-            if min_ok(cur):
-                rec(idx + 1, cur, acc + [(i, j, e)])
-            else:
-                break
-
-    def min_ok(w):
-        # necessary condition to stay in the positive cone: partial sums of
-        # coordinates from the left must be non-negative for type A
-        s = Fraction(0)
-        for c in w.coords:
-            s += c
-            if s < 0:
-                return False
-        return s == 0
-
-    if not min_ok(drop):
-        return []
-    rec(0, drop, [])
+    rec(0, ())
     return out
 
 

@@ -699,7 +699,7 @@ def _rank(rows):
 def _raising_matrix(alg, lam, drop, raising):
     """Basis of M(lam)_{lam - drop} and the matrix of the raising operators
     on it: one column per basis monomial, one row per (operator, monomial)."""
-    basis = weight_basis(alg, lam, drop)
+    basis = weight_basis(alg, drop)
     vac = vacuum(alg, lam)
     images = [
         [act([g], act([x for i, j, e in mono for x in [(i, j)] * e], vac)) for g in raising]

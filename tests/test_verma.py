@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -152,7 +153,8 @@ def monomial(alg, combo):
 
 def order_basis(alg, order, drop):
     """Canonical negative monomials of weight -drop for order, by brute force
-    over multisets of the order's negative generators."""
+    over multisets of the order's negative generators, listed by size and
+    then lexicographically, as combinations_with_replacement gives them."""
     gens = order_gens(alg, order)
     # a factor e_ij lowers the partial sums of the coordinates, taken in
     # the order's index sequence, by posn(i) - posn(j) >= 1 in total
@@ -160,19 +162,32 @@ def order_basis(alg, order, drop):
     partial = [sum(drop.coords[t - 1] for t in seq[:k]) for k in range(1, alg.N)]
     height = int(sum(partial))
     target = [-int(c) for c in drop.coords]
-    out = []
-    for size in range(height + 1):
-        for combo in combinations_with_replacement(gens, size):
-            w = [0] * alg.N
-            for i, j in combo:
-                w[i - 1] += 1
-                w[j - 1] -= 1
-            if w != target:
-                continue
-            mono = monomial(alg, combo)
-            if mono is not None:
-                out.append(mono)
-    return out
+    # final[g]: the coordinates no generator from gens[g] on touches
+    final = [[k for k in range(alg.N) if all(k + 1 not in gens[h] for h in range(g, len(gens)))]
+             for g in range(len(gens) + 1)]
+    w = [0] * alg.N
+    found = []
+
+    def rec(start, combo):
+        """Extend combo by letters from gens[start:] while target is in reach."""
+        if w == target:
+            found.append(combo)
+            return
+        if any(w[k] != target[k] for k in final[start]):
+            return
+        if sum(map(abs, map(sub, target, w))) > 2 * (height - len(combo)):
+            return  # a letter moves two coordinates by one each
+        for g in range(start, len(gens)):
+            i, j = gens[g]
+            w[i - 1] += 1
+            w[j - 1] -= 1
+            rec(g, combo + (g,))
+            w[i - 1] -= 1
+            w[j - 1] += 1
+
+    rec(0, ())
+    monos = (monomial(alg, [gens[g] for g in combo]) for combo in sorted(found, key=lambda c: (len(c), c)))
+    return [mono for mono in monos if mono is not None]
 
 
 class TestActOracle:
@@ -206,7 +221,7 @@ class TestActOracle:
         drops = [alg.gen_weight(seq[0], seq[-1]),
                  -sum((alg.gen_weight(*rng.choice(negs)) for _ in range(3)), Weight.zero(m, n))]
         for drop in drops:
-            basis = weight_basis(alg, lam, drop) if not shuffle else order_basis(alg, order, drop)
+            basis = weight_basis(alg, drop) if not shuffle else order_basis(alg, order, drop)
             if not shuffle:
                 assert sorted(basis) == sorted(order_basis(alg, order, drop))
             assert basis
@@ -527,14 +542,13 @@ def brute_force_partitions(alg, drop):
 class TestWeightBasis:
     def test_simple_root(self):
         alg = gl(3, 0)
-        lam = Weight.zero(3, 0)
         alpha = Weight.eps(3, 0, 1) - Weight.eps(3, 0, 2)
-        assert weight_basis(alg, lam, alpha) == [((2, 1, 1),)]
+        assert weight_basis(alg, alpha) == [((2, 1, 1),)]
 
     def test_gl3_top_root(self):
         alg = gl(3, 0)
         drop = Weight.eps(3, 0, 1) - Weight.eps(3, 0, 3)
-        basis = weight_basis(alg, Weight.zero(3, 0), drop)
+        basis = weight_basis(alg, drop)
         assert len(basis) == 2
         assert ((3, 1, 1),) in basis
         assert ((2, 1, 1), (3, 2, 1)) in basis
@@ -542,25 +556,55 @@ class TestWeightBasis:
     def test_gl22_odd_drop(self):
         alg = gl(2, 2)
         drop = Weight.eps(2, 2, 1) - Weight.delta(2, 2, 2)
-        assert len(weight_basis(alg, Weight.zero(2, 2), drop)) == 4
+        assert len(weight_basis(alg, drop)) == 4
 
     def test_outside_cone(self):
         alg = gl(2, 2)
-        assert weight_basis(alg, Weight.zero(2, 2), Weight.eps(2, 2, 1)) == []
+        assert weight_basis(alg, Weight.eps(2, 2, 1)) == []
         bad = Weight.eps(2, 2, 2) - Weight.eps(2, 2, 1)
-        assert weight_basis(alg, Weight.zero(2, 2), bad) == []
+        assert weight_basis(alg, bad) == []
+
+    @pytest.mark.parametrize("m, n", [(4, 0), (2, 2), (3, 2), (2, 3)])
+    def test_brute_force_set_and_lexicographic_order(self, m, n):
+        """For every sum of at most four positive roots, the basis is the
+        brute-force one as a set, and its exponent vectors over the factor
+        order ascend lexicographically."""
+        alg = gl(m, n)
+        roots = [w for w, _ in alg.positive_roots()]
+        factors = {g: k for k, g in enumerate(order_gens(alg, DISTINGUISHED))}
+        drops = {sum((roots[k] for k in combo), Weight.zero(m, n)).coords
+                 for size in range(5) for combo in combinations_with_replacement(range(len(roots)), size)}
+        for coords in drops:
+            drop = Weight(m, n, coords)
+            basis = weight_basis(alg, drop)
+            assert set(basis) == set(order_basis(alg, DISTINGUISHED, drop))
+            vectors = []
+            for mono in basis:
+                exps = [0] * len(factors)
+                for i, j, e in mono:
+                    exps[factors[i, j]] = e
+                vectors.append(exps)
+            assert all(a < b for a, b in zip(vectors, vectors[1:]))
+
+    def test_half_integral_coordinate(self):
+        """A drop off the root lattice, here with a half-integral simple-root
+        coordinate, has an empty weight space."""
+        alg = gl(2, 2)
+        half = Fraction(1, 2)
+        drop = Weight(2, 2, [1 + half, -half, 0, -1])
+        assert weight_basis(alg, drop) == []
+        assert weight_basis(alg, Weight(2, 2, [half, 0, 0, -half])) == []
 
     def test_counts_match_brute_force(self):
         for alg in (gl(3, 0), gl(2, 2)):
             simples = [alg.gen_weight(*g) for g in alg.simple_raising()]
-            lam = Weight.zero(alg.m, alg.n)
             seen = 0
             for ht in range(1, 6):
                 for combo in combinations_with_replacement(range(len(simples)), ht):
                     drop = Weight.zero(alg.m, alg.n)
                     for k in combo:
                         drop = drop + simples[k]
-                    assert len(weight_basis(alg, lam, drop)) == brute_force_partitions(alg, drop)
+                    assert len(weight_basis(alg, drop)) == brute_force_partitions(alg, drop)
                     seen += 1
             assert seen > 0
 
