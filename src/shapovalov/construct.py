@@ -73,7 +73,6 @@ from .pbw import GLAlgebra, PBWOrder, UEAElement, _codes, _expand_key, gl, norma
 from .shuffles import Shuffle, diagram_data, eta_weight
 from .verma import (
     VermaVector,
-    _leibniz,
     _letter,
     _merge,
     act,
@@ -127,12 +126,12 @@ class ShapovalovElement:
         """Sum over the chain's paths from start (1 by default, no positive
         part), each Cartan factor f attached as factor(f); see the top note."""
         alg, word = self.alg, self.pbw_order().word
-        codes, leibniz = _codes(alg, word), _leibniz(alg, word)
+        codes = _codes(alg, word)
         start = {(): Poly.one()} if start is None else {
             codes.encode(n + p): h for (n, p), h in start.terms.items()}
 
         def step(gen, terms, den):
-            return _letter(leibniz, codes.code[gen], terms), den
+            return _letter(codes, codes.code[gen], terms), den
 
         def scale(terms, den, f):
             c = factor(f)
@@ -801,17 +800,14 @@ def parse_root(alg: GLAlgebra, text: str) -> Weight:
 
 
 def raising_vectors(theta: ShapovalovElement):
-    if theta.borel is None:
-        return theta.alg.simple_raising()
-    from .shuffles import simple_roots as shuffle_simple_roots
-
-    return [ab for _, _, ab in shuffle_simple_roots(theta.borel)]
+    return list(_codes(theta.alg, theta.pbw_order().word).raising)
 
 
-def _is_singular(theta: ShapovalovElement, lam: Weight, raising) -> bool:
-    """theta v_lambda is nonzero and every raising operator kills it."""
+def _is_singular(theta: ShapovalovElement, lam: Weight) -> bool:
+    """theta v_lambda is nonzero and every simple raising operator of its
+    order kills it."""
     v = theta.verma_vector(lam)
-    return not v.is_zero() and is_highest_weight(v, raising)
+    return not v.is_zero() and is_highest_weight(v)
 
 
 def verify_highest_weight(
@@ -819,11 +815,10 @@ def verify_highest_weight(
 ) -> dict:
     """Sampled defining-property check; returns a machine-readable report."""
     hp = theta.hyperplane()
-    raising = raising_vectors(theta)
     points = sample_hyperplane(hp, seed, samples)
     results = []
     for lam in points:
-        results.append({"lambda": lam.to_json(), "passed": _is_singular(theta, lam, raising)})
+        results.append({"lambda": lam.to_json(), "passed": _is_singular(theta, lam)})
     report = {
         "constructor": theta.ordering,
         "root": root_to_str(theta.alg, theta.eta),
@@ -844,4 +839,4 @@ def verify_highest_weight_symbolic(theta: ShapovalovElement) -> bool:
     simple raising operator kills it at a generic point of the hyperplane."""
     alg = theta.alg
     lam = generic_point(alg.m, alg.n, [theta.hyperplane().constraint_poly()])
-    return _is_singular(theta, lam, raising_vectors(theta))
+    return _is_singular(theta, lam)

@@ -30,7 +30,11 @@ A triangular order (PBWOrder) numbers the G generators in factor order,
 once per algebra and order word (_codes): the negative ones take the
 codes below G // 2.  The kernel and the Verma action rewrite over these
 int codes, compare codes only, and read brackets and signs from the one
-code-indexed table of the numbering.
+code-indexed table of the numbering.  The numbering is the one context
+per algebra and order: it alone knows the letter code of a negative
+monomial, it owns the Verma action's Leibniz recursion (its step, memo and
+results; verma._letter takes the numbering), and raising lists the order's
+simple raising generators.
 """
 
 from __future__ import annotations
@@ -179,9 +183,28 @@ class _Codes:
     (-1)^{|a||b|}, and [a, b] is the sum of c times the generator coded r
     over the pairs (r, c) of items, plus h, the Cartan element x_i -+ x_j
     when a, b are e_ij, e_ji (None otherwise).  Both tables are filled on
-    first use."""
+    first use.  raising lists the order's simple raising generators, the
+    consecutive pairs of its index sequence.
 
-    __slots__ = ("alg", "G", "gens", "code", "weight", "bracket", "zero")
+    The numbering also owns the Verma action's Leibniz recursion
+    (verma._letter).  step(g, mono) gives the (negative monomial, value)
+    pairs of g mono v_lambda, for the code g of a generator and a canonical
+    negative monomial mono.  A value is an int when g is negative; when g
+    is positive it is the integer linear form (c0, c1, ..., cN) of
+    c0 + sum c_i lambda_i.  Leibniz rule on the first letter x of
+    mono = x rest: g x rest = [g, x] rest + (-1)^{|g||x|} x (g rest), and x
+    goes back in front of each monomial of g rest by the same rule.  A
+    negative g stops when it sorts before x (it goes in front) or equals it
+    (x's exponent goes up; an odd square is 0), a positive g at the empty
+    monomial, since g v_lambda = 0.  The bracket is a generator, or the
+    Cartan element x_a -+ x_b for g = e_ab, worth lambda_a -+ lambda_b plus
+    wt rest there.  memo holds the result of every step that does not stop
+    at once, on (g, mono); _letter clears it for each letter, and keeps in
+    results, across letters, what it asked of step.  No result depends on
+    lambda."""
+
+    __slots__ = ("alg", "G", "gens", "code", "weight", "bracket", "zero", "raising", "step", "memo",
+                 "results")
 
     def __init__(self, alg, word):
         seq, N = word or range(1, alg.N + 1), alg.N
@@ -202,6 +225,9 @@ class _Codes:
 
         self.weight = _Table(weight)
         self.bracket = _Table(self._bracket)
+        self.raising = tuple(zip(seq, seq[1:]))
+        self.memo, self.results = {}, {}
+        self.step = self._recursion()
 
     def _bracket(self, key):
         a, b = self.gens[key // self.G], self.gens[key % self.G]
@@ -212,6 +238,48 @@ class _Codes:
         terms = sbracket_gens(self.alg, a, b)
         items = tuple((self.code[g], c) for g, c in terms if not isinstance(g, Poly))
         return sign, items, None if items else terms[0][0]
+
+    def _recursion(self):
+        """The Leibniz recursion's step, over this numbering's tables."""
+        G, gens, table, offsets, zero, memo = self.G, self.gens, self.bracket, self.offsets, self.zero, self.memo
+        half, size = G // 2, self.alg.N + 1
+
+        def step(g, mono):
+            if not mono:
+                return (((g + G,), 1),) if g < half else ()
+            c = mono[0]
+            x = c % G
+            if g <= x:  # so g is negative, like x
+                if g != x:
+                    return (((g + G,) + mono, 1),)
+                return () if table[g * G + g][0] < 0 else (((c + G,) + mono[1:], 1),)
+            key = (g, mono)
+            out = memo.get(key)
+            if out is not None:
+                return out
+            sign, bracket, cartan = table[g * G + x]
+            rest = ((c - G,) + mono[1:]) if c >= 2 * G else mono[1:]
+            acc: dict = {}
+            if cartan is not None:
+                a, b = gens[g]
+                off = offsets(rest)
+                form = [0] * size
+                form[0], form[a], form[b] = off[a - 1] - sign * off[b - 1], 1, -sign
+                _add(acc, rest, tuple(form), 1)
+            for item, k in bracket:
+                pad = g >= half and item < half  # an int inside a raising step
+                for neg, v in step(item, rest):
+                    _add(acc, neg, (v,) + zero if pad else v, k)
+            for neg, v in step(g, rest):
+                if not neg or x < neg[0] % G:  # x goes in front, as step(x, neg) would put it
+                    _add(acc, (x + G,) + neg, v, sign)
+                    continue
+                for neg2, k in step(x, neg):
+                    _add(acc, neg2, v, k * sign)
+            out = memo[key] = tuple(acc.items())
+            return out
+
+        return step
 
     def encode(self, mono):
         """Codes of a canonical negative monomial; others are refused by name."""
@@ -241,6 +309,19 @@ class _Codes:
 @lru_cache(maxsize=None)
 def _codes(alg, word):
     return _Codes(alg, word)
+
+
+def _add(acc, key, v, c):
+    """acc[key] += c * v, for an int or a linear form v; a zero is dropped."""
+    s = acc.get(key)
+    if s is None:
+        acc[key] = v if c == 1 else v * c if type(v) is int else tuple(c * t for t in v)
+        return
+    s = s + v * c if type(v) is int else tuple(a + c * t for a, t in zip(s, v))
+    if s if type(s) is int else any(s):
+        acc[key] = s
+    else:
+        acc.pop(key, None)
 
 
 def _outside(alg, g):

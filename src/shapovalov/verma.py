@@ -3,15 +3,15 @@
 A vector is stored as a map from canonical negative PBW monomials to
 numerators over one common denominator; v_lambda is the empty monomial
 with numerator 1 over 1.  Inside the module a monomial is a flat tuple of
-ints in the order's numbering of the generators (pbw._codes): the letter
-x^e is e * G + r, with r the code of x, so raising an exponent adds G.
+int letters in the numbering of the order's generators, the one context
+per algebra and order (pbw._codes), which alone knows the letter code.
 Monomials are decoded to (i, j, e) triples only where a vector is read
-(terms, weight, str, to_json) and encoded where one is built from triples.
+(terms, weight, str) and encoded where one is built from triples.
 
 An element of U(g) acts one letter at a time from the right.  A Cartan
 part is evaluated at lambda plus the monomial's weight.  A generator g,
-negative or positive, goes through one Leibniz recursion on the
-monomial's first factor x (_leibniz):
+negative or positive, goes through the numbering's one Leibniz recursion
+on the monomial's first factor x (_letter, pbw._Codes.step):
 g x rest = [g, x] rest + (-1)^{|g||x|} x (g rest).  A negative g stops at
 once when it sorts before x or equals it, a positive g at v_lambda, which
 it kills.  No word reaches the straightening kernel; it serves UEA
@@ -34,7 +34,6 @@ monomial when it is read.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from math import lcm
 from operator import mul
@@ -166,16 +165,6 @@ class VermaVector:
 
     __repr__ = __str__
 
-    def to_json(self):
-        pol = lambda c: c.to_json() if isinstance(c, Poly) else Poly.const(c).to_json()
-        return {
-            "lambda": self.lam.to_json(),
-            "terms": [
-                {"factors": [list(t) for t in neg], "h": pol(c)}
-                for neg, c in sorted(self.terms.items())
-            ],
-        }
-
 
 def _merge(acc: dict, den: int, nums: dict, d: int) -> int:
     """Add nums / d to acc / den in place, over their least common
@@ -211,7 +200,6 @@ def act(x, v: VermaVector) -> VermaVector:
     alg, lam, order = v.alg, v.lam, v.order
     codes = _codes(alg, order.word)
     code, half = codes.code, codes.G // 2
-    leibniz = _leibniz(alg, order.word)
     D, point = lam.scaled()
     at = (D,) + point
     if isinstance(x, UEAElement):
@@ -231,7 +219,7 @@ def act(x, v: VermaVector) -> VermaVector:
                 d *= f
             else:
                 g = code[a]
-                nums = _letter(leibniz, g, nums, at)
+                nums = _letter(codes, g, nums, at)
                 if g >= half:
                     d *= D
         if not out and nums is not v.nums:
@@ -263,15 +251,16 @@ def _cartan(D, point, h, nums, offsets):
     return out, D ** d
 
 
-def _letter(leibniz, g, nums, at=None):
-    """The generator with code g on each monomial of nums, by the
-    recursion leibniz = _leibniz(alg, word).  A lowering value is an int, so
-    a lowering g takes no at; a raising one is a linear form, worth c0 * D +
-    sum c_i * (D * lambda_i) at at = (D, D * lambda_1, ...): it puts D on
-    the denominator.  At a generic point D is 1, the D * lambda_i are Polys
-    and a zero coefficient multiplies none of them.  The result for (g,
-    mono) is kept in the recursion's results unless its step stops at once."""
-    step, memo, results = leibniz
+def _letter(codes, g, nums, at=None):
+    """The generator with code g on each monomial of nums, by the Leibniz
+    recursion of the numbering codes (pbw._Codes.step).  A lowering value
+    is an int, so a lowering g takes no at; a raising one is a linear form,
+    worth c0 * D + sum c_i * (D * lambda_i) at at = (D, D * lambda_1, ...):
+    it puts D on the denominator.  At a generic point D is 1, the
+    D * lambda_i are Polys and a zero coefficient multiplies none of them.
+    The result for (g, mono) is kept in codes.results unless its step stops
+    at once."""
+    step, memo, results = codes.step, codes.memo, codes.results
     memo.clear()
     generic = at is not None and isinstance(at[-1], Poly)
     out: dict = {}
@@ -287,85 +276,6 @@ def _letter(leibniz, g, nums, at=None):
                 v = sum([c * a for c, a in zip(v, at) if c]) if generic else sum(map(mul, v, at))
             _accumulate(out, neg, x if v == 1 else x * v)
     return out
-
-
-@lru_cache(maxsize=None)
-def _leibniz(alg, word):
-    """(step, memo, results) for one algebra and order word.  step(g, mono)
-    gives the (negative monomial, value) pairs of g mono v_lambda, for the
-    code g of a generator and a canonical negative monomial mono, all in
-    the order's codes (pbw._codes).  A value is an int when g is negative;
-    when g is positive it is the integer linear form (c0, c1, ..., cN) of
-    c0 + sum c_i lambda_i.
-
-    Leibniz rule on the first letter x of mono = x rest:
-    g x rest = [g, x] rest + (-1)^{|g||x|} x (g rest), and x goes back in
-    front of each monomial of g rest by the same rule.  A negative g stops
-    when it sorts before x (it goes in front) or equals it (x's exponent
-    goes up; an odd square is 0), a positive g at the empty monomial, since
-    g v_lambda = 0.  The bracket is a generator, or the Cartan element
-    x_a -+ x_b for g = e_ab, worth lambda_a -+ lambda_b plus wt rest there.
-    Brackets come from the numbering's table (pbw._Codes.bracket).  memo
-    holds the result of every step that does not stop at once, on
-    (g, mono); _letter clears it for each letter, and keeps in results,
-    across letters, what it asked of step.  No result depends on lambda.
-    """
-    codes = _codes(alg, word)
-    G, gens, table, offsets, zero = codes.G, codes.gens, codes.bracket, codes.offsets, codes.zero
-    half = G // 2
-    memo: dict = {}
-    results: dict = {}
-    size = alg.N + 1
-
-    def step(g, mono):
-        if not mono:
-            return (((g + G,), 1),) if g < half else ()
-        c = mono[0]
-        x = c % G
-        if g <= x:  # so g is negative, like x
-            if g != x:
-                return (((g + G,) + mono, 1),)
-            return () if table[g * G + g][0] < 0 else (((c + G,) + mono[1:], 1),)
-        key = (g, mono)
-        out = memo.get(key)
-        if out is not None:
-            return out
-        sign, bracket, cartan = table[g * G + x]
-        rest = ((c - G,) + mono[1:]) if c >= 2 * G else mono[1:]
-        acc: dict = {}
-        if cartan is not None:
-            a, b = gens[g]
-            off = offsets(rest)
-            form = [0] * size
-            form[0], form[a], form[b] = off[a - 1] - sign * off[b - 1], 1, -sign
-            _add(acc, rest, tuple(form), 1)
-        for item, k in bracket:
-            pad = g >= half and item < half  # an int inside a raising step
-            for neg, v in step(item, rest):
-                _add(acc, neg, (v,) + zero if pad else v, k)
-        for neg, v in step(g, rest):
-            if not neg or x < neg[0] % G:  # x goes in front, as step(x, neg) would put it
-                _add(acc, (x + G,) + neg, v, sign)
-                continue
-            for neg2, k in step(x, neg):
-                _add(acc, neg2, v, k * sign)
-        out = memo[key] = tuple(acc.items())
-        return out
-
-    return step, memo, results
-
-
-def _add(acc, key, v, c):
-    """acc[key] += c * v, for an int or a linear form v; a zero is dropped."""
-    s = acc.get(key)
-    if s is None:
-        acc[key] = v if c == 1 else v * c if type(v) is int else tuple(c * t for t in v)
-        return
-    s = s + v * c if type(v) is int else tuple(a + c * t for a, t in zip(s, v))
-    if s if type(s) is int else any(s):
-        acc[key] = s
-    else:
-        acc.pop(key, None)
 
 
 def weight_basis(alg: GLAlgebra, drop: Weight):
@@ -410,11 +320,14 @@ def weight_basis(alg: GLAlgebra, drop: Weight):
 
 
 def is_highest_weight(v: VermaVector, raising=None) -> bool:
-    """True iff every simple raising operator of the chosen Borel kills v."""
+    """True iff every generator in raising kills v.  By default raising
+    holds the simple raising generators of v's own order (pbw._Codes.raising):
+    e_{k,k+1} for the distinguished order, e_ab for each consecutive pair
+    a b of a Borel order's word."""
     if v.is_zero():
         raise ValueError("the zero vector is not a highest weight vector")
     if raising is None:
-        raising = v.alg.simple_raising()
+        raising = _codes(v.alg, v.order.word).raising
     for g in raising:
         if not act([g], v).is_zero():
             return False

@@ -452,6 +452,8 @@ class TestErrors:
          f"weight coordinate '1e-30000000' has an exponent beyond {EXPONENT_CAP} in size"),
         (["minimal", "--algebra", "2,1", "--weight", f"0,0,1E+{EXPONENT_CAP + 1}"], None,
          f"weight coordinate '1E+{EXPONENT_CAP + 1}' has an exponent beyond {EXPONENT_CAP} in size"),
+        (["theta", "--algebra", "3"], None, "need --root (or --borel with a shuffle word)"),
+        (["det", "--algebra", "3", "--matrix", "X"], None, "unknown matrix 'X'"),
     ])
     def test_input_caps(self, capsys, monkeypatch, argv, env, message):
         # refused from the arguments alone, before anything is built

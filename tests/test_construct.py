@@ -264,6 +264,30 @@ class TestBorel:
         sh = Shuffle.parse(2, 2, "1 1' 2 2'")
         assert raising_vectors(theta_borel(sh)) == [(1, 3), (3, 2), (2, 4)]
 
+    @pytest.mark.parametrize("m, n, word", [(2, 2, "1 1' 2 2'"), (3, 2, "1 1' 2 3 2'")])
+    def test_highest_weight_default_follows_borel(self, m, n, word):
+        """With no raising argument, is_highest_weight tests the simple
+        raising generators of the vector's own order, not e_{k,k+1}."""
+        theta = theta_borel(Shuffle.parse(m, n, word))
+        hp = theta.hyperplane()
+        lam = sample_hyperplane(hp, 0, 1)[0]
+        assert is_highest_weight(theta.verma_vector(lam))
+        assert is_highest_weight(theta.verma_vector(generic_point(m, n, [hp.constraint_poly()])))
+        off = Weight(m, n, [lam.coords[0] + 1] + list(lam.coords[1:]))
+        assert not is_highest_weight(theta.verma_vector(off))
+
+    @pytest.mark.parametrize("build, args, message", [
+        (theta_even_eps, (gl(3), 2, 2), "need 1 <= a < b <= m for an eps root, got (2,2)"),
+        (theta_even_delta, (gl(2, 2), 1, 3), "need 1 <= a < b <= n for a delta root, got (1,3)"),
+        (theta_odd_alg, (gl(2, 2), 3, 1), "odd root indices r=3, s=1 out of range for gl(2,2)"),
+        (theta_glmn_distinguished, (0, 1), "need m, n >= 1"),
+        (theta_for_root, (gl(3), Weight(3, 0, [1, 1, -2])), "(1, 1, -2) is not a root of gl(3,0)"),
+    ])
+    def test_constructors_refuse_bad_indices(self, build, args, message):
+        with pytest.raises(ValueError) as err:
+            build(*args)
+        assert str(err.value) == message
+
     def test_refuses_purely_even_shuffle(self):
         with pytest.raises(ValueError, match="^shuffle Borels need n >= 1$"):
             theta_borel(Shuffle(3, 0, (1, 2, 3)))

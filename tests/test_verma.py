@@ -336,7 +336,7 @@ class TestActWork:
         vector, so the recursion's results hold it once: repeating an
         action, or acting at another weight, stores nothing new.  The
         straightening kernel's cache holds no action result."""
-        verma._leibniz.cache_clear()
+        pbw._codes.cache_clear()
         theta = theta_glmn_distinguished(3, 2)
         body = theta.body
         lam, mu = sample_hyperplane(theta.hyperplane(), seed=1, count=2)
@@ -349,7 +349,7 @@ class TestActWork:
 
         kernel = len(pbw._NF_CACHE)
         first = acts(lam)
-        results = verma._leibniz(theta.alg, None)[2]
+        results = pbw._codes(theta.alg, None).results
         assert results
         size = len(results)
         assert acts(lam) == first
@@ -400,7 +400,7 @@ def leibniz(alg, order, g, mono):
     encoded for the order, and the result's monomials decoded."""
     codes = pbw._codes(alg, order.word)
     out = {}
-    for neg, v in verma._leibniz(alg, order.word)[0](codes.code[g], codes.encode(mono)):
+    for neg, v in codes.step(codes.code[g], codes.encode(mono)):
         if type(v) is not int:
             v = sum((c * Poly.x(i) for i, c in enumerate(v) if i and c), Poly.const(v[0]))
         out[codes.decode(neg)] = v
