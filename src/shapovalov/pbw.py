@@ -13,28 +13,29 @@ factors appearing with exponent at most one.  Two rules do all the work:
     [e_{ab}, e_{cd}] = d_{bc} e_{ad} - (-1)^{p(e_ab) p(e_cd)} d_{da} e_{cb}
     H(x) e_{ij} = e_{ij} H(x + w),  w = +1 at i, -1 at j.
 
-The straightening kernel _nf_atoms rewrites words made only of generators.
-The Cartan element x_i -+ x_j that a bracket [e_ij, e_ji] leaves behind is
-moved to the right end of the word in one constant shift and carried beside
-the word; it is put between the negative and positive parts when the word
-is ordered.  Products go through one splice: the product of terms
-(n1 h1 p1)(n2 h2 p2) moves h1 to the far left and h2 to the far right,
-straightens the generator word n1 p1 n2 p2 once, and puts each Cartan part
-back with a single shift.  The UEA product and normal_order (a free word
-with Cartan atoms is the product of its runs) use it; the Verma action
-and construct's chain sums do not (see verma.act) and call no kernel.
-The kernel caches every word it straightens: a word has no Cartan part,
-so its normal form serves every product it is met in.
+U(g) is straightened by one Leibniz recursion, that of the numbering
+below.  The straightening kernel _nf_atoms normal-orders words made only
+of generators: it applies the word's letters to 1 from the right, each
+letter to the negative part of every term n H p by the recursion, and a
+positive letter left over at the end goes past H with one shift and into
+p by the same recursion.  Products go through one splice: the product of
+terms (n1 h1 p1)(n2 h2 p2) moves h1 to the far left and h2 to the far
+right, straightens the generator word n1 p1 n2 p2 once, and puts each
+Cartan part back with a single shift.  The UEA product and normal_order
+(a free word with Cartan atoms is the product of its runs) use it; the
+Verma action and construct's chain sums do not (see verma.act) and call
+no kernel.  The kernel caches every word it straightens: a word has no
+Cartan part, so its normal form serves every product it is met in.
 
 A triangular order (PBWOrder) numbers the G generators in factor order,
 once per algebra and order word (_codes): the negative ones take the
-codes below G // 2.  The kernel and the Verma action rewrite over these
-int codes, compare codes only, and read brackets and signs from the one
+codes below G // 2.  The kernel and the Verma action work over these int
+codes, compare codes only, and read brackets and signs from the one
 code-indexed table of the numbering.  The numbering is the one context
-per algebra and order: it alone knows the letter code of a negative
-monomial, it owns the Verma action's Leibniz recursion (its step, memo and
-results; verma._letter takes the numbering), and raising lists the order's
-simple raising generators.
+per algebra and order: it alone knows the letter code of a monomial, it
+owns the Leibniz recursion (the Verma action's step, with its memo and
+results, verma._letter taking the numbering; and times, the kernel's
+instance of it), and raising lists the order's simple raising generators.
 """
 
 from __future__ import annotations
@@ -75,10 +76,6 @@ class GLAlgebra:
 
     def gen_weight(self, i: int, j: int) -> Weight:
         return self.basis_weight(i) - self.basis_weight(j)
-
-    def simple_raising(self):
-        """The distinguished simple raising generators e_{k,k+1}."""
-        return [(k, k + 1) for k in range(1, self.N)]
 
     def positive_roots(self):
         """All positive roots as (Weight, (i, j)) with e_{ji} the lowering vector."""
@@ -176,7 +173,7 @@ class _Codes:
     below G // 2 is negative, and refuses a generator outside the algebra
     with a ValueError.  A word of generators is a tuple of codes.
 
-    A negative monomial is a tuple of letters: x^e is the int e * G +
+    A monomial is a tuple of letters: x^e is the int e * G +
     code[x], so r = c % G, e = c // G, and raising x's exponent adds G.
     weight maps a letter to wt x^e as N int offsets.  bracket maps
     a * G + b, for generator codes a and b, to (sign, items, h): sign is
@@ -201,10 +198,18 @@ class _Codes:
     wt rest there.  memo holds the result of every step that does not stop
     at once, on (g, mono); _letter clears it for each letter, and keeps in
     results, across letters, what it asked of step.  No result depends on
-    lambda."""
+    lambda.
+
+    times is the same recursion, with its own memo, for the word kernel
+    (_nf_atoms): it works in U(g) rather than on v_lambda, so a positive g
+    at the empty monomial stays as the last letter (g + G,) with value 1.
+    A raising g then gives two kinds of pairs: a linear form, read as the
+    Cartan polynomial that sits right of the monomial, or an int, for a
+    monomial that ends in one positive letter.  The same step sorts a
+    positive g into a monomial of positive letters."""
 
     __slots__ = ("alg", "G", "gens", "code", "weight", "bracket", "zero", "raising", "step", "memo",
-                 "results")
+                 "results", "times")
 
     def __init__(self, alg, word):
         seq, N = word or range(1, alg.N + 1), alg.N
@@ -227,7 +232,8 @@ class _Codes:
         self.bracket = _Table(self._bracket)
         self.raising = tuple(zip(seq, seq[1:]))
         self.memo, self.results = {}, {}
-        self.step = self._recursion()
+        self.step = self._recursion(self.memo)
+        self.times = self._recursion({}, keep=True)
 
     def _bracket(self, key):
         a, b = self.gens[key // self.G], self.gens[key % self.G]
@@ -239,17 +245,18 @@ class _Codes:
         items = tuple((self.code[g], c) for g, c in terms if not isinstance(g, Poly))
         return sign, items, None if items else terms[0][0]
 
-    def _recursion(self):
-        """The Leibniz recursion's step, over this numbering's tables."""
-        G, gens, table, offsets, zero, memo = self.G, self.gens, self.bracket, self.offsets, self.zero, self.memo
+    def _recursion(self, memo, keep=False):
+        """The Leibniz recursion's step, over this numbering's tables; with
+        keep, a positive g at the empty monomial stays as a last letter."""
+        G, gens, table, offsets, zero = self.G, self.gens, self.bracket, self.offsets, self.zero
         half, size = G // 2, self.alg.N + 1
 
         def step(g, mono):
             if not mono:
-                return (((g + G,), 1),) if g < half else ()
+                return (((g + G,), 1),) if keep or g < half else ()
             c = mono[0]
             x = c % G
-            if g <= x:  # so g is negative, like x
+            if g <= x:  # so g has x's sign
                 if g != x:
                     return (((g + G,) + mono, 1),)
                 return () if table[g * G + g][0] < 0 else (((c + G,) + mono[1:], 1),)
@@ -339,17 +346,6 @@ DISTINGUISHED = PBWOrder()
 # ---------------------------------------------------------------------------
 # normal ordering
 
-def _violation(word, codes, start=0):
-    """Index of the first adjacent pair of codes out of order at or after
-    start, or None."""
-    G, bracket = codes.G, codes.bracket
-    for k in range(start, len(word) - 1):
-        a, b = word[k], word[k + 1]
-        if a > b or a == b and bracket[a * G + a][0] < 0:
-            return k  # an odd square: the term dies
-    return None
-
-
 def _offsets(off, part, sign):
     """Add sign * wt(part) to the coordinate offsets off; part holds (i, j, exp)."""
     for i, j, e in part:
@@ -367,24 +363,12 @@ def _accumulate(acc, key, val):
         acc.pop(key, None)
 
 
-def _fold(word, coeff, cart, out, codes):
-    """Accumulate an ordered word of codes, times the Cartan part cart
-    carried at its right end (None for 1), into the terms dict; its runs
-    of equal codes become (i, j, e) triples."""
-    half, gens = codes.G // 2, codes.gens
-    neg = []
-    pos = []
-    for c in word:
-        part = neg if c < half else pos
-        if part and part[-1][0] == c:
-            part[-1][1] += 1
-        else:
-            part.append([c, 1])
-    key = (tuple(gens[c] + (e,) for c, e in neg), tuple(gens[c] + (e,) for c, e in pos))
-    if cart is None:
-        _accumulate(out, key, Poly.const(coeff))
-    else:  # pos H = H(x - wt pos) pos
-        _accumulate(out, key, (cart.shifted(_offsets({}, key[1], -1)) if pos else cart) * coeff)
+def _linear(form):
+    """The Cartan polynomial c0 + sum c_i x_i of a linear form (c0, c1, ..., cN)."""
+    terms = {(0,) * (i - 1) + (1,): c for i, c in enumerate(form) if i and c}
+    if form[0]:
+        terms[()] = form[0]
+    return Poly(terms)
 
 
 _NF_CACHE: dict = {}
@@ -393,45 +377,39 @@ _NF_CACHE: dict = {}
 def _nf_atoms(alg: GLAlgebra, atoms, *, order: PBWOrder = DISTINGUISHED) -> MappingProxyType:
     """Straighten a word of generator pairs; returns a read-only {(neg, pos): Poly}.
 
-    The word is rewritten over the order's codes (_codes).  The Cartan part
-    x_i -+ x_j of a bracket [e_ij, e_ji] moves to the right end of the
-    word, shifted by the weight it passes, and rides there until the word
-    is ordered.  Every word is cached; the cache holds the read-only views
-    it hands out, so no caller can change a later straightening.
+    The word's letters act on 1 from the right, one at a time, on terms
+    n H p kept over the order's codes (_codes), by the numbering's Leibniz
+    recursion (_Codes.times).  A lowering letter gives int multiples of
+    monomials n'.  A raising letter gives a linear form, the Cartan part
+    that sits between n' and H and multiplies H, or a leftover positive
+    letter q at the end of n': q H p = H(x - wt q) q p, and q goes into p
+    by the same step.  Every word is cached; the cache holds the read-only
+    views it hands out, so no caller can change a later straightening.
     """
     key = (alg.m, alg.n, order.word, tuple(atoms))
     hit = _NF_CACHE.get(key)
     if hit is not None:
         return hit
     codes = _codes(alg, order.word)
-    G, gens, bracket, offsets = codes.G, codes.gens, codes.bracket, codes.offsets
-    out: dict = {}
-    # each word carries where its scan starts: a rewrite at k leaves the
-    # pairs before k - 1 ordered, so the first violation is not before it
-    stack = [(tuple(map(codes.code.__getitem__, key[3])), 1, None, 0)]
-    while stack:
-        word, coeff, cart, start = stack.pop()
-        k = _violation(word, codes, start)
-        if k is None:
-            _fold(word, coeff, cart, out, codes)
-            continue
-        a, b = word[k], word[k + 1]
-        if a == b:
-            continue  # an odd square is zero
-        head, tail = word[:k], word[k + 2:]
-        sign, items, h = bracket[a * G + b]
-        start = max(k - 1, 0)
-        stack.append((head + (b, a) + tail, coeff * sign, cart, start))
-        for item, c in items:
-            stack.append((head + (item,) + tail, coeff * c, cart, start))
-        if h is not None:
-            # h = x_i - sign x_j picks up wt(tail) at i minus sign times it at j
-            i, j = gens[a]
-            off = offsets([c + G for c in tail])
-            d = off[i - 1] - sign * off[j - 1]
-            h = h + d if d else h
-            stack.append((head + tail, coeff, h if cart is None else cart * h, start))
-    out = _NF_CACHE[key] = MappingProxyType(out)
+    G, half, gens, times = codes.G, codes.G // 2, codes.gens, codes.times
+    terms = {((), ()): Poly.one()}
+    for g in map(codes.code.__getitem__, reversed(key[3])):
+        out: dict = {}
+        for (n, p), h in terms.items():
+            for n2, v in times(g, n):
+                if type(v) is not int:  # n2 (v h) p
+                    _accumulate(out, (n2, p), h * _linear(v))
+                elif n2[-1] % G < half:  # v n2 h p
+                    _accumulate(out, (n2, p), h if v == 1 else h * v)
+                else:  # n2 = n' q, and q h p = h(x - wt q) q p
+                    q = n2[-1] - G
+                    i, j = gens[q]
+                    hq = h.shifted({i: -1, j: 1}) * v
+                    for p2, k in times(q, p):
+                        _accumulate(out, (n2[:-1], p2), hq if k == 1 else hq * k)
+        terms = out
+    decode = codes.decode
+    out = _NF_CACHE[key] = MappingProxyType({(decode(n), decode(p)): h for (n, p), h in terms.items()})
     return out
 
 

@@ -7,6 +7,7 @@ from itertools import groupby, product
 
 import pytest
 
+from shapovalov import pbw
 from shapovalov.exact_algebra import Poly
 from shapovalov.pbw import (
     DISTINGUISHED,
@@ -120,10 +121,17 @@ class TestNormalOrder:
 
     def test_cached_normal_form_is_read_only(self):
         # the cache hands out its stored normal form; a caller that could
-        # change it would change every later straightening of the word
+        # change it would change every later straightening of the word.
+        # The cache is the module dict _NF_CACHE, one entry per word.
         alg = gl(2, 2)
         word = [(1, 2), (3, 1), (2, 1), (4, 2)]
+        cache = pbw._NF_CACHE
+        assert type(cache) is dict
+        cache.clear()  # so the word is fresh
         nf = _nf_atoms(alg, word)
+        assert len(cache) == 1
+        assert _nf_atoms(alg, word) is nf
+        assert len(cache) == 1
         expected = dict(nf)
         assert expected
         key = next(iter(nf))
@@ -247,22 +255,30 @@ class TestOrder:
 
 
 class TestReference:
-    @pytest.mark.parametrize("m, n, posword", [
-        pytest.param(m, n, w, id=f"gl({m},{n})-{''.join(map(str, w))}")
+    @pytest.mark.parametrize("m, n, posword, pure", [
+        pytest.param(m, n, w, False, id=f"gl({m},{n})-{''.join(map(str, w))}")
         for m, n, w in [(2, 2, (1, 2, 3, 4)), (3, 1, (1, 2, 3, 4)), (2, 1, (1, 2, 3)),
-                        (2, 2, (1, 3, 2, 4)), (2, 1, (3, 1, 2)), (3, 2, (1, 4, 2, 5, 3))]
-    ])
-    def test_matches_normal_order(self, m, n, posword):
+                        (2, 2, (1, 3, 2, 4)), (2, 1, (3, 1, 2)), (3, 2, (1, 4, 2, 5, 3)),
+                        (2, 2, (1, 3, 4, 2)), (2, 2, (3, 1, 2, 4)), (2, 2, (3, 1, 4, 2)),
+                        (2, 2, (3, 4, 1, 2)), (2, 1, (1, 3, 2))]
+    ] + [pytest.param(3, 2, (1, 4, 2, 5, 3), True, id="gl(3,2)-14253-pure")])
+    def test_matches_normal_order(self, m, n, posword, pure):
         """200 random words of length at most 6, about 40 % of them with a
-        Cartan atom (a polynomial or a diagonal unit e_kk)."""
+        Cartan atom (a polynomial or a diagonal unit e_kk); every shuffle
+        order of gl(2,1) and gl(2,2).  A pure case passes words of
+        generators alone, of length at most 8, straight to _nf_atoms."""
         alg = gl(m, n)
         order = PBWOrder(posword)
         reference = reference_straightener(m, posword)
-        rng = random.Random(f"{m},{n},{posword}")
+        rng = random.Random(f"{m},{n},{posword}" + (",pure" if pure else ""))
         gens = gens_of(alg)
         carts = [Poly.x(k) for k in range(1, alg.N + 1)] + [(k, k) for k in range(1, alg.N + 1)]
         carts += [Poly.x(1) * Poly.x(alg.N) - 2, Poly.x(2) ** 2 + Fraction(1, 3)]
         for _ in range(200):
+            if pure:
+                word = tuple(rng.choice(gens) for _ in range(rng.randint(1, 8)))
+                assert dict(_nf_atoms(alg, word, order=order)) == reference(word), word
+                continue
             word = [rng.choice(gens) for _ in range(rng.randint(1, 6))]
             if rng.random() < 0.4:
                 word[rng.randrange(len(word))] = rng.choice(carts)

@@ -21,6 +21,7 @@ from shapovalov.verma import (
 )
 from shapovalov.construct import theta_gl, theta_glmn_distinguished, theta_power
 from shapovalov.shuffles import enumerate_shuffles
+from test_pbw import reference_straightener
 
 
 def rand_weight(rng, m, n):
@@ -345,7 +346,7 @@ class TestActWork:
 
         def acts(lam):
             w = act(body, vacuum(theta.alg, lam))
-            return [w, act(power, v)] + [act([g], w) for g in theta.alg.simple_raising()]
+            return [w, act(power, v)] + [act([g], w) for g in pbw._codes(theta.alg, None).raising]
 
         kernel = len(pbw._NF_CACHE)
         first = acts(lam)
@@ -373,7 +374,7 @@ class TestActWork:
 
         monkeypatch.setattr(Poly, "__mul__", checked)
         monkeypatch.setattr(Poly, "__rmul__", checked)
-        for g in theta.alg.simple_raising():
+        for g in pbw._codes(theta.alg, None).raising:
             assert act([g], v).is_zero()
         assert seen
 
@@ -389,9 +390,16 @@ def prepend_cases(size_cap=5):
             yield pytest.param(gl(m, n), PBWOrder(sh.word), id=f"gl({m},{n})-{sh}")
 
 
-def kernel_prepend(alg, order, g, mono):
-    nf = pbw._nf_atoms(alg, (g,) + tuple(pbw._expand_key(mono)), order=order)
-    return {neg: h.terms[()] for (neg, _), h in nf.items()}
+def prepend(straighten, g, mono):
+    """g mono as {negative monomial: int}, by straighten, a normal form of
+    generator words."""
+    return {neg: h.terms[()] for (neg, _), h in straighten((g,) + tuple(pbw._expand_key(mono))).items()}
+
+
+def reference(alg, order):
+    """The reference straightener of tests/test_pbw.py, which shares no code
+    with pbw, for the order."""
+    return reference_straightener(alg.m, tuple(order_seq(alg, order)))
 
 
 def leibniz(alg, order, g, mono):
@@ -422,11 +430,14 @@ class TestPrepend:
     def test_matches_kernel(self, alg, order):
         """g mono for every negative generator g and every canonical negative
         monomial of total degree at most 3, and at most 4 for m+n <= 4:
-        exponents up to 4, and a generator that travels past three factors."""
+        exponents up to 4, and a generator that travels past three factors.
+        The recursion, which pbw's word kernel runs on too, is checked
+        against the reference straightener."""
         gens = order_gens(alg, order)
+        straighten = reference(alg, order)
         for mono in monomials(alg, order, 4 if alg.N <= 4 else 3):
             for g in gens:
-                expected = kernel_prepend(alg, order, g, mono)
+                expected = prepend(straighten, g, mono)
                 assert leibniz(alg, order, g, mono) == expected, (g, mono)
 
     @pytest.mark.parametrize("alg, order, g, mono, expected", [
@@ -442,7 +453,8 @@ class TestPrepend:
     ])
     def test_cheap_cases(self, alg, order, g, mono, expected):
         assert leibniz(alg, order, g, mono) == expected
-        assert kernel_prepend(alg, order, g, mono) == expected
+        assert prepend(lambda word: pbw._nf_atoms(alg, word, order=order), g, mono) == expected
+        assert prepend(reference(alg, order), g, mono) == expected
 
 
 class TestRaising:
@@ -451,14 +463,15 @@ class TestRaising:
         """g mono v_lambda for every positive generator g of the order,
         simple or not, and every canonical negative monomial of total degree
         at most 3: the recursion's linear forms are the Cartan parts of the
-        normal-ordered word g mono that have no positive factor."""
+        word g mono, normal-ordered by the reference straightener, that have
+        no positive factor."""
         place = {v: k for k, v in enumerate(order_seq(alg, order))}
         positive = [(i, j) for i in place for j in place if place[i] < place[j]]
+        straighten = reference(alg, order)
         for mono in monomials(alg, order, 3):
-            word = list(pbw._expand_key(mono))
+            word = tuple(pbw._expand_key(mono))
             for g in positive:
-                expected = {n: h for (n, p), h in normal_order(alg, [g] + word, order).terms.items()
-                            if not p}
+                expected = {n: h for (n, p), h in straighten((g,) + word).items() if not p}
                 assert leibniz(alg, order, g, mono) == expected, (g, mono)
 
 
@@ -597,7 +610,7 @@ class TestWeightBasis:
 
     def test_counts_match_brute_force(self):
         for alg in (gl(3, 0), gl(2, 2)):
-            simples = [alg.gen_weight(*g) for g in alg.simple_raising()]
+            simples = [alg.gen_weight(*g) for g in pbw._codes(alg, None).raising]
             seen = 0
             for ht in range(1, 6):
                 for combo in combinations_with_replacement(range(len(simples)), ht):
