@@ -167,8 +167,7 @@ class ShapovalovElement:
 
         def scale_at(at):
             def scale(nums, den, f):
-                d = f.degree()
-                c = eval_scaled(f, at, D, d)
+                c, d = eval_scaled(f, at, D)
                 return ({k: x * c for k, x in nums.items()} if c else {}), den * D ** d
             return scale
 

@@ -10,16 +10,22 @@ e_{ii}; they double as elements of U(h) and as polynomial functions of a
 weight's coordinates.  A coefficient is an int when its denominator is 1,
 else a Fraction: the constructed elements have integer coefficients
 throughout, and rationals only enter when a rational weight is substituted.
+A monomial is one packed int, each exponent in an 8-bit field (_BITS), so
+a product of monomials is an int addition; total degree is capped at 255
+(_MAX_DEG), and a result past it is refused with a ValueError, never
+wrapped into the next field.  Exponent tuples are the public boundary:
+Poly(...) takes them, and terms, str, latex and to_json give them back.
 
 The straightener moves Cartan parts past generators (H(x) e = e H(x + w))
 and evaluates them at sampled weights, so two substitutions are hot and
 have their own kernels: Poly.shifted is a binomial (Taylor) shift, and
 eval_scaled evaluates at the integer point D * lambda (Weight.scaled reads
-a weight once as its common denominator D and those integers), times D^d;
-eval_at divides by D^d once, and the Verma action keeps the integer.  The
-chain sums attach one linear factor at a time, so a product with an
-operand of degree <= 1 has its own kernel as well (Poly._times_linear):
-each of that operand's terms bumps one exponent of the other's keys.
+a weight once as its common denominator D and those integers), times D^d
+for d = deg p, found in the same pass; eval_at divides by D^d once, and the
+Verma action keeps the integer.  The chain sums attach one linear factor
+at a time, so a product with an operand of degree <= 1 has its own kernel
+as well (Poly._times_linear): each of that operand's terms adds one key to
+every key of the other.
 generic_point solves linear constraints once, with the general
 substitution Poly.subs, and returns a weight with Poly coordinates on
 their zero locus, so an identity on a whole hyperplane is checked by
@@ -32,7 +38,7 @@ import random
 from fractions import Fraction
 from functools import cache
 from math import comb, lcm
-from operator import add
+from types import MappingProxyType
 
 
 def _frac(x) -> Fraction:
@@ -53,81 +59,144 @@ def _coeff(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def _trim(exps):
-    """Drop trailing zero exponents so tuples are canonical."""
-    k = len(exps)
-    while k and exps[k - 1] == 0:
-        k -= 1
-    return tuple(exps[:k])
+_BITS = 8  # width of one exponent field of a packed monomial
+_MAX_DEG = (1 << _BITS) - 1  # the largest total degree a Poly holds, so no field carries
+_new = object.__new__
 
 
-def _is_linear(p) -> bool:
-    """Every term of p has degree at most 1."""
-    return all(sum(e) <= 1 for e in p.terms)
+def _refuse(deg):
+    raise ValueError(f"a polynomial of degree {deg} is refused: packed monomials hold degree at most {_MAX_DEG}")
+
+
+def _unit(i: int) -> int:
+    """The packed key of x_i."""
+    return 1 << _BITS * (i - 1)
+
+
+def _unpack(key: int) -> tuple:
+    """The trimmed exponent tuple of a packed key."""
+    out = []
+    while key:
+        out.append(key & _MAX_DEG)
+        key >>= _BITS
+    return tuple(out)
+
+
+def _packed(terms: dict, deg: int) -> "Poly":
+    """The Poly with packed keys, nonzero coefficients and degree bound deg:
+    the constructor of every Poly built inside the package."""
+    p = _new(Poly)
+    p._t = terms
+    p._deg = deg
+    return p
+
+
+def _product_degree(a, b) -> int:
+    """deg(a * b), for operands whose degree bounds add up past _MAX_DEG:
+    the exact degrees add up in a product, and a sum past _MAX_DEG is
+    refused."""
+    deg = a.degree() + b.degree()
+    if deg > _MAX_DEG:
+        _refuse(deg)
+    return deg
 
 
 class Poly:
     """Sparse polynomial over Q in commuting variables x_1, x_2, ...
 
-    terms maps a trimmed exponent tuple to a nonzero coefficient: an int
-    when the denominator is 1, else a Fraction (const, from_json and scalar
-    multiplication normalise; Fraction(k) == k with equal hash and str, so
-    a stray integral Fraction from other arithmetic is harmless).  The zero
-    polynomial has an empty terms dict.  Instances are treated as
-    immutable.
+    A monomial is one packed int, after Monagan and Pearce ("Polynomial
+    division using dynamic arrays, heaps, and packed exponent vectors",
+    CASC 2007): x_i's exponent sits in the _BITS-bit field at bit
+    _BITS * (i - 1), so a product of monomials is an int addition and a
+    variable's exponent is read by shift and mask.  _t maps packed keys to
+    nonzero coefficients: an int when the denominator is 1, else a Fraction
+    (const, from_json and scalar multiplication normalise; Fraction(k) == k
+    with equal hash and str, so a stray integral Fraction from other
+    arithmetic is harmless).  _deg is an upper bound on the total degree:
+    the sum of the operands' bounds for a product, their maximum for a sum.
+    Total degree is capped at _MAX_DEG = 255, so no exponent field can
+    carry into the next; an operation whose result would pass it raises
+    ValueError naming the limit.  The zero polynomial has no terms.
+    Instances are treated as immutable.
+
+    Exponent tuples stay the public boundary: Poly(terms) takes a map from
+    exponent tuples (trailing zeros allowed) to coefficients, and terms is
+    a read-only view keyed by trimmed tuples, decoded when it is read.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_t", "_deg")
 
     def __init__(self, terms=None):
-        self.terms = dict(terms) if terms else {}
+        t: dict = {}
+        deg = 0
+        for exps, c in (terms.items() if hasattr(terms, "items") else terms or ()):
+            d = 0
+            key = 0
+            for i, e in enumerate(exps):
+                if type(e) is not int or e < 0:
+                    raise ValueError(f"exponent {e!r} is not a non-negative int")
+                d += e
+                key |= e << _BITS * i
+            if d > _MAX_DEG:
+                _refuse(d)
+            deg = max(deg, d)
+            s = t.get(key, 0) + c
+            if s:
+                t[key] = s
+            else:
+                t.pop(key, None)
+        self._t = t
+        self._deg = deg
+
+    @property
+    def terms(self):
+        """Read-only map from trimmed exponent tuples to coefficients."""
+        return MappingProxyType({_unpack(k): c for k, c in self._t.items()})
 
     @staticmethod
     def const(c) -> "Poly":
         c = _coeff(c)
-        return Poly({(): c} if c else None)
+        return _packed({0: c} if c else {}, 0)
 
     @staticmethod
     def x(i: int) -> "Poly":
         if i < 1:
             raise ValueError("variables are 1-indexed")
-        exps = tuple([0] * (i - 1) + [1])
-        return Poly({exps: 1})
+        return _packed({_unit(i): 1}, 1)
 
     @staticmethod
     def zero() -> "Poly":
-        return Poly()
+        return _packed({}, 0)
 
     @staticmethod
     def one() -> "Poly":
-        return Poly({(): 1})
+        return _packed({0: 1}, 0)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._t)
 
     def is_constant(self) -> bool:
-        terms = self.terms
-        return not terms or (len(terms) == 1 and () in terms)
+        t = self._t
+        return not t or (len(t) == 1 and 0 in t)
 
     def constant_value(self):
         """The constant term of a constant polynomial (int or Fraction)."""
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.terms.get((), 0)
+        return self._t.get(0, 0)
 
     def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        """The exact total degree (0 for the zero polynomial)."""
+        return max((sum(_unpack(k)) for k in self._t), default=0)
 
     def variables(self):
-        vs = set()
-        for e in self.terms:
-            vs.update(i + 1 for i, p in enumerate(e) if p)
-        return sorted(vs)
+        key = 0
+        for k in self._t:
+            key |= k
+        return [i + 1 for i, e in enumerate(_unpack(key)) if e]
 
     def _coerce(self, other):
         if isinstance(other, Poly):
@@ -140,19 +209,22 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
+        big, small = self._t, other._t
+        if len(small) > len(big):
+            big, small = small, big
+        out = dict(big)  # the larger operand is copied, the smaller added in
+        for k, c in small.items():
+            s = out.get(k, 0) + c
             if s:
-                out[e] = s
+                out[k] = s
             else:
-                out.pop(e, None)
-        return Poly(out)
+                del out[k]
+        return _packed(out, max(self._deg, other._deg))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({e: -c for e, c in self.terms.items()})
+        return _packed({k: -c for k, c in self._t.items()}, self._deg)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -167,64 +239,67 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             c = _coeff(other)
             if not c:
-                return Poly()
+                return _packed({}, 0)
             if type(c) is int:
-                return Poly({e: v * c if type(v) is int else _coeff(v * c) for e, v in self.terms.items()})
-            return Poly({e: _coeff(v * c) for e, v in self.terms.items()})
+                return _packed({k: v * c if type(v) is int else _coeff(v * c) for k, v in self._t.items()},
+                               self._deg)
+            return _packed({k: _coeff(v * c) for k, v in self._t.items()}, self._deg)
         if not isinstance(other, Poly):
             return NotImplemented
         # a product with the polynomial 1 is the other operand itself
         if other.is_constant():
-            c = other.terms.get((), 0)
+            c = other._t.get(0, 0)
             return self if c == 1 else self * c
         if self.is_constant():
-            c = self.terms.get((), 0)
+            c = self._t.get(0, 0)
             return other if c == 1 else other * c
-        if _is_linear(other):
+        if other._deg <= 1:
             return self._times_linear(other)
-        if _is_linear(self):
+        if self._deg <= 1:
             return other._times_linear(self)
-        # exponent tuples are padded once to a common length k; a sum ends
-        # in 0 only where both operands were shorter than k, so only those
-        # keys need trimming
-        k = max(max(map(len, self.terms)), max(map(len, other.terms)))
-        left = [(e + (0,) * (k - len(e)), c) for e, c in self.terms.items()]
-        right = [(e + (0,) * (k - len(e)), c) for e, c in other.terms.items()]
-        out = {}
-        for e1, c1 in left:
-            for e2, c2 in right:
-                e = tuple(map(add, e1, e2))
-                s = out.get(e)
-                out[e] = c1 * c2 if s is None else s + c1 * c2
-        return Poly({e if e[-1] else _trim(e): c for e, c in out.items() if c})
+        deg = self._deg + other._deg
+        if deg > _MAX_DEG:
+            deg = _product_degree(self, other)
+        right = list(other._t.items())
+        out: dict = {}
+        for k1, c1 in self._t.items():
+            for k2, c2 in right:
+                k = k1 + k2
+                s = out.get(k)
+                out[k] = c1 * c2 if s is None else s + c1 * c2
+        return _packed({k: c for k, c in out.items() if c}, deg)
 
     __rmul__ = __mul__
 
     def _times_linear(self, lin: "Poly") -> "Poly":
-        """self * lin for lin of degree <= 1.
+        """self * lin for a non-constant lin of degree <= 1.
 
-        A term c x_i of lin adds 1 to exponent i of every key of self, and
-        its constant term scales them.  Bumping one exponent maps trimmed
-        keys to trimmed keys, one to one, so only the terms of lin after the
-        first can meet a key already there.
+        A term c x_i of lin adds x_i's key to every key of self, and its
+        constant term scales them.  Adding one key maps keys to keys one to
+        one, so only the terms of lin after the first can meet a key
+        already there.
         """
+        deg = self._deg + 1
+        if deg > _MAX_DEG:
+            deg = _product_degree(self, lin)
+        t = self._t
         out = None
-        for el, cl in lin.terms.items():
-            i = len(el) - 1  # el is () or (0, ..., 0, 1)
-            if i < 0:
-                moved = {e: c * cl for e, c in self.terms.items()}
-            else:
-                moved = {
-                    e[:i] + (e[i] + 1,) + e[i + 1:] if i < len(e) else e + (0,) * (i - len(e)) + (1,): c * cl
-                    for e, c in self.terms.items()
-                }
+        for u, cl in lin._t.items():
             if out is None:
-                out = moved
+                out = {k + u: c * cl for k, c in t.items()}
                 continue
-            for e, c in moved.items():
-                s = out.get(e)
-                out[e] = c if s is None else s + c
-        return Poly({e: c for e, c in out.items() if c})
+            for k, c in t.items():
+                k += u
+                s = out.get(k)
+                if s is None:
+                    out[k] = c * cl
+                else:
+                    s += c * cl
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+        return _packed(out, deg)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -234,8 +309,9 @@ class Poly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:  # no square past the last bit: x ** 255 needs no x ** 256
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -243,10 +319,10 @@ class Poly:
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.terms == other.terms
+        return self._t == other._t
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._t.items()))
 
     def subs(self, mapping) -> "Poly":
         """Substitute x_i -> mapping[i] (Poly or rational) for listed variables.
@@ -255,66 +331,74 @@ class Poly:
         added into one result dict.  Shifts and evaluation have their own
         kernels (shifted, eval_scaled).
         """
-        out = {}
-        powers = {}
-        for e, c in self.terms.items():
-            term = Poly({(): c})
-            for i, p in enumerate(e):
-                if not p:
-                    continue
-                v = i + 1
-                pw = powers.get((v, p))
-                if pw is None:
-                    base = mapping.get(v)
-                    if base is None:
-                        base = Poly.x(v)
-                    elif not isinstance(base, Poly):
-                        base = Poly.const(base)
-                    pw = powers[(v, p)] = base ** p
-                term = term * pw
-            for e2, c2 in term.terms.items():
-                s = out.get(e2)
-                out[e2] = c2 if s is None else s + c2
-        return Poly({e: c for e, c in out.items() if c})
+        out: dict = {}
+        powers: dict = {}
+        deg = 0
+        for k, c in self._t.items():
+            term = _packed({0: c}, 0)
+            v = 1
+            while k:
+                p = k & _MAX_DEG
+                if p:
+                    pw = powers.get((v, p))
+                    if pw is None:
+                        base = mapping.get(v)
+                        if base is None:
+                            base = Poly.x(v)
+                        elif not isinstance(base, Poly):
+                            base = Poly.const(base)
+                        pw = powers[(v, p)] = base ** p
+                    term = term * pw
+                k >>= _BITS
+                v += 1
+            deg = max(deg, term._deg)
+            for k2, c2 in term._t.items():
+                s = out.get(k2)
+                out[k2] = c2 if s is None else s + c2
+        return _packed({k: c for k, c in out.items() if c}, deg)
 
     def shifted(self, offsets) -> "Poly":
         """Substitute x_i -> x_i + offsets[i] for each nonzero offset.
 
         Offsets are ints or Fractions.  A binomial (Taylor) shift, one pass
         per shifted variable: x_i^p becomes sum_k C(p, k) a^(p-k) x_i^k, and
-        the pass adds every image into one dict.
+        the pass adds every image into one dict.  The degree bound stays.
         """
-        terms = self.terms
+        terms = self._t
         for v, a in offsets.items():
             if not a:
                 continue
-            i = v - 1
-            out = {}
+            at = _BITS * (v - 1)
+            unit = 1 << at
+            out: dict = {}
             rows = {}  # p -> [C(p, k) a^(p-k) for k = 0..p]
-            for e, c in terms.items():
-                p = e[i] if i < len(e) else 0
+            for key, c in terms.items():
+                p = key >> at & _MAX_DEG
                 if not p:
-                    s = out.get(e)
-                    out[e] = c if s is None else s + c
+                    s = out.get(key)
+                    out[key] = c if s is None else s + c
                     continue
                 row = rows.get(p)
                 if row is None:
                     row = rows[p] = [comb(p, k) * a ** (p - k) for k in range(p + 1)]
-                head, tail = e[:i], e[i + 1:]
+                key -= p * unit
                 for k in range(p + 1):
-                    key = head + (k,) + tail if k or tail else _trim(head)
                     val = c if k == p else c * row[k]
                     s = out.get(key)
                     out[key] = val if s is None else s + val
-            terms = {e: c for e, c in out.items() if c}
-        return self if terms is self.terms else Poly(terms)
+                    key += unit
+            terms = {k: c for k, c in out.items() if c}
+        return self if terms is self._t else _packed(terms, self._deg)
+
+    def _sorted(self, key):
+        """(exponent tuple, coefficient) pairs, sorted by key(exponent tuple)."""
+        return sorted(((_unpack(k), c) for k, c in self._t.items()), key=lambda ec: key(ec[0]))
 
     def __str__(self):
-        if not self.terms:
+        if not self._t:
             return "0"
         bits = []
-        for e in sorted(self.terms, key=lambda e: (sum(e), e)):
-            c = self.terms[e]
+        for e, c in self._sorted(lambda e: (sum(e), e)):
             mono = "*".join(
                 f"x{i + 1}" + (f"^{p}" if p > 1 else "")
                 for i, p in enumerate(e)
@@ -334,11 +418,10 @@ class Poly:
     __repr__ = __str__
 
     def latex(self) -> str:
-        if not self.terms:
+        if not self._t:
             return "0"
         bits = []
-        for e in sorted(self.terms, key=lambda e: (sum(e), e)):
-            c = self.terms[e]
+        for e, c in self._sorted(lambda e: (sum(e), e)):
             mono = "".join(
                 f"x_{{{i + 1}}}" + (f"^{{{p}}}" if p > 1 else "")
                 for i, p in enumerate(e)
@@ -358,19 +441,21 @@ class Poly:
         return out
 
     def to_json(self):
-        return {
-            "monomials": [
-                {"exps": list(e), "coeff": str(c)}
-                for e, c in sorted(self.terms.items())
-            ]
-        }
+        return {"monomials": [{"exps": list(e), "coeff": str(c)} for e, c in self._sorted(tuple)]}
 
     @staticmethod
     def from_json(data) -> "Poly":
-        out = Poly()
-        for mono in data["monomials"]:
-            out = out + Poly({_trim(tuple(mono["exps"])): _coeff(mono["coeff"])})
-        return out
+        """The Poly of to_json's output; exponent lists may carry trailing
+        zeros, and repeated monomials add up."""
+        return Poly((tuple(mono["exps"]), _coeff(mono["coeff"])) for mono in data["monomials"])
+
+
+def _linear(form) -> Poly:
+    """The Cartan polynomial c0 + sum c_i x_i of a linear form (c0, c1, ..., cN)."""
+    terms = {_unit(i): c for i, c in enumerate(form) if i and c}
+    if form[0]:
+        terms[0] = form[0]
+    return _packed(terms, 1)
 
 
 def _frac_latex(c) -> str:
@@ -538,29 +623,46 @@ def rho_pairing(beta: Weight, c=0) -> Poly:
     return h_of_weight(beta) + Poly.const(bilinear_form(rho(beta.m, beta.n), beta) + c)
 
 
-def eval_scaled(p: Poly, point, D: int, d: int):
-    """D^d times p at x = point / D, for d >= deg p: the sum over the terms
-    c x^k of p of c * prod point_i^k_i * D^(d - |k|).
+def eval_scaled(p: Poly, point, D: int):
+    """(D^d times p at x = point / D, d) for d = deg p: the sum over the
+    terms c x^k of p of c * prod point_i^k_i * D^(d - |k|), and the degree
+    that the same pass finds.
 
     point is D * lambda (Weight.scaled): integers for a numeric weight, so
     with integer coefficients the result is an int; Polys at a generic
     point, where D = 1.  A variable beyond the point stands for itself, as
     D * x_i.  This is the one evaluation kernel: eval_at divides its result
-    by D^deg p, and the Verma action keeps it as a numerator.
+    by D^d, and the Verma action keeps it as a numerator.  Each key is read
+    field by field, low to high; the terms are scaled to p's degree bound
+    and, in the rare case that the bound is above the degree found, the
+    sum is divided by the surplus power of D once.
     """
+    bound = p._deg
     num = 0
+    d = 0
     size = len(point)
-    for e, c in p.terms.items():
-        if len(e) > size:
-            point = tuple(point) + tuple(D * Poly.x(i) for i in range(size + 1, len(e) + 1))
-            size = len(e)
-        s = 0
-        for i, k in enumerate(e):
-            if k:
-                c *= point[i] if k == 1 else point[i] ** k
-                s += k
-        num += c if s == d or D == 1 else c * D ** (d - s)
-    return num
+    beyond = 1 << _BITS * size  # the first key with a variable past the point
+    for k, c in p._t.items():
+        if k >= beyond:
+            top = (k.bit_length() + _BITS - 1) // _BITS
+            point = tuple(point) + tuple(D * Poly.x(i) for i in range(size + 1, top + 1))
+            size = top
+            beyond = 1 << _BITS * size
+        s = i = 0
+        while k:
+            e = k & _MAX_DEG
+            if e:
+                c *= point[i] if e == 1 else point[i] ** e
+                s += e
+            k >>= _BITS
+            i += 1
+        if s > d:
+            d = s
+        num += c if s == bound or D == 1 else c * D ** (bound - s)
+    if d < bound and D != 1:
+        surplus = D ** (bound - d)
+        num = num // surplus if type(num) is int else num * Fraction(1, surplus)
+    return num, d
 
 
 def eval_at(p: Poly, lam: Weight):
@@ -572,8 +674,7 @@ def eval_at(p: Poly, lam: Weight):
     Poly, or a Fraction when the result is a constant of a numeric weight.
     """
     D, point = lam.scaled()
-    d = p.degree()
-    num = eval_scaled(p, point, D, d)
+    num, d = eval_scaled(p, point, D)
     numeric = not point or type(point[0]) is int
     if isinstance(num, Poly):
         if numeric and num.is_constant():
@@ -682,8 +783,10 @@ def generic_point(m: int, n: int, constraints) -> Weight:
     Inconsistent constraints raise ValueError.
     """
     N = m + n
-    # the constraints rewritten in the parameter block, x_i -> x_{N+i}
-    params = [Poly({(0,) * N + e if e else e: c for e, c in p.terms.items()}) for p in constraints]
+    # the constraints rewritten in the parameter block, x_i -> x_{N+i}: each
+    # key moves up N fields
+    shift = _BITS * N
+    params = [_packed({k << shift: c for k, c in p._t.items()}, p._deg) for p in constraints]
     return Weight(m, n, [reduce_mod(Poly.x(N + i), params) for i in range(1, N + 1)])
 
 
@@ -711,11 +814,12 @@ def reduce_mod(p: Poly, constraints) -> Poly:
         used.add(var)
         coeff = Fraction(0)
         rest = Poly()
-        for e, cf in c.terms.items():
-            if len(e) >= var and e[var - 1]:
+        at = _BITS * (var - 1)
+        for k, cf in c._t.items():
+            if k >> at & _MAX_DEG:
                 coeff = cf
             else:
-                rest = rest + Poly({e: cf})
+                rest = rest + _packed({k: cf}, 1)
         expr = rest * (Fraction(-1) / coeff)
         solved.append((var, expr))
     for var, expr in solved:

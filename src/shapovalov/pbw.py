@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from types import MappingProxyType
 
-from .exact_algebra import Poly, Weight, _coeff, rho
+from .exact_algebra import Poly, Weight, _coeff, _linear, rho
 
 
 @lru_cache(maxsize=None)
@@ -361,14 +361,6 @@ def _accumulate(acc, key, val):
         acc[key] = s
     else:
         acc.pop(key, None)
-
-
-def _linear(form):
-    """The Cartan polynomial c0 + sum c_i x_i of a linear form (c0, c1, ..., cN)."""
-    terms = {(0,) * (i - 1) + (1,): c for i, c in enumerate(form) if i and c}
-    if form[0]:
-        terms[()] = form[0]
-    return Poly(terms)
 
 
 _NF_CACHE: dict = {}

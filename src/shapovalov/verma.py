@@ -235,19 +235,20 @@ def _cartan(D, point, h, nums, offsets):
     offsets (pbw._Codes.offsets).  Returns the numerators and the factor
     they put on the denominator, D^deg h (a constant h multiplies by its
     numerator and puts its denominator there)."""
-    d = h.degree()
-    if not d:
+    if h.is_constant():
         c = h.constant_value()
         if not c:
             return {}, 1
         num = c.numerator
         return (nums if num == 1 else {mono: x * num for mono, x in nums.items()}), c.denominator
     out: dict = {}
+    d = 0
     for mono, x in nums.items():
         at = point
         if mono:
             at = tuple(p + D * o if o else p for p, o in zip(point, offsets(mono)))
-        _accumulate(out, mono, x * eval_scaled(h, at, D, d))
+        c, d = eval_scaled(h, at, D)
+        _accumulate(out, mono, x * c)
     return out, D ** d
 
 

@@ -224,6 +224,19 @@ class TestDefiningProperty:
         assert not verify_highest_weight_symbolic(zero)
         assert not verify_highest_weight(zero, samples=2)["all_passed"]
 
+    def test_symbolic_keys_wider_than_a_machine_word(self):
+        # gl(5,5)'s parameters are x_11 ... x_20, whose packed keys reach
+        # bit 159; the constraint is solved for x_20, so the point lives in
+        # x_11 ... x_19 (x_19's field starts at bit 144).  The check runs on
+        # multi-word ints, and a point one unit off the hyperplane is its
+        # negative control
+        theta = theta_glmn_distinguished(5, 5)
+        lam = generic_point(5, 5, [theta.hyperplane().constraint_poly()])
+        assert max(v for c in lam.coords for v in c.variables()) == 19
+        assert verify_highest_weight_symbolic(theta)
+        off = generic_point(5, 5, [theta.hyperplane().constraint_poly() + 1])
+        assert not construct._is_singular(theta, off)
+
     def test_nonzero_normalization(self):
         theta = theta_glmn_distinguished(2, 2)
         for lam in sample_hyperplane(theta.hyperplane(), 1, 3):

@@ -403,3 +403,79 @@ class TestSerialization:
         p = Poly.x(1) * Poly.x(3) - Poly.const(Fraction(2, 3)) + Poly.x(2) ** 2
         data = json.loads(json.dumps(p.to_json()))
         assert Poly.from_json(data) == p
+
+
+class TestPackedExponents:
+    """A monomial is one int with an 8-bit field per variable, and total
+    degree is capped at 255, so no field ever carries into the next."""
+
+    LIMIT = "at most 255"
+
+    def refused(self, make):
+        with pytest.raises(ValueError, match=self.LIMIT) as exc:
+            make()
+        assert "\n" not in str(exc.value)
+
+    def test_degree_255_reads_back(self):
+        p = Poly.x(3) ** 255
+        assert p.terms == {(0, 0, 255): 1}
+        assert p.to_json() == {"monomials": [{"exps": [0, 0, 255], "coeff": "1"}]}
+        assert Poly.from_json(json.loads(json.dumps(p.to_json()))) == p
+        assert p.degree() == 255 and p.variables() == [3]
+
+    def test_past_255_is_refused(self):
+        x1 = Poly.x(1)
+        top = x1 ** 255
+        self.refused(lambda: x1 ** 256)
+        self.refused(lambda: (x1 ** 200) * (x1 ** 56))
+        self.refused(lambda: top * (Poly.x(2) + 1))  # the linear product
+        self.refused(lambda: (x1 + 1) * top)
+        self.refused(lambda: Poly({(256,): 1}))
+        self.refused(lambda: Poly({(200, 56): 1}))  # the cap is on total degree
+        self.refused(lambda: Poly.from_json({"monomials": [{"exps": [0, 256], "coeff": "1"}]}))
+
+    def test_a_refusal_never_wraps(self):
+        # a wrapped x1^256 would read as x2, and x1^255 * x1 as x2 as well
+        x1 = Poly.x(1)
+        for make in (lambda: x1 ** 256, lambda: (x1 ** 255) * x1, lambda: x1 * (x1 ** 255)):
+            try:
+                out = make()
+            except ValueError:
+                continue
+            raise AssertionError(f"returned {out.terms}")
+
+    def test_a_loose_bound_is_not_refused(self):
+        # the sum keeps degree bound 200 after its top terms cancel; the product
+        # is refused only if the exact degrees add up past 255
+        x1, x2 = Poly.x(1), Poly.x(2)
+        low = x1 ** 200 + x2 - x1 ** 200
+        assert low == x2
+        assert low * x1 ** 100 == x2 * x1 ** 100
+        assert (low * (x1 ** 254)).terms == {(254, 1): 1}
+
+    def test_a_loose_bound_evaluates_exactly(self):
+        # evaluation scales the terms to the bound (3 here) and divides the
+        # surplus power of D out once: int, Fraction and Poly values alike
+        x1, x2, x3 = Poly.x(1), Poly.x(2), Poly.x(3)
+        lam = Weight(1, 1, [Fraction(1, 2), Fraction(-2, 3)])
+        for p in (x1 ** 3 + 2 * x2 - x1 ** 3 + 1,
+                  x1 ** 3 + Fraction(1, 5) * x1 * x2 - x1 ** 3,
+                  x1 ** 3 + x1 * x3 - x1 ** 3 + x2):
+            assert p.degree() < 3
+            want = p.subs({1: lam.coords[0], 2: lam.coords[1]})
+            got = eval_at(p, lam)
+            assert got == (want.constant_value() if want.is_constant() else want), p
+
+    def test_exponents_must_be_non_negative_ints(self):
+        for exps in [(-1,), (1.0,), ("2",)]:
+            with pytest.raises(ValueError, match="non-negative int"):
+                Poly({exps: 1})
+
+    def test_tuples_in_and_out(self):
+        # trailing zeros are accepted and trimmed, coinciding keys add up
+        p = Poly({(1, 0, 0): 2, (1,): 3, (0, 2): -1, (): 0})
+        assert p.terms == {(1,): 5, (0, 2): -1}
+        assert Poly({(0, 0): 4}) == Poly.const(4)
+        assert Poly({(1,): 1, (1, 0): -1}).is_zero()
+        with pytest.raises(TypeError):
+            p.terms[(1,)] = 1

@@ -113,6 +113,61 @@ def test_mul_linear(a, b, left):
         assert all(type(c) is int for c in prod.terms.values())
 
 
+# exponents up to the packed field's 255 on one or two variables, the total
+# degree within cap; x1 and x4 sit in the lowest and the highest field
+PAIRS = [(0,), (3,), (0, 1), (1, 3), (0, 3)]
+
+
+@st.composite
+def high(draw, cap=255):
+    pair = draw(st.sampled_from(PAIRS))
+    out = {}
+    for _ in range(draw(st.integers(1, 3))):
+        e = [0] * NVARS
+        e[pair[0]] = a = draw(st.integers(0, cap))
+        if len(pair) == 2:
+            e[pair[1]] = draw(st.integers(0, cap - a))
+        out[tuple(e)] = draw(st.one_of(st.integers(-9, 9).filter(bool), rationals.filter(bool)))
+    return out
+
+
+@st.composite
+def high_pairs(draw):
+    """Two term dicts whose degrees add up to at most 255."""
+    cap = draw(st.integers(0, 255))
+    return draw(high(cap)), draw(high(255 - cap))
+
+
+@given(high_pairs(), linear, offsets)
+@example(({(255, 0, 0, 0): 1}, {}), {0: 1}, {1: 1})
+@example(({(0, 128, 0, 0): 2, (0, 0, 0, 127): Fraction(-1, 3)}, {(0, 0, 0, 0): 5}), {4: -1}, {2: -1, 4: 2})
+@example(({(254, 0, 0, 0): 1, (1, 0, 0, 253): 3}, {}), {1: 1, 4: -2}, {})
+@settings(max_examples=25, deadline=None)
+def test_high_exponents(pair, lin_terms, off):
+    p, q = make(pair[0]), make(pair[1])
+    assert same(p * q, to_sympy(p) * to_sympy(q))
+    assert same(p + q, to_sympy(p) + to_sympy(q))
+    assert same(p - q, to_sympy(p) - to_sympy(q))
+    moved = {XS[i - 1]: XS[i - 1] + rat(c) for i, c in off.items()}
+    assert same(p.shifted(off), to_sympy(p).subs(moved, simultaneous=True))
+    assert p.to_json() == Poly.from_json(p.to_json()).to_json()
+    lin = make_linear(lin_terms)
+    if p.degree() < 255:
+        assert same(p * lin, to_sympy(p) * to_sympy(lin))
+    if p:
+        # a product of degree 255 is kept; one whose degree crosses 255 is
+        # refused, by the linear and by the general kernel, never wrapped
+        d = p.degree()
+        top = p * Poly.x(4) ** (255 - d)
+        assert top.degree() == 255
+        crossing = [lambda: top * Poly.x(1)]
+        if d:
+            crossing.append(lambda: p * Poly.x(4) ** (256 - d))
+        for product in crossing:
+            with pytest.raises(ValueError, match="at most 255"):
+                product()
+
+
 def test_mul_cancels_cross_terms():
     x1, x2, x3 = Poly.x(1), Poly.x(2), Poly.x(3)
     # the cross terms cancel, and x1^2 is padded to three variables and trimmed back
