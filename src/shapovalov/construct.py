@@ -36,9 +36,12 @@ take the odd generator, the eps walk and the delta walk in acting order.
 
 Every generator of a chain is lowering for the element's own order, and a
 path's Cartan factors sit at the right end of its word.  So body and
-evaluate sum in U(n-) (x) U(h) over the order's int codes: a step is the
-Verma action's lowering step (verma._letter), a factor multiplies each
-Cartan part, and a Borel element's terms are normal-ordered at the end.
+evaluate sum in U(n-) (x) U(h) over the order's int codes, each monomial's
+Cartan part a packed term dict that the sum owns: a step adds int
+multiples of it, by the Verma action's lowering step, in place
+(_lower_into), a linear factor makes one new dict, a scalar one scales it,
+each Poly is built once at the end, and a Borel element's terms are
+normal-ordered then.
 hessenberg.det_lr, on UEA products, is an independent route to them.  As
 theta y = sum over the paths X H of X y H(x + wt y), theta_power starts the
 chain from y = theta^k and shifts each factor by wt y = -k eta.  apply
@@ -61,9 +64,12 @@ from .exact_algebra import (
     Hyperplane,
     Poly,
     Weight,
+    _coeff,
+    _packed,
+    _times_linear,
     bilinear_form,
     eval_at,
-    eval_scaled,
+    eval_table,
     generic_point,
     rho_pairing,
     sample_hyperplane,
@@ -73,7 +79,6 @@ from .pbw import GLAlgebra, PBWOrder, UEAElement, _codes, _expand_key, gl, norma
 from .shuffles import Shuffle, diagram_data, eta_weight
 from .verma import (
     VermaVector,
-    _letter,
     _merge,
     act,
     coefficients_in_word_basis,
@@ -124,20 +129,36 @@ class ShapovalovElement:
 
     def _element(self, factor, start: UEAElement | None = None) -> UEAElement:
         """Sum over the chain's paths from start (1 by default, no positive
-        part), each Cartan factor f attached as factor(f); see the top note."""
+        part), each Cartan factor f attached as factor(f); see the top note.
+        A monomial's Cartan part is [packed terms, degree bound] until the
+        Polys are built at the end."""
         alg, word = self.alg, self.pbw_order().word
         codes = _codes(alg, word)
-        start = {(): Poly.one()} if start is None else {
-            codes.encode(n + p): h for (n, p), h in start.terms.items()}
+        start = {(): [{0: 1}, 0]} if start is None else {
+            codes.encode(n + p): [dict(h._t), h._deg] for (n, p), h in start.terms.items()}
 
-        def step(gen, terms, den):
-            return _letter(codes, codes.code[gen], terms), den
+        def add(gen, terms, _, acc, den):
+            _lower_into(codes, None if gen is None else codes.code[gen], terms, acc)
+            return den
 
-        def scale(terms, den, f):
+        def scale(acc, den, f):
             c = factor(f)
-            return ({k: x * c for k, x in terms.items()} if c else {}), den
+            if isinstance(c, Poly):
+                if not c.is_constant():
+                    for part in acc.values():
+                        part[:] = _times_linear(*part, c)
+                    return acc, den
+                c = c.constant_value()
+            if not c:
+                return {}, den
+            if c != 1:
+                for t, _ in acc.values():
+                    for k, x in t.items():
+                        t[k] = _coeff(x * c)
+            return acc, den
 
-        terms, _ = _chain_sum(self.chain, start, step, scale)
+        terms, _ = _chain_sum(self.chain, start, add, scale)
+        terms = {k: _packed(t, deg) for k, (t, deg) in terms.items()}
         if word is None:
             return UEAElement(alg, {(codes.decode(k), ()): h for k, h in terms.items()})
         return _sum_terms(alg, [(_expand_key(codes.decode(k)), (h,)) for k, h in terms.items()])
@@ -161,13 +182,17 @@ class ShapovalovElement:
         alg, lam, order = v.alg, v.lam, v.order
         D, point = lam.scaled()
 
-        def step(gen, nums, den):
-            w = act([gen], VermaVector.over(alg, lam, nums, den, order))
-            return w.nums, w.den
+        def add(gen, nums, d, acc, den):
+            if gen is not None:
+                w = act([gen], VermaVector.over(alg, lam, nums, d, order))
+                nums, d = w.nums, w.den
+            return _merge(acc, den, nums, d)
 
         def scale_at(at):
+            evaluate = eval_table(at, D)
+
             def scale(nums, den, f):
-                c, d = eval_scaled(f, at, D)
+                c, d = evaluate(f)
                 return ({k: x * c for k, x in nums.items()} if c else {}), den * D ** d
             return scale
 
@@ -179,7 +204,7 @@ class ShapovalovElement:
         den = 1
         for off, part in parts.items():
             at = tuple(x + D * k for x, k in zip(point, off)) if any(off) else point
-            nums, d = _chain_sum(self.chain, part, step, scale_at(at), v.den)
+            nums, d = _chain_sum(self.chain, part, add, scale_at(at), v.den)
             den = _merge(out, den, nums, d)
         return VermaVector.over(alg, lam, out, den, order)
 
@@ -213,16 +238,18 @@ class ShapovalovElement:
         }
 
 
-def _chain_sum(chain, start: dict, step, scale, den: int = 1):
+def _chain_sum(chain, start: dict, add, scale, den: int = 1):
     """Terms of the sum over the chain's paths, in Horner form, as
     (terms, denominator): a value is its terms over an int denominator,
     which the Verma action needs and U(g) leaves at 1.
 
     Node 0 holds start over den.  Each later node runs through its sources
-    (p, gen, factors) in order: it adds the value at p, times gen by step
-    unless gen is None, then multiplies all it holds by each factor with
-    scale.  The last node's value is returned.  Attaching one linear factor
-    at a time to a partial sum keeps the Cartan products small.
+    (p, gen, factors) in order: add(gen, terms, d, acc, den) adds gen times
+    the value terms / d at p (the value itself when gen is None) into the
+    node's terms acc over den, in place, and returns the new denominator;
+    then scale multiplies all the node holds by each factor.  The last
+    node's value is returned.  Attaching one linear factor at a time to a
+    partial sum keeps the Cartan products small.
     """
     vals = [(start, den)]
     for sources in chain:
@@ -230,12 +257,40 @@ def _chain_sum(chain, start: dict, step, scale, den: int = 1):
         den = 1
         for p, gen, factors in sources:
             if vals[p][0]:
-                den = _merge(acc, den, *(vals[p] if gen is None else step(gen, *vals[p])))
+                den = add(gen, *vals[p], acc, den)
             for _, f in factors:
                 if acc:
                     acc, den = scale(acc, den, f)
         vals.append((acc, den))
     return vals[-1]
+
+
+def _lower_into(codes, g, terms, acc):
+    """Add g times terms into acc in place, for the code g of a lowering
+    generator (None for 1) and maps from monomials to [terms, degree bound]
+    Cartan parts (ShapovalovElement._element).  g mono is the Verma action's
+    lowering step, int multiples of monomials, read from the numbering's
+    results by pbw._Codes.steps, as verma._letter reads it.  A part enters
+    acc as a copy, so acc owns every dict it holds, and a part that cancels
+    to zero leaves it."""
+    steps = (((mono, 1),) for mono in terms) if g is None else codes.steps(g, terms)
+    for (t, deg), res in zip(terms.values(), steps):
+        for neg, v in res:
+            part = acc.get(neg)
+            if part is None:
+                acc[neg] = [dict(t) if v == 1 else {k: c * v for k, c in t.items()}, deg]
+                continue
+            s = part[0]
+            for k, c in t.items():
+                c = s.get(k, 0) + c * v
+                if c:
+                    s[k] = c
+                else:
+                    del s[k]
+            if not s:
+                del acc[neg]
+            elif deg > part[1]:
+                part[1] = deg
 
 
 # A chain lists, for each node after node 0, its sources (p, generator or

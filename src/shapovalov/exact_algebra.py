@@ -19,13 +19,16 @@ Poly(...) takes them, and terms, str, latex and to_json give them back.
 The straightener moves Cartan parts past generators (H(x) e = e H(x + w))
 and evaluates them at sampled weights, so two substitutions are hot and
 have their own kernels: Poly.shifted is a binomial (Taylor) shift, and
-eval_scaled evaluates at the integer point D * lambda (Weight.scaled reads
+eval_table evaluates at the integer point D * lambda (Weight.scaled reads
 a weight once as its common denominator D and those integers), times D^d
 for d = deg p, found in the same pass; eval_at divides by D^d once, and the
-Verma action keeps the integer.  The chain sums attach one linear factor
-at a time, so a product with an operand of degree <= 1 has its own kernel
-as well (Poly._times_linear): each of that operand's terms adds one key to
-every key of the other.
+Verma action keeps the integer.  It keeps each packed monomial's value at
+the point, and the powers of D, so the many polynomials that the Verma
+action evaluates at one point share them.
+The chain sums attach one linear factor at a time, so a product with an
+operand of degree <= 1 has its own kernel as well (_times_linear, over
+term dicts, which the chain sums keep and own): each of that operand's
+terms adds one key to every key of the other.
 generic_point solves linear constraints once, with the general
 substitution Poly.subs, and returns a weight with Poly coordinates on
 their zero locus, so an identity on a whole hyperplane is checked by
@@ -91,14 +94,53 @@ def _packed(terms: dict, deg: int) -> "Poly":
     return p
 
 
-def _product_degree(a, b) -> int:
-    """deg(a * b), for operands whose degree bounds add up past _MAX_DEG:
-    the exact degrees add up in a product, and a sum past _MAX_DEG is
-    refused."""
-    deg = a.degree() + b.degree()
+def _degree(terms: dict) -> int:
+    """The exact total degree of the packed terms (0 for none)."""
+    return max((sum(_unpack(k)) for k in terms), default=0)
+
+
+def _product_degree(a: dict, b: dict) -> int:
+    """The degree of the product of the polynomials with packed terms a and
+    b, for operands whose degree bounds add up past _MAX_DEG: the exact
+    degrees add up in a product, and a sum past _MAX_DEG is refused."""
+    deg = _degree(a) + _degree(b)
     if deg > _MAX_DEG:
         _refuse(deg)
     return deg
+
+
+def _times_linear(terms: dict, deg: int, lin: "Poly"):
+    """(terms of p * lin, degree bound) for p given by its packed terms and
+    degree bound deg, and a non-constant lin with few terms: the kernel of
+    Poly products with an operand of degree <= 1, and of the chain sums'
+    linear factors, which keep their Cartan parts as term dicts
+    (construct._element).
+
+    A term c x^u of lin adds u's key to every key of p, and c scales them.
+    Adding one key maps keys to keys one to one, so only the terms of lin
+    after the first can meet a key already there.  A bound past _MAX_DEG is
+    replaced by the exact degree, and a product past it is refused.
+    """
+    deg += lin._deg
+    if deg > _MAX_DEG:
+        deg = _product_degree(terms, lin._t)
+    out = None
+    for u, cl in lin._t.items():
+        if out is None:
+            out = {k + u: c * cl for k, c in terms.items()}
+            continue
+        for k, c in terms.items():
+            k += u
+            s = out.get(k)
+            if s is None:
+                out[k] = c * cl
+            else:
+                s += c * cl
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+    return out, deg
 
 
 class Poly:
@@ -190,7 +232,7 @@ class Poly:
 
     def degree(self) -> int:
         """The exact total degree (0 for the zero polynomial)."""
-        return max((sum(_unpack(k)) for k in self._t), default=0)
+        return _degree(self._t)
 
     def variables(self):
         key = 0
@@ -254,12 +296,12 @@ class Poly:
             c = self._t.get(0, 0)
             return other if c == 1 else other * c
         if other._deg <= 1:
-            return self._times_linear(other)
+            return _packed(*_times_linear(self._t, self._deg, other))
         if self._deg <= 1:
-            return other._times_linear(self)
+            return _packed(*_times_linear(other._t, other._deg, self))
         deg = self._deg + other._deg
         if deg > _MAX_DEG:
-            deg = _product_degree(self, other)
+            deg = _product_degree(self._t, other._t)
         right = list(other._t.items())
         out: dict = {}
         for k1, c1 in self._t.items():
@@ -270,36 +312,6 @@ class Poly:
         return _packed({k: c for k, c in out.items() if c}, deg)
 
     __rmul__ = __mul__
-
-    def _times_linear(self, lin: "Poly") -> "Poly":
-        """self * lin for a non-constant lin of degree <= 1.
-
-        A term c x_i of lin adds x_i's key to every key of self, and its
-        constant term scales them.  Adding one key maps keys to keys one to
-        one, so only the terms of lin after the first can meet a key
-        already there.
-        """
-        deg = self._deg + 1
-        if deg > _MAX_DEG:
-            deg = _product_degree(self, lin)
-        t = self._t
-        out = None
-        for u, cl in lin._t.items():
-            if out is None:
-                out = {k + u: c * cl for k, c in t.items()}
-                continue
-            for k, c in t.items():
-                k += u
-                s = out.get(k)
-                if s is None:
-                    out[k] = c * cl
-                else:
-                    s += c * cl
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
-        return _packed(out, deg)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -329,7 +341,7 @@ class Poly:
 
         The general route: each monomial is expanded with Poly products and
         added into one result dict.  Shifts and evaluation have their own
-        kernels (shifted, eval_scaled).
+        kernels (shifted, eval_table).
         """
         out: dict = {}
         powers: dict = {}
@@ -623,58 +635,71 @@ def rho_pairing(beta: Weight, c=0) -> Poly:
     return h_of_weight(beta) + Poly.const(bilinear_form(rho(beta.m, beta.n), beta) + c)
 
 
-def eval_scaled(p: Poly, point, D: int):
-    """(D^d times p at x = point / D, d) for d = deg p: the sum over the
-    terms c x^k of p of c * prod point_i^k_i * D^(d - |k|), and the degree
-    that the same pass finds.
+def eval_table(point, D: int):
+    """The evaluation kernel at the integer point D * lambda: a function
+    p -> (num, d) for d = deg p, num = D^d times p at x = point / D, the
+    sum over the terms c x^k of p of c * prod point_i^k_i * D^(d - |k|).
 
     point is D * lambda (Weight.scaled): integers for a numeric weight, so
-    with integer coefficients the result is an int; Polys at a generic
-    point, where D = 1.  A variable beyond the point stands for itself, as
-    D * x_i.  This is the one evaluation kernel: eval_at divides its result
-    by D^d, and the Verma action keeps it as a numerator.  Each key is read
-    field by field, low to high; the terms are scaled to p's degree bound
-    and, in the rare case that the bound is above the degree found, the
-    sum is divided by the surplus power of D once.
+    with integer coefficients num is an int; Polys at a generic point,
+    where D = 1.  A variable beyond the point stands for itself, as
+    D * x_i.  The function keeps one table for the point: each packed
+    monomial's value prod point_i^k_i and degree |k|, computed field by
+    field on first use, and the powers of D.  So a monomial that recurs
+    across the polynomials evaluated at one point, as the Cartan parts of
+    one element's terms do (verma.act) or the factors of a chain
+    (construct.ShapovalovElement.apply), is evaluated once.  eval_at
+    divides num by D^d.  The terms are scaled to p's degree bound and, in
+    the rare case that the bound is above the degree found, the sum is
+    divided by the surplus power of D once.
     """
-    bound = p._deg
-    num = 0
-    d = 0
+    values: dict = {}
+    powers = [1]
     size = len(point)
-    beyond = 1 << _BITS * size  # the first key with a variable past the point
-    for k, c in p._t.items():
-        if k >= beyond:
-            top = (k.bit_length() + _BITS - 1) // _BITS
-            point = tuple(point) + tuple(D * Poly.x(i) for i in range(size + 1, top + 1))
-            size = top
-            beyond = 1 << _BITS * size
-        s = i = 0
-        while k:
-            e = k & _MAX_DEG
-            if e:
-                c *= point[i] if e == 1 else point[i] ** e
-                s += e
-            k >>= _BITS
-            i += 1
-        if s > d:
-            d = s
-        num += c if s == bound or D == 1 else c * D ** (bound - s)
-    if d < bound and D != 1:
-        surplus = D ** (bound - d)
-        num = num // surplus if type(num) is int else num * Fraction(1, surplus)
-    return num, d
+
+    def evaluate(p):
+        bound = p._deg
+        while len(powers) <= bound:
+            powers.append(powers[-1] * D)
+        num = 0
+        d = 0
+        for k, c in p._t.items():
+            vs = values.get(k)
+            if vs is None:
+                val = 1
+                s = i = 0
+                key = k
+                while key:
+                    e = key & _MAX_DEG
+                    if e:
+                        x = point[i] if i < size else D * Poly.x(i + 1)
+                        val *= x if e == 1 else x ** e
+                        s += e
+                    key >>= _BITS
+                    i += 1
+                vs = values[k] = val, s
+            val, s = vs
+            if s > d:
+                d = s
+            num += c * val if s == bound or D == 1 else c * val * powers[bound - s]
+        if d < bound and D != 1:
+            surplus = powers[bound - d]
+            num = num // surplus if type(num) is int else num * Fraction(1, surplus)
+        return num, d
+
+    return evaluate
 
 
 def eval_at(p: Poly, lam: Weight):
     """Evaluate p at x_i = i-th coordinate of lam.
 
-    The kernel eval_scaled at the point D * lam, divided once by D^deg p.
+    The kernel eval_table at the point D * lam, divided once by D^deg p.
     Returns a Fraction for a numeric weight and p in x_1..x_{m+n}.  A
     symbolic weight (Poly coordinates) or a p in further variables gives a
     Poly, or a Fraction when the result is a constant of a numeric weight.
     """
     D, point = lam.scaled()
-    num, d = eval_scaled(p, point, D)
+    num, d = eval_table(point, D)(p)
     numeric = not point or type(point[0]) is int
     if isinstance(num, Poly):
         if numeric and num.is_constant():
@@ -688,7 +713,7 @@ def eval_at(p: Poly, lam: Weight):
 class Hyperplane:
     """Locus (lam + rho, eta) = mult * (eta,eta)/2 in the dual Cartan."""
 
-    __slots__ = ("eta", "mult", "_rhs")
+    __slots__ = ("eta", "mult", "_rhs", "_rho_eta")
 
     def __init__(self, eta: Weight, mult: int = 1):
         if mult < 1:
@@ -700,13 +725,13 @@ class Hyperplane:
         self.eta = eta
         self.mult = mult
         self._rhs = Fraction(mult) * bilinear_form(eta, eta) / 2
+        self._rho_eta = bilinear_form(rho(eta.m, eta.n), eta)  # (rho, eta), read by every member call
 
     def rhs(self) -> Fraction:
         return self._rhs
 
     def member(self, lam: Weight) -> bool:
-        eta = self.eta
-        return bilinear_form(lam, eta) + bilinear_form(rho(lam.m, lam.n), eta) == self._rhs
+        return bilinear_form(lam, self.eta) + self._rho_eta == self._rhs
 
     def constraint_poly(self) -> Poly:
         """Linear polynomial in the coordinates of lam vanishing exactly on the hyperplane."""
@@ -736,8 +761,7 @@ def sample_hyperplane(hp: Hyperplane, seed: int, count: int) -> list:
     ]
     pivot = next(i for i, c in enumerate(coeffs) if c)
     others = [(i, c) for i, c in enumerate(coeffs) if c and i != pivot]  # one entry for a root
-    r = rho(m, n)
-    target = hp.rhs() - bilinear_form(r, eta)  # required value of (lam, eta)
+    target = hp.rhs() - hp._rho_eta  # required value of (lam, eta)
     # the pivot coordinate is (target - partial) / coeff with |partial| <= spread;
     # when that range misses [-bound, bound], no draw can ever be accepted
     spread = _DRAW_BOUND * sum(abs(c) for _, c in others)

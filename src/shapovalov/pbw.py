@@ -196,9 +196,10 @@ class _Codes:
     monomial, since g v_lambda = 0.  The bracket is a generator, or the
     Cartan element x_a -+ x_b for g = e_ab, worth lambda_a -+ lambda_b plus
     wt rest there.  memo holds the result of every step that does not stop
-    at once, on (g, mono); _letter clears it for each letter, and keeps in
-    results, across letters, what it asked of step.  No result depends on
-    lambda.
+    at once, on (g, mono); steps clears it for each letter, and keeps in
+    results, across letters, what it asked of step.  results also keeps,
+    on (word, mono), the product of a word of two or more lowering codes
+    with mono (verma._lowering).  No result depends on lambda.
 
     times is the same recursion, with its own memo, for the word kernel
     (_nf_atoms): it works in U(g) rather than on v_lambda, so a positive g
@@ -244,6 +245,24 @@ class _Codes:
         terms = sbracket_gens(self.alg, a, b)
         items = tuple((self.code[g], c) for g, c in terms if not isinstance(g, Poly))
         return sign, items, None if items else terms[0][0]
+
+    def steps(self, g, monos):
+        """[step(g, mono) for mono in monos], one letter g of the Verma
+        action (verma._letter, construct._lower_into).  memo is cleared for
+        the letter; a result is read from results, and kept there unless
+        its step stopped at once."""
+        step, memo, results = self.step, self.memo, self.results
+        memo.clear()
+        out = []
+        for mono in monos:
+            key = (g, mono)
+            res = results.get(key)
+            if res is None:
+                res = step(g, mono)
+                if key in memo:
+                    results[key] = res
+            out.append(res)
+        return out
 
     def _recursion(self, memo, keep=False):
         """The Leibniz recursion's step, over this numbering's tables; with

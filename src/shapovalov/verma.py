@@ -9,7 +9,12 @@ Monomials are decoded to (i, j, e) triples only where a vector is read
 (terms, weight, str) and encoded where one is built from triples.
 
 An element of U(g) acts one letter at a time from the right.  A Cartan
-part is evaluated at lambda plus the monomial's weight.  A generator g,
+part is evaluated at lambda plus the monomial's weight, through one
+evaluation table per such point for the whole call
+(exact_algebra.eval_table), so a Cartan monomial that recurs across an
+element's terms is evaluated once.  A term's negative part of two or more
+letters, all lowering, acts as one product, kept with the numbering's other
+lambda-free results on (word, monomial) (_lowering).  A generator g,
 negative or positive, goes through the numbering's one Leibniz recursion
 on the monomial's first factor x (_letter, pbw._Codes.step):
 g x rest = [g, x] rest + (-1)^{|g||x|} x (g rest).  A negative g stops at
@@ -39,7 +44,7 @@ from math import lcm
 from operator import mul
 from types import MappingProxyType
 
-from .exact_algebra import Poly, Weight, eval_scaled
+from .exact_algebra import Poly, Weight, eval_table
 from .pbw import (
     DISTINGUISHED,
     GLAlgebra,
@@ -194,8 +199,12 @@ def act(x, v: VermaVector) -> VermaVector:
     Each term n h p of x, and a free word as a whole, acts one letter at a
     time from the right: a generator acts on each monomial by the Leibniz
     recursion (_letter), and a Cartan element is evaluated at lambda plus
-    the monomial's weight (_cartan).  Each word's numerators carry their own
-    denominator until they are added to the result.
+    the monomial's weight (_cartan), through one table per such point for
+    the whole call (exact_algebra.eval_table), so a Cartan monomial that
+    recurs across the terms is evaluated once.  A negative part n of two or
+    more letters, all lowering for v's order, acts as one product
+    (_lowering).  Each word's numerators carry their own denominator until
+    they are added to the result.
     """
     alg, lam, order = v.alg, v.lam, v.order
     codes = _codes(alg, order.word)
@@ -203,10 +212,16 @@ def act(x, v: VermaVector) -> VermaVector:
     D, point = lam.scaled()
     at = (D,) + point
     if isinstance(x, UEAElement):
-        words = [_expand_key(n) + [h] + _expand_key(p) for (n, p), h in x.terms.items()]
+        words = []
+        for (n, p), h in x.terms.items():
+            n = [code[g] for g in _expand_key(n)]
+            if len(n) > 1 and max(n) < half:
+                n = [tuple(n)]
+            words.append(n + [h] + [code[g] for g in _expand_key(p)])
     else:
-        words = [[a if isinstance(a, Poly) else _cartan_unit(alg, a[0]) if a[0] == a[1] else (a[0], a[1])
+        words = [[a if isinstance(a, Poly) else _cartan_unit(alg, a[0]) if a[0] == a[1] else code[a[0], a[1]]
                   for a in x]]
+    tables: dict = {}
     out: dict = {}
     den = 1
     for word in words:
@@ -214,14 +229,15 @@ def act(x, v: VermaVector) -> VermaVector:
         for a in reversed(word):
             if not nums:
                 break
-            if isinstance(a, Poly):
-                nums, f = _cartan(D, point, a, nums, codes.offsets)
-                d *= f
-            else:
-                g = code[a]
-                nums = _letter(codes, g, nums, at)
-                if g >= half:
+            if type(a) is int:
+                nums = _letter(codes, a, nums, at)
+                if a >= half:
                     d *= D
+            elif type(a) is tuple:
+                nums = _lowering(codes, a, nums)
+            else:
+                nums, f = _cartan(D, point, a, nums, codes.offsets, tables)
+                d *= f
         if not out and nums is not v.nums:
             out, den = nums, d  # a fresh dict: the first word's numerators
         elif nums:
@@ -229,12 +245,13 @@ def act(x, v: VermaVector) -> VermaVector:
     return VermaVector.over(alg, lam, out, den, order)
 
 
-def _cartan(D, point, h, nums, offsets):
+def _cartan(D, point, h, nums, offsets, tables):
     """h mono v_lambda = h(lambda + wt mono) mono v_lambda, for each monomial:
     h at the integer point D * (lambda + wt mono), with wt mono read from
-    offsets (pbw._Codes.offsets).  Returns the numerators and the factor
-    they put on the denominator, D^deg h (a constant h multiplies by its
-    numerator and puts its denominator there)."""
+    offsets (pbw._Codes.offsets), by the evaluation table of that point in
+    tables (keyed by wt mono, made on first use).  Returns the numerators
+    and the factor they put on the denominator, D^deg h (a constant h
+    multiplies by its numerator and puts its denominator there)."""
     if h.is_constant():
         c = h.constant_value()
         if not c:
@@ -244,12 +261,35 @@ def _cartan(D, point, h, nums, offsets):
     out: dict = {}
     d = 0
     for mono, x in nums.items():
-        at = point
-        if mono:
-            at = tuple(p + D * o if o else p for p, o in zip(point, offsets(mono)))
-        c, d = eval_scaled(h, at, D)
+        off = offsets(mono)
+        evaluate = tables.get(off)
+        if evaluate is None:
+            at = tuple(p + D * o if o else p for p, o in zip(point, off))
+            evaluate = tables[off] = eval_table(at, D)
+        c, d = evaluate(h)
         _accumulate(out, mono, x * c)
     return out, D ** d
+
+
+def _lowering(codes, word, nums):
+    """The word of lowering codes, two or more letters applied from the
+    right, on each monomial of nums: one lookup of (word, mono) in the
+    numbering's results, where the product word * mono, a lambda-free list
+    of int multiples of monomials, is kept once the letter steps (_letter)
+    have computed it."""
+    results = codes.results
+    out: dict = {}
+    for mono, x in nums.items():
+        key = (word, mono)
+        res = results.get(key)
+        if res is None:
+            part = {mono: 1}
+            for g in reversed(word):
+                part = _letter(codes, g, part)
+            res = results[key] = tuple(part.items())
+        for neg, c in res:
+            _accumulate(out, neg, x if c == 1 else x * c)
+    return out
 
 
 def _letter(codes, g, nums, at=None):
@@ -260,18 +300,10 @@ def _letter(codes, g, nums, at=None):
     it puts D on the denominator.  At a generic point D is 1, the
     D * lambda_i are Polys and a zero coefficient multiplies none of them.
     The result for (g, mono) is kept in codes.results unless its step stops
-    at once."""
-    step, memo, results = codes.step, codes.memo, codes.results
-    memo.clear()
+    at once (pbw._Codes.steps)."""
     generic = at is not None and isinstance(at[-1], Poly)
     out: dict = {}
-    for mono, x in nums.items():
-        key = (g, mono)
-        res = results.get(key)
-        if res is None:
-            res = step(g, mono)
-            if key in memo:
-                results[key] = res
+    for x, res in zip(nums.values(), codes.steps(g, nums)):
         for neg, v in res:
             if type(v) is not int:
                 v = sum([c * a for c, a in zip(v, at) if c]) if generic else sum(map(mul, v, at))

@@ -616,6 +616,21 @@ class TestChainRecurrence:
         assert theta_power(4, 2).terms
         assert not pbw._NF_CACHE
 
+    def test_degree_cap_holds_through_the_chain_sums(self):
+        # the chain sums keep Cartan parts as term dicts; a linear factor on
+        # x1^255 is refused with the one-line limit error, never wrapped into
+        # x2, and a result of degree exactly 255 is kept
+        t = theta_gl(3)
+        alg = t.alg
+        x1 = Poly.x(1)
+        with pytest.raises(ValueError, match="at most 255") as exc:
+            t._element(lambda f: f, UEAElement(alg, {((), ()): x1 ** 255}))
+        assert "\n" not in str(exc.value)
+        top = t._element(lambda f: f, UEAElement(alg, {((), ()): x1 ** 254}))
+        assert top == UEAElement(alg, {k: h * x1 ** 254 for k, h in t.body.terms.items()})
+        assert max(h.degree() for h in top.terms.values()) == 255
+        assert any(255 in e for h in top.terms.values() for e in h.terms)
+
     def test_chain_start_must_be_canonical(self):
         # the start of a chain sum is encoded as the Verma vectors are, so a
         # positive part or an odd square is refused

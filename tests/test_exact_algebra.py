@@ -260,7 +260,8 @@ class TestHyperplane:
         form = ea.bilinear_form
         monkeypatch.setattr(ea, "bilinear_form", lambda a, b: calls.append((a, b)) or form(a, b))
         assert hp.member(lam) and hp.rhs() == 0
-        assert all(eta is b and a is not eta for a, b in calls) and len(calls) == 2
+        # (rho, eta) is paired once, in __init__: member pairs only lam with eta
+        assert calls == [(lam, eta)] and calls[0][0] is lam and calls[0][1] is eta
 
     def test_sampling(self):
         eta = Weight.eps(2, 2, 1) - Weight.delta(2, 2, 2)
@@ -465,6 +466,26 @@ class TestPackedExponents:
             want = p.subs({1: lam.coords[0], 2: lam.coords[1]})
             got = eval_at(p, lam)
             assert got == (want.constant_value() if want.is_constant() else want), p
+
+    def test_one_evaluation_table_serves_many_polys(self):
+        # one table per point serves many polynomials, in either order, and
+        # agrees with subs: repeated monomials, a loose bound, a variable
+        # beyond the point, x2^255, a rational, an integer and a generic point
+        from shapovalov.exact_algebra import eval_table
+
+        x1, x2, x3 = Poly.x(1), Poly.x(2), Poly.x(3)
+        polys = [Poly.zero(), Poly.const(Fraction(3, 7)), x1 ** 3 * x2 - 4 * x2 + 1, x1 ** 3 * x2 + x1 * x2,
+                 x1 ** 3 + 2 * x2 - x1 ** 3 + 1, Fraction(1, 5) * x1 * x2 + x3 ** 2, x2 ** 255]
+        generic = generic_point(1, 1, [x1 + x2 - 2])
+        for lam in (Weight(1, 1, [Fraction(1, 2), Fraction(-2, 3)]), Weight(1, 1, [4, -1]), generic):
+            D, point = lam.scaled()
+            evaluate = eval_table(point, D)
+            for p in polys + polys[::-1]:
+                num, d = evaluate(p)
+                assert d == p.degree(), (lam, p)
+                want = p.subs({1: lam.coords[0], 2: lam.coords[1]})
+                got = num * Fraction(1, D ** d) if isinstance(num, Poly) else Poly.const(Fraction(num, D ** d))
+                assert got == want, (lam, p)
 
     def test_exponents_must_be_non_negative_ints(self):
         for exps in [(-1,), (1.0,), ("2",)]:

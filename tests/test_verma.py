@@ -19,8 +19,15 @@ from shapovalov.verma import (
     vacuum,
     weight_basis,
 )
-from shapovalov.construct import theta_gl, theta_glmn_distinguished, theta_power
-from shapovalov.shuffles import enumerate_shuffles
+from shapovalov.construct import (
+    theta_borel,
+    theta_for_root,
+    theta_gl,
+    theta_glmn_distinguished,
+    theta_odd_alg,
+    theta_power,
+)
+from shapovalov.shuffles import Shuffle, enumerate_shuffles
 from test_pbw import reference_straightener
 
 
@@ -240,6 +247,82 @@ class TestActOracle:
                 assert act(x, v).terms == expected, word
                 if not shuffle:  # the UEA product is the distinguished one
                     assert product_route(x, v) == expected, word
+
+
+def letters(part):
+    return [(i, j) for i, j, e in part for _ in range(e)]
+
+
+def free_word_route(x, v):
+    """x v as the sum, over the terms n h p of x, of the free word n h p
+    acting on v one letter at a time."""
+    out = VermaVector(v.alg, v.lam, order=v.order)
+    for (n, p), h in x.terms.items():
+        out = out + act(letters(n) + [h] + letters(p), v)
+    return out
+
+
+def element_cases():
+    """(name, element, order, theta) cases: a power's body, an odd body, a
+    shuffle Borel body on its own order, a distinguished body on that order
+    (where some of its negative letters raise), and normal-ordered words
+    with positive parts and Cartan atoms.  theta gives the vector
+    theta v_lambda of the order."""
+    rng = random.Random(29)
+    borel = theta_borel(Shuffle.parse(2, 2, "1 1' 2 2'"))
+    odd = theta_odd_alg(gl(3, 2), 1, 2, "odd-first")
+    yield "power", theta_power(4, 2), DISTINGUISHED, theta_gl(4)
+    yield "odd", odd.body, DISTINGUISHED, odd
+    yield "borel", borel.body, borel.pbw_order(), borel
+    yield "distinguished-on-borel", theta_glmn_distinguished(2, 2).body, borel.pbw_order(), borel
+    for m, n in ((3, 0), (2, 1), (2, 2)):
+        alg = gl(m, n)
+        N = alg.N
+        gens = [(i, j) for i in range(1, N + 1) for j in range(1, N + 1) if i != j]
+        carts = [Poly.x(1) - Poly.x(N) + 3, Poly.x(2) * Poly.x(N - 1) - Poly.x(1), Poly.x(1) ** 3]
+        x = UEAElement.zero(alg)
+        for _ in range(6):
+            word = [rng.choice(gens) for _ in range(rng.randint(2, 5))]
+            word.insert(rng.randint(0, len(word)), rng.choice(carts))
+            x = x + normal_order(alg, word)
+        yield f"words-{m}-{n}", x, DISTINGUISHED, theta_for_root(alg, alg.gen_weight(1, N))
+
+
+class TestActOnElements:
+    """act on a UEA element against its terms taken as free words: the
+    element's path evaluates the Cartan parts through one table per point
+    and applies a lowering negative part as one product, the free words go
+    letter by letter."""
+
+    @pytest.mark.parametrize("point", ["rational", "generic"])
+    @pytest.mark.parametrize("case", list(element_cases()), ids=lambda c: c[0])
+    def test_matches_free_words(self, case, point):
+        _, x, order, theta = case
+        alg = theta.alg
+        rng = random.Random(len(x.terms))
+        if point == "generic":
+            lam = generic_point(alg.m, alg.n, [theta.hyperplane().constraint_poly()])
+        else:
+            lam = rand_weight(rng, alg.m, alg.n)
+        results = pbw._codes(alg, order.word).results
+        for v in (vacuum(alg, lam, order), theta.apply(vacuum(alg, lam, order))):
+            want = free_word_route(x, v)
+            assert act(x, v) == want
+            assert act(x, v) == want  # the products now come from results
+        assert all(type(c) is int for k, res in results.items() if type(k[0]) is tuple for _, c in res)
+
+    def test_lowering_products_are_kept_once(self):
+        # a negative part of two or more lowering letters is one results
+        # entry per (word, monomial), the same at every weight
+        pbw._codes.cache_clear()
+        power = theta_power(4, 2)
+        results = pbw._codes(gl(4), None).results
+        rng = random.Random(3)
+        act(power, vacuum(gl(4), rand_weight(rng, 4, 0)))
+        words = {k: res for k, res in results.items() if type(k[0]) is tuple}
+        assert words and all(len(k[0]) > 1 for k in words)
+        act(power, vacuum(gl(4), rand_weight(rng, 4, 0)))
+        assert {k: res for k, res in results.items() if type(k[0]) is tuple} == words
 
 
 MONOS = [(), ((2, 1, 1),), ((3, 1, 1),), ((2, 1, 1), (3, 2, 1)), ((3, 2, 2),)]
