@@ -57,7 +57,6 @@ printing and the partial expansions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact_algebra import (
@@ -94,23 +93,33 @@ ODD_ORDERINGS = tuple(o for o in ORDERINGS if o != "standard")
 INDEPENDENCE_CAP = 6  # largest m + n whose independence is decided by brute force
 
 
-@dataclass
 class ShapovalovElement:
     """A constructed lowering element, given by its chain.
 
     chain is a small graph with one path per term of the expansion, which
     _chain_sum sums over (see the note above _paths).  terms lists the paths
     as (generator word, Cartan factors) pairs, the word not yet
-    normal-ordered.  body is the canonical normal form of the full sum.
+    normal-ordered.  body is the canonical normal form of the full sum,
+    built on first use.  Two elements are equal when their six defining
+    fields are, whether or not either has built its body; an element is
+    mutable and so unhashable.
     """
 
-    alg: GLAlgebra
-    eta: Weight
-    mult: int
-    ordering: str
-    chain: tuple = field(repr=False)
-    borel: Shuffle | None = None
-    _body: UEAElement | None = field(default=None, repr=False, init=False)
+    def __init__(self, alg: GLAlgebra, eta: Weight, mult: int, ordering: str, chain: tuple,
+                 borel: Shuffle | None = None):
+        self.alg, self.eta, self.mult, self.ordering = alg, eta, mult, ordering
+        self.chain, self.borel = chain, borel
+        self._body: UEAElement | None = None
+
+    def _fields(self) -> tuple:
+        return self.alg, self.eta, self.mult, self.ordering, self.chain, self.borel
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        return (f"ShapovalovElement(alg={self.alg!r}, eta={self.eta!r}, mult={self.mult!r}, "
+                f"ordering={self.ordering!r}, borel={self.borel!r})")
 
     @property
     def body(self) -> UEAElement:
@@ -497,17 +506,16 @@ def theta_borel(s: Shuffle) -> ShapovalovElement:
 # ---------------------------------------------------------------------------
 # partial expansions
 
-@dataclass
 class CaseDecomposition:
     """Partial expansion of an odd-root element around distinguished indices."""
 
-    alg: GLAlgebra
-    gamma: Weight
-    theta: ShapovalovElement
-    pieces: dict          # label -> UEAElement (sums over the index classes)
-    indeterminates: dict  # label -> Poly
-    factors: dict         # label -> ShapovalovElement of the sub-roots
-    index_sets: dict      # label -> list of subsets
+    def __init__(self, alg: GLAlgebra, gamma: Weight, theta: ShapovalovElement, pieces: dict,
+                 indeterminates: dict, factors: dict, index_sets: dict):
+        self.alg, self.gamma, self.theta = alg, gamma, theta
+        self.pieces = pieces                  # label -> UEAElement (sums over the index classes)
+        self.indeterminates = indeterminates  # label -> Poly
+        self.factors = factors                # label -> ShapovalovElement of the sub-roots
+        self.index_sets = index_sets          # label -> list of subsets
 
 
 def _sum_terms(alg, terms) -> UEAElement:
@@ -558,14 +566,9 @@ def case1_decompose(r: int, s: int, l: int, m: int, n: int) -> CaseDecomposition
         "product": theta_alpha.body * theta_gamma_p.body,
     }
     return CaseDecomposition(
-        alg=alg,
-        gamma=theta.eta,
-        theta=theta,
-        pieces=pieces,
-        indeterminates={"T": T},
+        alg=alg, gamma=theta.eta, theta=theta, pieces=pieces, indeterminates={"T": T},
         factors={"alpha": theta_alpha, "gamma_prime": theta_gamma_p},
-        index_sets={"main": main, "remainder": remainder},
-    )
+        index_sets={"main": main, "remainder": remainder})
 
 
 def case2_decompose(r: int, s: int, l: int, k: int, m: int, n: int) -> CaseDecomposition:
@@ -592,14 +595,9 @@ def case2_decompose(r: int, s: int, l: int, k: int, m: int, n: int) -> CaseDecom
     pieces = {name: _sum_terms(alg, groups[key][0]) for key, name in names.items()}
     pieces["product"] = theta_a1.body * theta_a2.body * theta_g1.body
     return CaseDecomposition(
-        alg=alg,
-        gamma=theta.eta,
-        theta=theta,
-        pieces=pieces,
-        indeterminates={"T": T, "S": S},
+        alg=alg, gamma=theta.eta, theta=theta, pieces=pieces, indeterminates={"T": T, "S": S},
         factors={"alpha1": theta_a1, "alpha2": theta_a2, "gamma1": theta_g1},
-        index_sets={name: groups[key][1] for key, name in names.items()},
-    )
+        index_sets={name: groups[key][1] for key, name in names.items()})
 
 
 def case2_assembled(dec: CaseDecomposition) -> UEAElement:

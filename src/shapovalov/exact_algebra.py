@@ -768,8 +768,10 @@ def sample_hyperplane(hp: Hyperplane, seed: int, count: int) -> list:
     if abs(target) - spread > _SAMPLE_BOUND * abs(coeffs[pivot]):
         raise ValueError(f"{hp} has no sample point with coordinates bounded by {_SAMPLE_BOUND}")
     rng = random.Random(seed)
+    # x = (target - partial) / coeff, with the division made once here
+    target, others = target / coeffs[pivot], [(i, c / coeffs[pivot]) for i, c in others]
     points = []
-    seen = set()
+    seen = set()  # points as tuples of (numerator, denominator) int pairs
     misses = 0
     while len(points) < count:
         if misses == _MAX_MISSES:
@@ -778,20 +780,29 @@ def sample_hyperplane(hp: Hyperplane, seed: int, count: int) -> list:
                 f"bounded by {_SAMPLE_BOUND} before {_MAX_MISSES} draws in a row added none"
             )
         misses += 1
-        # int pairs first: Fractions only for the coordinates a point needs
-        draws = [(rng.randint(-_DRAW_BOUND, _DRAW_BOUND), rng.randint(1, 5)) for _ in range(m + n)]
-        x = (target - sum(c * Fraction(*draws[i]) for i, c in others)) / coeffs[pivot]
+        drawn = [_drawn(rng.randint(-_DRAW_BOUND, _DRAW_BOUND), rng.randint(1, 5)) for _ in range(m + n)]
+        x = target - sum(c * drawn[i][0] for i, c in others)
+        p, q = x.numerator, x.denominator
         # the drawn coordinates are within the bound by construction
-        if abs(x.numerator) > _SAMPLE_BOUND or x.denominator > _SAMPLE_BOUND:
+        if abs(p) > _SAMPLE_BOUND or q > _SAMPLE_BOUND:
             continue
-        lam = Weight(m, n, [x if i == pivot else Fraction(p, q) for i, (p, q) in enumerate(draws)])
-        if lam.coords in seen:
+        drawn[pivot] = x, (p, q)
+        key = tuple(pair for _, pair in drawn)
+        if key in seen:
             continue
-        seen.add(lam.coords)
+        seen.add(key)
+        lam = Weight(m, n, [f for f, _ in drawn])
         assert hp.member(lam)
         points.append(lam)
         misses = 0
     return points
+
+
+@cache
+def _drawn(a: int, b: int) -> tuple:
+    """The draw a/b as a Fraction and as its reduced (numerator, denominator) pair."""
+    x = Fraction(a, b)
+    return x, (x.numerator, x.denominator)
 
 
 def generic_point(m: int, n: int, constraints) -> Weight:

@@ -40,7 +40,6 @@ instance of it), and raising lists the order's simple raising generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from types import MappingProxyType
@@ -137,18 +136,30 @@ def superbracket(alg: GLAlgebra, a, b) -> "UEAElement":
 # ---------------------------------------------------------------------------
 # triangular orders
 
-@dataclass(frozen=True)
 class PBWOrder:
     """Triangular decomposition given by a word of 1..N: e_{ij} is negative
     iff i comes after j.  No word, or the identity, is the distinguished
-    order (i > j).  _codes(alg, order.word) numbers its generators.
+    order (i > j).  _codes(alg, order.word) numbers its generators.  An
+    order is a value: equal words give equal, equally hashed orders, and
+    word is read-only.
     """
 
-    word: tuple | None = None
+    __slots__ = ("_word",)
 
-    def __post_init__(self):
-        word = tuple(self.word or ())
-        object.__setattr__(self, "word", None if word == tuple(range(1, len(word) + 1)) else word)
+    def __init__(self, word: tuple | None = None):
+        word = tuple(word or ())
+        self._word = None if word == tuple(range(1, len(word) + 1)) else word
+
+    word = property(lambda self: self._word)
+
+    def __eq__(self, other):
+        return self._word == other._word if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._word)
+
+    def __repr__(self):
+        return f"PBWOrder(word={self._word!r})"
 
 
 class _Table(dict):

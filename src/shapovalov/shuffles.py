@@ -9,9 +9,8 @@ vector between consecutive entries a, b of a subset is simply e_{ab}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .exact_algebra import Poly, Weight
 from .pbw import GLAlgebra
@@ -122,19 +121,19 @@ def simple_roots(s: Shuffle):
     return out
 
 
-@dataclass
 class DiagramData:
-    """Per-node data of the augmented diagram of a shuffle Borel."""
+    """Per-node data of the augmented diagram of a shuffle Borel, nodes
+    k = 1..m+n-1: roots, the simple roots as Weights, with their parities and
+    the (a, b) encoded entries around each (neighbors); i_left[k] = i(k), the
+    odd nodes strictly left of node k (k up to m+n); h, the h_k as Cartan
+    polynomials, and s, their partial sums s_k = h_1 + ... + h_k;
+    d_k = l(k) + parity bit of i(k); and t, which maps each entry e but the
+    first to the Cartan polynomial t_e.
+    """
 
-    shuffle: Shuffle
-    roots: list          # simple roots as Weights, nodes 1..m+n-1
-    parities: list
-    neighbors: list      # (a, b) encoded entries around each node
-    i_left: list         # i(k): odd nodes strictly left of node k, k = 1..m+n
-    h: list              # h_k as Cartan polynomials
-    s: list              # partial sums s_k = h_1 + ... + h_k
-    d: list              # d_k = l(k) + parity bit of i(k)
-    t: dict              # entry e -> t_e (Cartan polynomial), e any non-initial entry
+    def __init__(self, shuffle, roots, parities, neighbors, i_left, h, s, d, t):
+        self.shuffle, self.roots, self.parities, self.neighbors = shuffle, roots, parities, neighbors
+        self.i_left, self.h, self.s, self.d, self.t = i_left, h, s, d, t
 
 
 def diagram_data(s: Shuffle) -> DiagramData:
@@ -142,11 +141,7 @@ def diagram_data(s: Shuffle) -> DiagramData:
         raise ValueError("diagram data requires word fixing 1 first and n' last")
     m, n = s.m, s.n
     N = m + n
-    roots, parities, neighbors = [], [], []
-    for root, parity, ab in simple_roots(s):
-        roots.append(root)
-        parities.append(parity)
-        neighbors.append(ab)
+    roots, parities, neighbors = map(list, zip(*simple_roots(s)))
 
     # i(k) for k = 1..N (position N is "right of the last node")
     i_left = [0] * (N + 1)
@@ -156,17 +151,9 @@ def diagram_data(s: Shuffle) -> DiagramData:
     h = []
     for k in range(1, N):
         a, b = neighbors[k - 1]
-        sign = -1 if i_left[k] % 2 else 1
-        if parities[k - 1]:
-            h.append((Poly.x(a) + Poly.x(b)) * sign)
-        else:
-            h.append((Poly.x(a) - Poly.x(b)) * sign)
-
-    spart = []
-    acc = Poly.zero()
-    for p in h:
-        acc = acc + p
-        spart.append(acc)
+        x = Poly.x(a) + Poly.x(b) if parities[k - 1] else Poly.x(a) - Poly.x(b)
+        h.append(x * (-1 if i_left[k] % 2 else 1))
+    spart = list(accumulate(h))
 
     d = []
     for k in range(1, N):
@@ -184,17 +171,7 @@ def diagram_data(s: Shuffle) -> DiagramData:
         sign = -1 if i_left[k + 1] % 2 else 1
         t[e] = (spart[k - 1] - Poly.const(d[k - 1])) * sign
 
-    return DiagramData(
-        shuffle=s,
-        roots=roots,
-        parities=parities,
-        neighbors=neighbors,
-        i_left=i_left,
-        h=h,
-        s=spart,
-        d=d,
-        t=t,
-    )
+    return DiagramData(s, roots, parities, neighbors, i_left, h, spart, d, t)
 
 
 def supertrace_pairing(alg: GLAlgebra, p: Poly, q: Poly) -> Fraction:

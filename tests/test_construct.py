@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -23,6 +22,7 @@ from shapovalov.shuffles import Shuffle, diagram_data, enumerate_shuffles
 from shapovalov.verma import VermaVector, act, is_highest_weight, vacuum, weight_basis
 from shapovalov.construct import (
     ODD_ORDERINGS,
+    ShapovalovElement,
     parse_root,
     raising_vectors,
     root_to_str,
@@ -78,6 +78,29 @@ class TestThetaGl:
         # theta_power takes one pass of the chain per factor, with shifted
         # factors; the UEA product of expanded bodies is the oracle
         assert theta_power(m, p) == theta_gl(m).body ** p
+
+
+class TestElementFields:
+    def test_repr_lists_the_fields_but_not_the_chain(self):
+        for t in (theta_gl(3), theta_borel(Shuffle.parse(2, 2, "1 1' 2 2'"))):
+            text = repr(t)
+            assert text.startswith("ShapovalovElement(alg=")
+            for name in ("alg", "eta", "mult", "ordering", "borel"):
+                assert f"{name}={getattr(t, name)!r}" in text
+            assert "chain" not in text and "_body" not in text
+
+    def test_equality_ignores_the_cached_body(self):
+        a, b = theta_gl(3), theta_gl(3)
+        assert a is not b and a == b
+        assert not a.body.is_zero() and a._body is not None and b._body is None
+        assert a == b and b == a
+        assert not b.body.is_zero() and a == b
+        assert a != theta_gl(4)
+        assert a != ShapovalovElement(a.alg, a.eta, 2, a.ordering, a.chain, a.borel)
+        assert a != ShapovalovElement(a.alg, a.eta, a.mult, "bform", a.chain, a.borel)
+        assert a != ShapovalovElement(a.alg, a.eta, a.mult, a.ordering, ((),), a.borel)
+        with pytest.raises(TypeError):
+            hash(a)
 
 
 class TestDistinguishedOdd:
@@ -214,12 +237,14 @@ class TestDefiningProperty:
     def test_symbolic_negative_controls(self):
         # the element of multiplicity 1 is not singular on the multiplicity-2 hyperplane
         for t in (theta_gl(3), theta_even_delta(gl(1, 3), 1, 3)):
-            assert verify_highest_weight_symbolic(dataclasses.replace(t, mult=1))
-            assert not verify_highest_weight_symbolic(dataclasses.replace(t, mult=2))
+            assert verify_highest_weight_symbolic(
+                ShapovalovElement(t.alg, t.eta, 1, t.ordering, t.chain, t.borel))
+            assert not verify_highest_weight_symbolic(
+                ShapovalovElement(t.alg, t.eta, 2, t.ordering, t.chain, t.borel))
         # a zero theta v is killed by everything but is not a singular vector
         t = theta_gl(3)
         assert not t.body.is_zero()
-        zero = dataclasses.replace(t, chain=((),))
+        zero = ShapovalovElement(t.alg, t.eta, t.mult, t.ordering, ((),), t.borel)
         assert zero.body.is_zero()  # the body cached from the old chain is not kept
         assert not verify_highest_weight_symbolic(zero)
         assert not verify_highest_weight(zero, samples=2)["all_passed"]

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shapovalov.construct import theta_borel
 from shapovalov.exact_algebra import (
     Hyperplane,
     Poly,
@@ -20,6 +22,7 @@ from shapovalov.exact_algebra import (
     rho_pairing,
     sample_hyperplane,
 )
+from shapovalov.shuffles import enumerate_shuffles
 
 rationals = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=6
@@ -47,6 +50,59 @@ def all_roots(m, n):
             if i != j:
                 out.append(Weight.basis(m, n, i) - Weight.basis(m, n, j))
     return out
+
+
+def reference_sample(hp, seed, count):
+    """The sampler's earlier loop, kept as a reference: it builds a Fraction
+    for each draw it needs and tells points apart by their Fraction
+    coordinates.  The sampler must draw the same points and raise the same
+    errors."""
+    eta = hp.eta
+    m, n = eta.m, eta.n
+    coeffs = [eta.coords[i] for i in range(m)] + [-eta.coords[m + j] for j in range(n)]
+    pivot = next(i for i, c in enumerate(coeffs) if c)
+    others = [(i, c) for i, c in enumerate(coeffs) if c and i != pivot]
+    target = hp.rhs() - bilinear_form(rho(m, n), eta)
+    if abs(target) - 24 * sum(abs(c) for _, c in others) > 1000 * abs(coeffs[pivot]):
+        raise ValueError(f"{hp} has no sample point with coordinates bounded by 1000")
+    rng = random.Random(seed)
+    points, seen, misses = [], set(), 0
+    while len(points) < count:
+        if misses == 10_000:
+            raise ValueError(
+                f"{hp}: found {len(points)} of {count} sample points with coordinates "
+                f"bounded by 1000 before 10000 draws in a row added none"
+            )
+        misses += 1
+        draws = [(rng.randint(-24, 24), rng.randint(1, 5)) for _ in range(m + n)]
+        x = (target - sum(c * Fraction(*draws[i]) for i, c in others)) / coeffs[pivot]
+        if abs(x.numerator) > 1000 or x.denominator > 1000:
+            continue
+        lam = Weight(m, n, [x if i == pivot else Fraction(p, q) for i, (p, q) in enumerate(draws)])
+        if lam.coords in seen:
+            continue
+        seen.add(lam.coords)
+        points.append(lam)
+        misses = 0
+    return points
+
+
+SAMPLER_CASES = {
+    "roots": lambda: [Hyperplane(eta) for N in range(2, 8) for m in range(1, N + 1)
+                      for eta in all_roots(m, N - m)],
+    "multiplicities": lambda: [
+        Hyperplane(Weight.basis(m, 0, i) - Weight.basis(m, 0, j), mult)
+        for m in range(3, 7) for i in range(1, m) for j in range(i + 1, m + 1) for mult in (2, 3)],
+    "shuffles": lambda: [theta_borel(sh).hyperplane()
+                         for m, n in ((2, 2), (2, 3), (3, 2), (3, 3)) for sh in enumerate_shuffles(m, n)],
+    # lines whose 169 values a/b repeat within 100 points, a rational eta, an
+    # unreachable hyperplane and one with a single point in the bound
+    "edges": lambda: [Hyperplane(Weight.eps(2, 0, 1) - Weight.eps(2, 0, 2)),
+                      Hyperplane(Weight.eps(1, 1, 1) - Weight.delta(1, 1, 1)),
+                      Hyperplane(Weight(2, 2, [2, Fraction(1, 2), 0, -3])),
+                      Hyperplane(Weight.eps(3, 0, 1) - Weight.eps(3, 0, 3), 3000),
+                      Hyperplane(Weight.eps(2, 0, 1) - Weight.eps(2, 0, 2), 1025)],
+}
 
 
 class TestBilinearForm:
@@ -307,6 +363,19 @@ class TestHyperplane:
     def test_sampled_points_are_pinned(self, m, n, eta, mult, seed, points):
         hp = Hyperplane(Weight(m, n, eta), mult)
         assert [p.to_json() for p in sample_hyperplane(hp, seed, len(points))] == points
+
+    @pytest.mark.parametrize("family", sorted(SAMPLER_CASES))
+    def test_sampler_draws_the_reference_points(self, family):
+        count = 100 if family == "edges" else 3
+        for hp in SAMPLER_CASES[family]():
+            for seed in range(3):
+                try:
+                    expected = [p.to_json() for p in reference_sample(hp, seed, count)]
+                except ValueError as e:
+                    with pytest.raises(ValueError, match=re.escape(str(e))):
+                        sample_hyperplane(hp, seed, count)
+                    continue
+                assert [p.to_json() for p in sample_hyperplane(hp, seed, count)] == expected, (hp, seed)
 
     @pytest.mark.parametrize("m, n, eta, mult", [
         (3, 0, [1, 0, -1], 2), (2, 2, [1, 0, 0, -1], 1), (2, 2, [0, 1, -1, 0], 1),

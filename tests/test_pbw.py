@@ -1,5 +1,7 @@
+import copy
 import inspect
 import json
+import pickle
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -252,6 +254,19 @@ class TestOrder:
         assert PBWOrder((1, 2, 3)).word is None
         assert PBWOrder((1, 3, 2, 4)) != DISTINGUISHED
         assert PBWOrder((1, 3, 2, 4)) == PBWOrder([1, 3, 2, 4])
+
+    def test_order_is_read_only(self):
+        order = PBWOrder((1, 3, 2, 4))
+        with pytest.raises(AttributeError):
+            order.word = (1, 2, 3, 4)
+        with pytest.raises(AttributeError):
+            del order.word
+        with pytest.raises(AttributeError):
+            order.other = 1
+        assert order.word == (1, 3, 2, 4) and order == PBWOrder([1, 3, 2, 4])
+        for copied in (copy.copy(order), pickle.loads(pickle.dumps(order))):
+            assert copied == order and hash(copied) == hash(order) and copied.word == (1, 3, 2, 4)
+        assert repr(order) == "PBWOrder(word=(1, 3, 2, 4))" and repr(DISTINGUISHED) == "PBWOrder(word=None)"
 
 
 class TestReference:
