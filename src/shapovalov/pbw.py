@@ -14,27 +14,24 @@ factors appearing with exponent at most one.  Two rules do all the work:
     H(x) e_{ij} = e_{ij} H(x + w),  w = +1 at i, -1 at j.
 
 U(g) is straightened by one Leibniz recursion, that of the numbering
-below.  The straightening kernel _nf_atoms normal-orders words made only
-of generators: it applies the word's letters to 1 from the right, each
-letter to the negative part of every term n H p by the recursion, and a
-positive letter left over at the end goes past H with one shift and into
-p by the same recursion.  Products go through one splice: the product of
-terms (n1 h1 p1)(n2 h2 p2) moves h1 to the far left and h2 to the far
-right, straightens the generator word n1 p1 n2 p2 once, and puts each
-Cartan part back with a single shift.  The UEA product and normal_order
-(a free word with Cartan atoms is the product of its runs) use it; the
-Verma action and construct's chain sums do not (see verma.act) and call
-no kernel.  The kernel caches every word it straightens: a word has no
-Cartan part, so its normal form serves every product it is met in.
+below, run by one routine that applies atoms to terms n H p from the
+right (_apply): a generator goes into n by the recursion, a positive
+letter left over goes past H with one shift and into p by the same
+recursion, and a Cartan atom goes past n with one shift.  normal_order
+applies a word to 1, a word of generators alone through the caching
+kernel _nf_atoms.  The UEA product applies each left term to the right
+operand, and multiplies a lowering term in U(n-) by the numbering's
+lowering products (_Codes.lowered), which the Verma action reads too.
+The Verma action and construct's chain sums call no kernel (verma.act).
 
 A triangular order (PBWOrder) numbers the G generators in factor order,
 once per algebra and order word (_codes): the negative ones take the
-codes below G // 2.  The kernel and the Verma action work over these int
+codes below G // 2.  _apply and the Verma action work over these int
 codes, compare codes only, and read brackets and signs from the one
 code-indexed table of the numbering.  The numbering is the one context
 per algebra and order: it alone knows the letter code of a monomial, it
 owns the Leibniz recursion (the Verma action's step, with its memo and
-results, verma._letter taking the numbering; and times, the kernel's
+results, verma._letter taking the numbering; and times, _apply's
 instance of it), and raising lists the order's simple raising generators.
 """
 
@@ -209,11 +206,11 @@ class _Codes:
     wt rest there.  memo holds the result of every step that does not stop
     at once, on (g, mono); steps clears it for each letter, and keeps in
     results, across letters, what it asked of step.  results also keeps,
-    on (word, mono), the product of a word of two or more lowering codes
-    with mono (verma._lowering).  No result depends on lambda.
+    on (word, mono), the product of a word of lowering codes with mono
+    (lowered).  No result depends on lambda.
 
-    times is the same recursion, with its own memo, for the word kernel
-    (_nf_atoms): it works in U(g) rather than on v_lambda, so a positive g
+    times is the same recursion, with its own memo, for U(g) (_apply): it
+    works in U(g) rather than on v_lambda, so a positive g
     at the empty monomial stays as the last letter (g + G,) with value 1.
     A raising g then gives two kinds of pairs: a linear form, read as the
     Cartan polynomial that sits right of the monomial, or an int, for a
@@ -318,23 +315,44 @@ class _Codes:
 
         return step
 
-    def encode(self, mono):
-        """Codes of a canonical negative monomial; others are refused by name."""
+    def encode(self, mono, sign=0):
+        """Codes of a canonical monomial of negative factors, or of positive
+        ones for sign 1; others are refused by name."""
         G, code, out = self.G, self.code, []
         for i, j, e in mono:
             r = code[i, j]
-            why = ("a positive generator" if r >= G // 2 else
+            why = (("a positive generator", "a negative generator")[sign] if (r >= G // 2) != sign else
                    "factors out of order or repeated" if out and r <= out[-1] % G else
                    "an exponent below 1 or not an int" if type(e) is not int or e < 1 else
                    "an odd factor with exponent above 1" if e > 1 and self.alg.gen_parity(i, j) else None)
             if why:
-                raise ValueError(f"{tuple(mono)} is not a canonical negative monomial of {self.alg}: {why}")
+                kind = ("negative", "positive")[sign]
+                raise ValueError(f"{tuple(mono)} is not a canonical {kind} monomial of {self.alg}: {why}")
             out.append(e * G + r)
         return tuple(out)
 
     def decode(self, mono):
         G, gens = self.G, self.gens
         return tuple(gens[c % G] + (c // G,) for c in mono)
+
+    def lowered(self, word, mono):
+        """word * mono for a word of lowering codes and a canonical negative
+        monomial, its letters applied from the right by steps: a lambda-free
+        tuple of (monomial, int) pairs, kept in results on (word, mono), or by
+        steps for one letter (verma._lowering, UEAElement.__mul__)."""
+        if len(word) < 2:
+            return self.steps(word[0], (mono,))[0] if word else ((mono, 1),)
+        res = self.results.get((word, mono))
+        if res is None:
+            part = {mono: 1}
+            for g in reversed(word):
+                out: dict = {}
+                for x, r in zip(part.values(), self.steps(g, part)):
+                    for neg, c in r:
+                        _accumulate(out, neg, x * c)
+                part = out
+            res = self.results[word, mono] = tuple(part.items())
+        return res
 
     def offsets(self, mono):
         """wt mono as N int offsets."""
@@ -376,14 +394,6 @@ DISTINGUISHED = PBWOrder()
 # ---------------------------------------------------------------------------
 # normal ordering
 
-def _offsets(off, part, sign):
-    """Add sign * wt(part) to the coordinate offsets off; part holds (i, j, exp)."""
-    for i, j, e in part:
-        off[i] = off.get(i, 0) + sign * e
-        off[j] = off.get(j, 0) - sign * e
-    return off
-
-
 def _accumulate(acc, key, val):
     s = acc.get(key)
     s = val if s is None else s + val
@@ -393,32 +403,37 @@ def _accumulate(acc, key, val):
         acc.pop(key, None)
 
 
-_NF_CACHE: dict = {}
+def _letters(codes, part):
+    """The generator codes of a monomial of (i, j, exp) triples, one per letter."""
+    return tuple([codes.code[i, j] for i, j, e in part for _ in range(e)])
 
 
-def _nf_atoms(alg: GLAlgebra, atoms, *, order: PBWOrder = DISTINGUISHED) -> MappingProxyType:
-    """Straighten a word of generator pairs; returns a read-only {(neg, pos): Poly}.
+def _decoded(codes, terms):
+    return {(codes.decode(n), codes.decode(p)): h for (n, p), h in terms.items()}
 
-    The word's letters act on 1 from the right, one at a time, on terms
-    n H p kept over the order's codes (_codes), by the numbering's Leibniz
-    recursion (_Codes.times).  A lowering letter gives int multiples of
-    monomials n'.  A raising letter gives a linear form, the Cartan part
-    that sits between n' and H and multiplies H, or a leftover positive
-    letter q at the end of n': q H p = H(x - wt q) q p, and q goes into p
-    by the same step.  Every word is cached; the cache holds the read-only
-    views it hands out, so no caller can change a later straightening.
+
+def _apply(codes, atoms, terms) -> dict:
+    """The atoms applied from the right, one at a time, to terms, a map from
+    (n, p), canonical monomials over the numbering codes (_codes), to the
+    Cartan part H of n H p; an atom is a generator code or a Cartan Poly.
+
+    A generator g goes into n by the numbering's Leibniz recursion
+    (_Codes.times).  A lowering g gives int multiples of monomials n'.  A
+    raising g gives a linear form, the Cartan part that sits between n' and
+    H and multiplies H, or a leftover positive letter q at the end of n':
+    q H p = H(x - wt q) q p, and q goes into p by the same step.  A Cartan
+    atom A moves past n: A n H p = n A(x + wt n) H p, one shift per weight.
     """
-    key = (alg.m, alg.n, order.word, tuple(atoms))
-    hit = _NF_CACHE.get(key)
-    if hit is not None:
-        return hit
-    codes = _codes(alg, order.word)
-    G, half, gens, times = codes.G, codes.G // 2, codes.gens, codes.times
-    terms = {((), ()): Poly.one()}
-    for g in map(codes.code.__getitem__, reversed(key[3])):
+    G, half, gens, times, offsets = codes.G, codes.G // 2, codes.gens, codes.times, codes.offsets
+    for a in reversed(atoms):
+        if type(a) is not int:  # one shift per weight of n; Q[x] has no zero divisors
+            if a != 1:
+                moved = _Table(lambda off: a.shifted(dict(enumerate(off, 1))))
+                terms = {(n, p): moved[offsets(n)] * h for (n, p), h in terms.items()} if a else {}
+            continue
         out: dict = {}
         for (n, p), h in terms.items():
-            for n2, v in times(g, n):
+            for n2, v in times(a, n):
                 if type(v) is not int:  # n2 (v h) p
                     _accumulate(out, (n2, p), h * _linear(v))
                 elif n2[-1] % G < half:  # v n2 h p
@@ -430,50 +445,25 @@ def _nf_atoms(alg: GLAlgebra, atoms, *, order: PBWOrder = DISTINGUISHED) -> Mapp
                     for p2, k in times(q, p):
                         _accumulate(out, (n2[:-1], p2), hq if k == 1 else hq * k)
         terms = out
-    decode = codes.decode
-    out = _NF_CACHE[key] = MappingProxyType({(decode(n), decode(p)): h for (n, p), h in terms.items()})
-    return out
+    return terms
 
 
-def _splice(alg, left, right, order=DISTINGUISHED):
-    """Yield ((neg, pos), Poly) for the product (n1 h1 p1)(n2 h2 p2) of two terms.
-
-    n, p are (i, j, exp) tuples, not necessarily sorted.  h1 moves to the far
-    left and h2 to the far right, n1 p1 n2 p2 is straightened once into
-    terms neg H pos, and each Cartan part goes back with one shift:
-    neg h1(x + wt neg - wt n1) H h2(x + wt p2 - wt pos) pos.  The word
-    does not depend on h1 or h2, so its normal form is cached whatever they
-    are.
-    """
-    n1, h1, p1 = left
-    n2, h2, p2 = right
-    c1 = h1.constant_value() if h1.is_constant() else None
-    c2 = h2.constant_value() if h2.is_constant() else None
-    word = _expand_key(n1) + _expand_key(p1) + _expand_key(n2) + _expand_key(p2)
-    nf = _nf_atoms(alg, word, order=order)
-    scale = (1 if c1 is None else c1) * (1 if c2 is None else c2)
-    moved1: dict = {}
-    moved2: dict = {}
-    for (neg, pos), h in nf.items():
-        if c1 is None:
-            if neg not in moved1:
-                moved1[neg] = h1.shifted(_offsets(_offsets({}, neg, 1), n1, -1))
-            h = moved1[neg] * h
-        if c2 is None:
-            if pos not in moved2:
-                moved2[pos] = h2.shifted(_offsets(_offsets({}, p2, 1), pos, -1))
-            h = h * moved2[pos]
-        yield (neg, pos), h if scale == 1 else h * scale
+_NF_CACHE: dict = {}
 
 
-def _product(alg, left: dict, right: dict, order=DISTINGUISHED) -> dict:
-    """Terms of the product of two {(n, p): h} dicts, one splice per pair."""
-    acc: dict = {}
-    for (n1, p1), h1 in left.items():
-        for (n2, p2), h2 in right.items():
-            for key, h in _splice(alg, (n1, h1, p1), (n2, h2, p2), order):
-                _accumulate(acc, key, h)
-    return acc
+def _nf_atoms(alg: GLAlgebra, atoms, *, order: PBWOrder = DISTINGUISHED) -> MappingProxyType:
+    """Straighten a word of generator pairs; returns a read-only {(neg, pos): Poly}.
+
+    The word's letters act on 1 from the right over the order's codes
+    (_apply).  Every word is cached; the cache holds the read-only views it
+    hands out, so no caller can change a later straightening."""
+    key = (alg.m, alg.n, order.word, tuple(atoms))
+    hit = _NF_CACHE.get(key)
+    if hit is not None:
+        return hit
+    codes = _codes(alg, order.word)
+    terms = _apply(codes, [codes.code[g] for g in key[3]], {((), ()): Poly.one()})
+    return _NF_CACHE.setdefault(key, MappingProxyType(_decoded(codes, terms)))
 
 
 def normal_order(alg: GLAlgebra, word, order: PBWOrder = DISTINGUISHED) -> "UEAElement":
@@ -481,34 +471,21 @@ def normal_order(alg: GLAlgebra, word, order: PBWOrder = DISTINGUISHED) -> "UEAE
 
     The result is canonical for the given triangular order: every monomial
     is (negative part) * (Cartan polynomial) * (positive part) with factors
-    in the order's within-class sort.  A diagonal unit e_ii is x_i.  A word
-    r0 h1 r1 h2 r2 ... with Cartan atoms h_k between generator runs r_k is
-    the product of the terms (r0, h1, r1), ((), h2, r2), ...
+    in the order's within-class sort.  A diagonal unit e_ii is x_i.  The
+    word's atoms act on 1 from the right (_apply); a word of generators
+    alone is straightened, and cached, by _nf_atoms.
     """
-    runs, carts = [[]], []
-    for a in word:
-        if isinstance(a, Poly) or a[0] == a[1]:
-            h = a if isinstance(a, Poly) else _cartan_unit(alg, a[0])
-            if carts and not runs[-1]:
-                carts[-1] = carts[-1] * h
-            else:
-                carts.append(h)
-                runs.append([])
-        else:
-            runs[-1].append((a[0], a[1], 1))
-    runs = [tuple(r) for r in runs] + [()]
-    first = (runs[0], carts[0] if carts else Poly.one(), runs[1])
-    terms = {((), ()): Poly.one()}
-    for n, h, p in [first] + [((), h, r) for h, r in zip(carts[1:], runs[2:])]:
-        terms = _product(alg, terms, {(n, p): h}, order)
-    return UEAElement(alg, terms)
+    word = [a if isinstance(a, Poly) else _cartan_unit(alg, a[0]) if a[0] == a[1] else (a[0], a[1])
+            for a in word]
+    if not any(isinstance(a, Poly) for a in word):
+        return UEAElement(alg, _nf_atoms(alg, word, order=order))
+    codes = _codes(alg, order.word)
+    atoms = [a if isinstance(a, Poly) else codes.code[a] for a in word]
+    return UEAElement(alg, _decoded(codes, _apply(codes, atoms, {((), ()): Poly.one()})))
 
 
 def _expand_key(part):
-    out = []
-    for i, j, e in part:
-        out.extend([(i, j)] * e)
-    return out
+    return [(i, j) for i, j, e in part for _ in range(e)]
 
 
 class UEAElement:
@@ -556,6 +533,14 @@ class UEAElement:
         return self + (-other)
 
     def __mul__(self, other):
+        """self * other.  A UEAElement other is multiplied in the
+        distinguished order, over its numbering's codes: other is encoded
+        once, and a term that is not canonical is straightened first, by
+        _apply from 1.  A term n1 h1 p1 of self with no positive part and a
+        negative part of lowering letters multiplies in U(n-):
+        n1 h1 n2 h2 p2 = (n1 n2) h1(x + wt n2) h2 p2, with n1 n2 read from
+        _Codes.lowered.  Any other term applies its atoms to other from the
+        right: p1's letters, then h1, then n1's."""
         if isinstance(other, (int, Fraction)):
             c = _coeff(other)
             if not c:
@@ -565,7 +550,29 @@ class UEAElement:
             return self.scale_central(other)
         if not isinstance(other, UEAElement):
             return NotImplemented
-        return UEAElement(self.alg, _product(self.alg, self.terms, other.terms))
+        codes = _codes(self.alg, None)
+        half, encode, lowered, one, ys = codes.G // 2, codes.encode, codes.lowered, {((), ()): Poly.one()}, {}
+        for (n, p), h in other.terms.items():
+            try:
+                key = encode(n), encode(p, 1)
+            except ValueError:  # not canonical: straightened from 1
+                for key, h2 in _apply(codes, _letters(codes, n) + (h,) + _letters(codes, p), one).items():
+                    _accumulate(ys, key, h2)
+                continue
+            _accumulate(ys, key, h)
+        out: dict = {}
+        for (n, p), h in self.terms.items():
+            if not isinstance(h, Poly):  # _apply would read an int as a generator code
+                raise TypeError(f"the Cartan part {h!r} of {(n, p)} is not a Poly")
+            word = _letters(codes, n)
+            if p or word and max(word) >= half:
+                for key, h2 in _apply(codes, word + (h,) + _letters(codes, p), ys).items():
+                    _accumulate(out, key, h2)
+                continue
+            for (n2, p2), h2 in _apply(codes, (h,), ys).items():
+                for n3, c in lowered(word, n2):
+                    _accumulate(out, (n3, p2), h2 if c == 1 else h2 * c)
+        return UEAElement(self.alg, _decoded(codes, out))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -579,7 +586,7 @@ class UEAElement:
             return UEAElement.one(self.alg)
         out = self
         for _ in range(k - 1):
-            out = out * self
+            out = self * out
         return out
 
     def scale_central(self, p: Poly) -> "UEAElement":

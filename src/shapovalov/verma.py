@@ -14,13 +14,14 @@ evaluation table per such point for the whole call
 (exact_algebra.eval_table), so a Cartan monomial that recurs across an
 element's terms is evaluated once.  A term's negative part of two or more
 letters, all lowering, acts as one product, kept with the numbering's other
-lambda-free results on (word, monomial) (_lowering).  A generator g,
+lambda-free results on (word, monomial) (_lowering, pbw._Codes.lowered),
+which the UEA product reads too.  A generator g,
 negative or positive, goes through the numbering's one Leibniz recursion
 on the monomial's first factor x (_letter, pbw._Codes.step):
 g x rest = [g, x] rest + (-1)^{|g||x|} x (g rest).  A negative g stops at
 once when it sorts before x or equals it, a positive g at v_lambda, which
-it kills.  No word reaches the straightening kernel; it serves UEA
-products only.
+it kills.  No word reaches the straightening kernel (pbw._nf_atoms); it
+serves normal_order only.
 
 The action is fraction-free.  lambda is read once as its common
 denominator D and the integers D * lambda_i (Weight.scaled), and each
@@ -53,7 +54,7 @@ from .pbw import (
     _accumulate,
     _cartan_unit,
     _codes,
-    _expand_key,
+    _letters,
     _nf_atoms,  # kept only because perfbench/tests/test_perfbench.py:102 asserts the binding
 )
 
@@ -214,10 +215,10 @@ def act(x, v: VermaVector) -> VermaVector:
     if isinstance(x, UEAElement):
         words = []
         for (n, p), h in x.terms.items():
-            n = [code[g] for g in _expand_key(n)]
+            n = _letters(codes, n)
             if len(n) > 1 and max(n) < half:
-                n = [tuple(n)]
-            words.append(n + [h] + [code[g] for g in _expand_key(p)])
+                n = (n,)
+            words.append(n + (h,) + _letters(codes, p))
     else:
         words = [[a if isinstance(a, Poly) else _cartan_unit(alg, a[0]) if a[0] == a[1] else code[a[0], a[1]]
                   for a in x]]
@@ -273,21 +274,11 @@ def _cartan(D, point, h, nums, offsets, tables):
 
 def _lowering(codes, word, nums):
     """The word of lowering codes, two or more letters applied from the
-    right, on each monomial of nums: one lookup of (word, mono) in the
-    numbering's results, where the product word * mono, a lambda-free list
-    of int multiples of monomials, is kept once the letter steps (_letter)
-    have computed it."""
-    results = codes.results
+    right, on each monomial of nums: the product word * mono, a lambda-free
+    tuple of int multiples of monomials (pbw._Codes.lowered)."""
     out: dict = {}
     for mono, x in nums.items():
-        key = (word, mono)
-        res = results.get(key)
-        if res is None:
-            part = {mono: 1}
-            for g in reversed(word):
-                part = _letter(codes, g, part)
-            res = results[key] = tuple(part.items())
-        for neg, c in res:
+        for neg, c in codes.lowered(word, mono):
             _accumulate(out, neg, x if c == 1 else x * c)
     return out
 

@@ -336,14 +336,31 @@ class TestHyperplane:
         with pytest.raises(ValueError, match="bounded by 1000"):
             sample_hyperplane(Hyperplane(eta, 3000), 0, 1)
 
-    def test_sampling_too_few_points_raises(self):
-        # (1000, -24) is the only point of this line inside the bound
-        hp = Hyperplane(Weight.eps(2, 0, 1) - Weight.eps(2, 0, 2), 1025)
+    def test_sampling_too_few_points_raises(self, monkeypatch):
+        # (1000, -24) is the only point of this line inside the bound: the
+        # bound check lets it through, and the sampler gives up after
+        # exactly 10^4 draws in a row without a new point.  One unit further
+        # out the line has no point inside the bound, and is refused before
+        # any draw.  A draw reads two coordinates through _drawn.
+        import shapovalov.exact_algebra as ea
+
+        eta = Weight.eps(2, 0, 1) - Weight.eps(2, 0, 2)
+        hp = Hyperplane(eta, 1025)
+        calls = []
+        drawn = ea._drawn
+        monkeypatch.setattr(ea, "_drawn", lambda a, b: calls.append(a) or drawn(a, b))
         assert [p.coords for p in sample_hyperplane(hp, 0, 1)] == [(1000, -24)]
+        first = len(calls)
+        calls.clear()
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="found 1 of 2 sample points"):
+        with pytest.raises(ValueError, match="found 1 of 2 sample points .* before 10000 draws"):
             sample_hyperplane(hp, 0, 2)
         assert time.perf_counter() - start < 2
+        assert len(calls) == first + 2 * 10_000
+        calls.clear()
+        with pytest.raises(ValueError, match="has no sample point with coordinates bounded by 1000"):
+            sample_hyperplane(Hyperplane(eta, 1026), 0, 1)
+        assert calls == []
 
     # points recorded before the sampler skipped zero coefficients; every seed must keep its points
     @pytest.mark.parametrize("m, n, eta, mult, seed, points", [

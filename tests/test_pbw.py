@@ -375,6 +375,51 @@ class TestMultiply:
         with pytest.raises(ValueError, match="negative power"):
             x ** -1
 
+    @pytest.mark.parametrize("m, n", [(3, 0), (2, 1), (2, 2), (3, 2)])
+    def test_matches_reference(self, m, n):
+        """x * y against the reference straightener of the two words put
+        together, for random words with odd generators, positive letters,
+        Cartan polynomials and diagonal units.  An operand is canonical,
+        canonical for a shuffled order only, or a hand-built term with its
+        negative (and positive) factors out of order; the product
+        straightens such a term before it multiplies."""
+        alg = gl(m, n)
+        N = alg.N
+        reference = reference_straightener(m, tuple(range(1, N + 1)))
+        rng = random.Random(f"product {m},{n}")
+        gens = gens_of(alg)
+        carts = [Poly.x(k) for k in range(1, N + 1)] + [(k, k) for k in range(1, N + 1)]
+        carts += [Poly.x(1) - Poly.x(N) + 2, Poly.x(2) ** 2 + Fraction(1, 3)]
+        lowering = [g for g in gens if g[0] > g[1]]
+        raising = [g for g in gens if g[0] < g[1]]
+
+        def operand(kind):
+            """(element, word): the element equals the free word in U(g)."""
+            if kind == "hand-built":  # factors in descending order, so not canonical
+                neg = sorted(rng.sample(lowering, 2), key=lambda g: (g[1], g[0]), reverse=True)
+                pos = sorted(rng.sample(raising, rng.randint(0, 2)), reverse=True)
+                h = rng.choice(carts[:N] + [Poly.one()])
+                key = tuple((i, j, 1) for i, j in neg), tuple((i, j, 1) for i, j in pos)
+                return UEAElement(alg, {key: h}), neg + [h] + pos
+            word = [rng.choice(gens) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.5:
+                word.insert(rng.randint(0, len(word)), rng.choice(carts))
+            order = DISTINGUISHED
+            if kind == "shuffled":
+                order = PBWOrder(tuple(rng.sample(range(1, N + 1), N)))
+            return normal_order(alg, word, order=order), word
+
+        kinds = ["canonical", "shuffled", "hand-built"]
+        for left, right in [(a, b) for a in kinds for b in kinds] * 6:
+            (x, wx), (y, wy) = operand(left), operand(right)
+            assert (x * y).terms == reference(wx + wy), (left, wx, right, wy)
+
+    def test_left_cartan_part_must_be_a_poly(self):
+        # an int Cartan part is refused, not read as the generator with that code
+        alg = gl(2)
+        with pytest.raises(TypeError, match="is not a Poly"):
+            UEAElement(alg, {((), ()): 1}) * normal_order(alg, [(2, 1)])
+
 
 class TestQueriesAndIO:
     def test_coefficient_of_absent(self):

@@ -396,7 +396,7 @@ class TestActWork:
         """Every letter of the action goes through the Leibniz recursion:
         lowering the chain of theta_gl(8), the raising check, and a body and
         a power with words of both signs reach no straightening kernel.
-        The elements are built first, since the UEA product does use it."""
+        The elements are built before the kernel is patched."""
         theta = theta_gl(8)
         lam = sample_hyperplane(theta.hyperplane(), seed=3, count=1)[0]
         odd = theta_glmn_distinguished(3, 2)
