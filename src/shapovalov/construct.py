@@ -74,7 +74,7 @@ from .exact_algebra import (
     sample_hyperplane,
 )
 from .hessenberg import ORDERINGS, skip_coeff
-from .pbw import GLAlgebra, PBWOrder, UEAElement, _codes, _expand_key, gl, normal_order
+from .pbw import GLAlgebra, PBWOrder, UEAElement, _accumulate, _codes, _expand_key, gl, normal_order
 from .shuffles import Shuffle, diagram_data, eta_weight
 from .verma import (
     VermaVector,
@@ -519,14 +519,15 @@ class CaseDecomposition:
 
 
 def _sum_terms(alg, terms) -> UEAElement:
-    """Term-by-term sum of (word, factors) pairs: the decompositions below
-    sum classes of terms that are not the paths of a chain, and a Borel
-    element's body is normal-ordered with it."""
-    total = UEAElement.zero(alg)
+    """Sum of the normal forms of (word, factors) pairs, added into one dict:
+    the decompositions below sum classes of terms that are not the paths of
+    a chain, and a Borel element's body is normal-ordered with it."""
+    total: dict = {}
     for word, factors in terms:
         # the factors sit right of the word and may move past positive parts
-        total = total + normal_order(alg, list(word) + list(factors))
-    return total
+        for key, h in normal_order(alg, list(word) + list(factors)).terms.items():
+            _accumulate(total, key, h)
+    return UEAElement(alg, total)
 
 
 def _split_paths(theta, lo, hi, split) -> dict:
@@ -760,8 +761,7 @@ def is_independent(alg: GLAlgebra, gamma: Weight, lam: Weight) -> bool:
         rp, sp = _gamma_indices(alg, gamma_p)
         base = theta_odd_alg(alg, rp, sp, "odd-last").verma_vector(lam)
         for mono in monos:
-            word = [g for i, j, e in mono for g in [(i, j)] * e]
-            columns.append(coords_in_basis(act(word, base), basis))
+            columns.append(coords_in_basis(act(_expand_key(mono), base), basis))
     return solve_in_span(columns, target_vec) is None
 
 

@@ -18,8 +18,8 @@ below, run by one routine that applies atoms to terms n H p from the
 right (_apply): a generator goes into n by the recursion, a positive
 letter left over goes past H with one shift and into p by the same
 recursion, and a Cartan atom goes past n with one shift.  normal_order
-applies a word to 1, a word of generators alone through the caching
-kernel _nf_atoms.  The UEA product applies each left term to the right
+applies a word to 1 through the caching kernel _nf_atoms, Cartan atoms
+included.  The UEA product applies each left term to the right
 operand, and multiplies a lowering term in U(n-) by the numbering's
 lowering products (_Codes.lowered), which the Verma action reads too.
 The Verma action and construct's chain sums call no kernel (verma.act).
@@ -452,17 +452,17 @@ _NF_CACHE: dict = {}
 
 
 def _nf_atoms(alg: GLAlgebra, atoms, *, order: PBWOrder = DISTINGUISHED) -> MappingProxyType:
-    """Straighten a word of generator pairs; returns a read-only {(neg, pos): Poly}.
+    """Straighten a word of generator pairs and Cartan Polys; returns a read-only {(neg, pos): Poly}.
 
-    The word's letters act on 1 from the right over the order's codes
-    (_apply).  Every word is cached; the cache holds the read-only views it
-    hands out, so no caller can change a later straightening."""
+    The atoms act on 1 from the right over the order's codes (_apply).
+    Every word is cached, a Poly being a hashable value; the cache holds the
+    read-only views it hands out, so no caller can change a later one."""
     key = (alg.m, alg.n, order.word, tuple(atoms))
     hit = _NF_CACHE.get(key)
     if hit is not None:
         return hit
     codes = _codes(alg, order.word)
-    terms = _apply(codes, [codes.code[g] for g in key[3]], {((), ()): Poly.one()})
+    terms = _apply(codes, [a if isinstance(a, Poly) else codes.code[a] for a in key[3]], {((), ()): Poly.one()})
     return _NF_CACHE.setdefault(key, MappingProxyType(_decoded(codes, terms)))
 
 
@@ -471,17 +471,13 @@ def normal_order(alg: GLAlgebra, word, order: PBWOrder = DISTINGUISHED) -> "UEAE
 
     The result is canonical for the given triangular order: every monomial
     is (negative part) * (Cartan polynomial) * (positive part) with factors
-    in the order's within-class sort.  A diagonal unit e_ii is x_i.  The
-    word's atoms act on 1 from the right (_apply); a word of generators
-    alone is straightened, and cached, by _nf_atoms.
+    in the order's within-class sort.  A diagonal unit e_ii is x_i, so the
+    two spellings share one entry of the caching kernel _nf_atoms, which
+    straightens every word.
     """
     word = [a if isinstance(a, Poly) else _cartan_unit(alg, a[0]) if a[0] == a[1] else (a[0], a[1])
             for a in word]
-    if not any(isinstance(a, Poly) for a in word):
-        return UEAElement(alg, _nf_atoms(alg, word, order=order))
-    codes = _codes(alg, order.word)
-    atoms = [a if isinstance(a, Poly) else codes.code[a] for a in word]
-    return UEAElement(alg, _decoded(codes, _apply(codes, atoms, {((), ()): Poly.one()})))
+    return UEAElement(alg, _nf_atoms(alg, word, order=order))
 
 
 def _expand_key(part):
@@ -540,7 +536,7 @@ class UEAElement:
         negative part of lowering letters multiplies in U(n-):
         n1 h1 n2 h2 p2 = (n1 n2) h1(x + wt n2) h2 p2, with n1 n2 read from
         _Codes.lowered.  Any other term applies its atoms to other from the
-        right: p1's letters, then h1, then n1's."""
+        right: p1's letters, then h1, then n1's.  Cartan parts must be Polys."""
         if isinstance(other, (int, Fraction)):
             c = _coeff(other)
             if not c:
@@ -550,6 +546,9 @@ class UEAElement:
             return self.scale_central(other)
         if not isinstance(other, UEAElement):
             return NotImplemented
+        for key, h in (*self.terms.items(), *other.terms.items()):
+            if not isinstance(h, Poly):  # _apply would read an int as a generator code
+                raise TypeError(f"the Cartan part {h!r} of {key} is not a Poly")
         codes = _codes(self.alg, None)
         half, encode, lowered, one, ys = codes.G // 2, codes.encode, codes.lowered, {((), ()): Poly.one()}, {}
         for (n, p), h in other.terms.items():
@@ -562,8 +561,6 @@ class UEAElement:
             _accumulate(ys, key, h)
         out: dict = {}
         for (n, p), h in self.terms.items():
-            if not isinstance(h, Poly):  # _apply would read an int as a generator code
-                raise TypeError(f"the Cartan part {h!r} of {(n, p)} is not a Poly")
             word = _letters(codes, n)
             if p or word and max(word) >= half:
                 for key, h2 in _apply(codes, word + (h,) + _letters(codes, p), ys).items():

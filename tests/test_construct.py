@@ -398,12 +398,19 @@ class TestDeterminantConsistency:
     def test_theta_gl_is_det_D(self):
         for m in range(2, 6):
             assert det_lr(build_D(m)) == theta_gl(m).body
+        # the chain factor x1 - x2 is 0 at lam, so the chain sum drops the partial sum it scales
+        lam = Weight(3, 0, [1, 1, 0])
+        want = normal_order(gl(3), [(2, 1), (3, 2)]) + normal_order(gl(3), [(3, 1)])
+        assert theta_gl(3).evaluate(lam) == det_lr(build_D(3).evaluate(lam)) == want
 
     def test_theta_glmn_is_det_A(self):
         for m, n in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]:
             t = theta_glmn_distinguished(m, n)
             for lam in sample_hyperplane(t.hyperplane(), 2, 2):
                 assert det_lr(build_A_rs(1, n, m, n).evaluate(lam)) == t.evaluate(lam)
+        # an odd root whose chain factor x3 - x2 - 1 is 0 at lam
+        lam = Weight(1, 2, [3, 0, 1])
+        assert theta_glmn_distinguished(1, 2).evaluate(lam) == det_lr(build_A_rs(1, 2, 1, 2).evaluate(lam))
 
     def test_theta_odd_is_det_A_rs(self):
         alg = gl(3, 2)

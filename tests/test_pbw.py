@@ -10,6 +10,7 @@ from itertools import groupby, product
 import pytest
 
 from shapovalov import pbw
+from shapovalov.construct import case2_decompose
 from shapovalov.exact_algebra import Poly
 from shapovalov.pbw import (
     DISTINGUISHED,
@@ -144,6 +145,29 @@ class TestNormalOrder:
         again = _nf_atoms(alg, word)
         assert dict(again) == expected
         assert normal_order(alg, word) == UEAElement(alg, expected)
+
+    def test_cartan_words_are_cached(self):
+        # a Poly is a hashable value, so a word with Cartan atoms is cached
+        # on the word like any other, and e_kk is x_k before the lookup
+        alg = gl(2, 1)
+        cache = pbw._NF_CACHE
+        cache.clear()
+        word = [(3, 1), Poly.x(1) - Poly.x(3), (1, 2)]
+        nf = _nf_atoms(alg, word)
+        assert _nf_atoms(alg, [(3, 1), Poly.x(1) - Poly.x(3), (1, 2)]) is nf
+        assert len(cache) == 1
+        cache.clear()
+        unit = normal_order(alg, [(2, 1), (1, 1)])
+        assert normal_order(alg, [(2, 1), Poly.x(1)]) == unit
+        assert len(cache) == 1
+
+    def test_repeated_decomposition_adds_no_entry(self):
+        # the case decompositions normal-order path words with Cartan factors
+        # (construct._sum_terms); a second call reads every word from the cache
+        first = case2_decompose(1, 3, 3, 1, 3, 3)
+        size = len(pbw._NF_CACHE)
+        assert case2_decompose(1, 3, 3, 1, 3, 3).pieces == first.pieces
+        assert len(pbw._NF_CACHE) == size
 
 
 def reference_straightener(m, posword):
@@ -415,10 +439,13 @@ class TestMultiply:
             assert (x * y).terms == reference(wx + wy), (left, wx, right, wy)
 
     def test_left_cartan_part_must_be_a_poly(self):
-        # an int Cartan part is refused, not read as the generator with that code
+        # an int Cartan part is refused on either side of *, not read as the
+        # generator with that code on the left or shifted on the right
         alg = gl(2)
         with pytest.raises(TypeError, match="is not a Poly"):
             UEAElement(alg, {((), ()): 1}) * normal_order(alg, [(2, 1)])
+        with pytest.raises(TypeError, match="is not a Poly"):
+            normal_order(alg, [(1, 2)]) * UEAElement(alg, {((), ()): 1})
 
 
 class TestQueriesAndIO:
