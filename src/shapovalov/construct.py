@@ -18,8 +18,9 @@ The conventions are:
 
 Even roots take standard and bform only, which coincide as elements of
 U(g); for odd roots the conventions agree after applying to a highest
-weight vector on the defining hyperplane, and in small ranks even as
-elements.
+weight vector on the defining hyperplane, and, as measured for every odd
+root with m + n <= 10 (theta v_lambda at an unconstrained generic point,
+which sees the whole element), even as elements.
 
 body, evaluate and apply sum over the paths by the Hessenberg column
 recurrence instead of term by term.  In the standard ordering, with
@@ -100,7 +101,8 @@ class ShapovalovElement:
     _chain_sum sums over (see the note above _paths).  terms lists the paths
     as (generator word, Cartan factors) pairs, the word not yet
     normal-ordered.  body is the canonical normal form of the full sum,
-    built on first use.  Two elements are equal when their six defining
+    built on first use, as is the order the singularity check works in
+    (_adapted_order).  Two elements are equal when their six defining
     fields are, whether or not either has built its body; an element is
     mutable and so unhashable.
     """
@@ -110,6 +112,7 @@ class ShapovalovElement:
         self.alg, self.eta, self.mult, self.ordering = alg, eta, mult, ordering
         self.chain, self.borel = chain, borel
         self._body: UEAElement | None = None
+        self._adapted: PBWOrder | None = None
 
     def _fields(self) -> tuple:
         return self.alg, self.eta, self.mult, self.ordering, self.chain, self.borel
@@ -141,8 +144,8 @@ class ShapovalovElement:
         part), each Cartan factor f attached as factor(f); see the top note.
         A monomial's Cartan part is [packed terms, degree bound] until the
         Polys are built at the end."""
-        alg, word = self.alg, self.pbw_order().word
-        codes = _codes(alg, word)
+        alg, order = self.alg, self.pbw_order()
+        codes = _codes(alg, order)
         start = {(): [{0: 1}, 0]} if start is None else {
             codes.encode(n + p): [dict(h._t), h._deg] for (n, p), h in start.terms.items()}
 
@@ -168,7 +171,7 @@ class ShapovalovElement:
 
         terms, _ = _chain_sum(self.chain, start, add, scale)
         terms = {k: _packed(t, deg) for k, (t, deg) in terms.items()}
-        if word is None:
+        if order.word is None:
             return UEAElement(alg, {(codes.decode(k), ()): h for k, h in terms.items()})
         return _sum_terms(alg, [(_expand_key(codes.decode(k)), (h,)) for k, h in terms.items()])
 
@@ -205,7 +208,7 @@ class ShapovalovElement:
                 return ({k: x * c for k, x in nums.items()} if c else {}), den * D ** d
             return scale
 
-        offsets = _codes(alg, order.word).offsets
+        offsets = _codes(alg, order).offsets
         parts: dict = {}
         for mono, c in v.nums.items():
             parts.setdefault(offsets(mono), {})[mono] = c
@@ -852,13 +855,47 @@ def parse_root(alg: GLAlgebra, text: str) -> Weight:
 
 
 def raising_vectors(theta: ShapovalovElement):
-    return list(_codes(theta.alg, theta.pbw_order().word).raising)
+    return list(_codes(theta.alg, theta.pbw_order()).raising)
+
+
+def _adapted_order(theta: ShapovalovElement) -> PBWOrder:
+    """The element's order, or the same word with its negative factors in
+    reverse order (pbw.PBWOrder), whichever puts more of the chain's step
+    pairs in order; the element's own order on a tie.  A step pair (b, a)
+    has generator b immediately left of a on some path: b is a source's
+    generator and a the leftmost generator of some path into the source's
+    node, and heads collects those per node (None for the empty word).
+    Kept on the element."""
+    if theta._adapted is not None:
+        return theta._adapted
+    order = theta.pbw_order()
+    code = _codes(theta.alg, order).code
+    heads, pairs = [{None}], set()
+    for sources in theta.chain:
+        here = set()
+        for p, gen, _ in sources:
+            if gen is None:
+                here |= heads[p]
+                continue
+            pairs.update((gen, a) for a in heads[p] if a is not None)
+            here.add(gen)
+        heads.append(here)
+    ahead = sum(1 if code[b] < code[a] else -1 for b, a in pairs)
+    theta._adapted = PBWOrder(order.word, reverse=True) if ahead < 0 else order
+    return theta._adapted
 
 
 def _is_singular(theta: ShapovalovElement, lam: Weight) -> bool:
     """theta v_lambda is nonzero and every simple raising operator of its
-    order kills it."""
-    v = theta.verma_vector(lam)
+    order kills it.  Any order of the negative factors gives a PBW basis of
+    M(lambda), so the verdict is the same in each.  theta v_lambda is built
+    in the numbering _adapted_order picks, where a chain step puts its
+    generator in front of a monomial with no straightening: every path word
+    of standard, middle and the endpoint-fixed Borel elements is canonical
+    in the reverse order, and every bform word in the element's own.  The
+    vector never leaves this check; verma_vector stays in the element's
+    own order."""
+    v = theta.apply(vacuum(theta.alg, lam, _adapted_order(theta)))
     return not v.is_zero() and is_highest_weight(v)
 
 

@@ -159,14 +159,15 @@ class Poly:
     Total degree is capped at _MAX_DEG = 255, so no exponent field can
     carry into the next; an operation whose result would pass it raises
     ValueError naming the limit.  The zero polynomial has no terms.
-    Instances are treated as immutable.
+    Instances are treated as immutable: no code changes _t once a Poly is
+    built, and the hash is kept on first use (_hash).
 
     Exponent tuples stay the public boundary: Poly(terms) takes a map from
     exponent tuples (trailing zeros allowed) to coefficients, and terms is
     a read-only view keyed by trimmed tuples, decoded when it is read.
     """
 
-    __slots__ = ("_t", "_deg")
+    __slots__ = ("_t", "_deg", "_hash")
 
     def __init__(self, terms=None):
         t: dict = {}
@@ -334,7 +335,14 @@ class Poly:
         return self._t == other._t
 
     def __hash__(self):
-        return hash(frozenset(self._t.items()))
+        """Kept on the Poly after the first call, as _t never changes.  A
+        constant hashes as its value, which it equals."""
+        try:
+            return self._hash
+        except AttributeError:
+            t = self._t
+            h = self._hash = hash(t.get(0, 0) if self.is_constant() else frozenset(t.items()))
+            return h
 
     def subs(self, mapping) -> "Poly":
         """Substitute x_i -> mapping[i] (Poly or rational) for listed variables.

@@ -7,8 +7,9 @@ form of an element of U(gl(m,n)) is a sum of monomials
 
     (negative factors, sorted) * (polynomial in the x_i = e_{ii}) * (positive factors, sorted)
 
-with negative factors e_{ij}, i > j ordered by (j, i) ascending, and odd
-factors appearing with exponent at most one.  Two rules do all the work:
+with negative factors e_{ij}, i > j ordered by (j, i) ascending (or, in
+the reverse order, descending), and odd factors appearing with exponent at
+most one.  Two rules do all the work:
 
     [e_{ab}, e_{cd}] = d_{bc} e_{ad} - (-1)^{p(e_ab) p(e_cd)} d_{da} e_{cb}
     H(x) e_{ij} = e_{ij} H(x + w),  w = +1 at i, -1 at j.
@@ -25,10 +26,14 @@ lowering products (_Codes.lowered), which the Verma action reads too.
 The Verma action and construct's chain sums call no kernel (verma.act).
 
 A triangular order (PBWOrder) numbers the G generators in factor order,
-once per algebra and order word (_codes): the negative ones take the
-codes below G // 2.  _apply and the Verma action work over these int
-codes, compare codes only, and read brackets and signs from the one
-code-indexed table of the numbering.  The numbering is the one context
+once per algebra and order value (_codes): the negative ones take the
+codes below G // 2.  An order is a word of 1..N and one of two orders of
+the negative factors, ascending or reverse; the reverse one makes the
+descending chain words of construct canonical, and only the singularity
+check uses it (construct._is_singular).  _apply and the Verma action work
+over these int codes, compare codes only, and read brackets and signs
+from the one code-indexed table of the numbering, so either order of the
+negatives serves them.  The numbering is the one context
 per algebra and order: it alone knows the letter code of a monomial, it
 owns the Leibniz recursion (the Verma action's step, with its memo and
 results, verma._letter taking the numbering; and times, _apply's
@@ -136,27 +141,35 @@ def superbracket(alg: GLAlgebra, a, b) -> "UEAElement":
 class PBWOrder:
     """Triangular decomposition given by a word of 1..N: e_{ij} is negative
     iff i comes after j.  No word, or the identity, is the distinguished
-    order (i > j).  _codes(alg, order.word) numbers its generators.  An
-    order is a value: equal words give equal, equally hashed orders, and
-    word is read-only.
+    order (i > j).  The negative factors sort by the positions of (j, i) in
+    the word, ascending, or with reverse all descending: the same basis of
+    U(n-) in a second PBW order, in which the descending chain words are
+    canonical.  _codes(alg, order) numbers its generators.  An order is a
+    value with one instance per word and reverse flag (_made), so equal
+    orders are the same object and compare and hash by identity, as cheaply
+    as the numbering's cache needs; word and reverse are read-only.
     """
 
-    __slots__ = ("_word",)
+    __slots__ = ("_word", "_reverse")
+    _made: dict = {}
 
-    def __init__(self, word: tuple | None = None):
+    def __new__(cls, word: tuple | None = None, reverse: bool = False):
         word = tuple(word or ())
-        self._word = None if word == tuple(range(1, len(word) + 1)) else word
+        key = None if word == tuple(range(1, len(word) + 1)) else word, bool(reverse)
+        self = cls._made.get(key)
+        if self is None:
+            self = cls._made[key] = super().__new__(cls)
+            self._word, self._reverse = key
+        return self
+
+    def __reduce__(self):
+        return PBWOrder, (self._word, self._reverse)
 
     word = property(lambda self: self._word)
-
-    def __eq__(self, other):
-        return self._word == other._word if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._word)
+    reverse = property(lambda self: self._reverse)
 
     def __repr__(self):
-        return f"PBWOrder(word={self._word!r})"
+        return f"PBWOrder(word={self._word!r}" + (", reverse=True)" if self._reverse else ")")
 
 
 class _Table(dict):
@@ -174,12 +187,13 @@ class _Table(dict):
 
 
 class _Codes:
-    """The numbering of the generators of one algebra and order word
-    (_codes).  gens lists the G generators in factor order: the negative
-    ones by the positions of (j, i) in the word, then the positive ones by
-    the positions of (i, j); code maps a generator to its place, so a code
-    below G // 2 is negative, and refuses a generator outside the algebra
-    with a ValueError.  A word of generators is a tuple of codes.
+    """The numbering of the generators of one algebra and order (_codes).
+    gens lists the G generators in factor order: the negative ones by the
+    positions of (j, i) in the order's word, ascending (descending for a
+    reverse order), then the positive ones by the positions of (i, j); code
+    maps a generator to its place, so a code below G // 2 is negative, and
+    refuses a generator outside the algebra with a ValueError.  A word of
+    generators is a tuple of codes.
 
     A monomial is a tuple of letters: x^e is the int e * G +
     code[x], so r = c % G, e = c // G, and raising x's exponent adds G.
@@ -189,7 +203,7 @@ class _Codes:
     over the pairs (r, c) of items, plus h, the Cartan element x_i -+ x_j
     when a, b are e_ij, e_ji (None otherwise).  Both tables are filled on
     first use.  raising lists the order's simple raising generators, the
-    consecutive pairs of its index sequence.
+    consecutive pairs of its index sequence: it depends on the word only.
 
     The numbering also owns the Verma action's Leibniz recursion
     (verma._letter).  step(g, mono) gives the (negative monomial, value)
@@ -204,10 +218,11 @@ class _Codes:
     monomial, since g v_lambda = 0.  The bracket is a generator, or the
     Cartan element x_a -+ x_b for g = e_ab, worth lambda_a -+ lambda_b plus
     wt rest there.  memo holds the result of every step that does not stop
-    at once, on (g, mono); steps clears it for each letter, and keeps in
-    results, across letters, what it asked of step.  results also keeps,
-    on (word, mono), the product of a word of lowering codes with mono
-    (lowered).  No result depends on lambda.
+    at once, on (g, mono); the recursion compares codes only, so it serves
+    either order of the negatives.  steps clears memo for each letter, and
+    keeps in results, across letters, what it asked of step.  results also
+    keeps, on (word, mono), the product of a word of lowering codes with
+    mono (lowered).  No result depends on lambda.
 
     times is the same recursion, with its own memo, for U(g) (_apply): it
     works in U(g) rather than on v_lambda, so a positive g
@@ -220,10 +235,12 @@ class _Codes:
     __slots__ = ("alg", "G", "gens", "code", "weight", "bracket", "zero", "raising", "step", "memo",
                  "results", "times")
 
-    def __init__(self, alg, word):
-        seq, N = word or range(1, alg.N + 1), alg.N
+    def __init__(self, alg, order):
+        seq, N = order.word or range(1, alg.N + 1), alg.N
         self.alg = alg
         self.gens = gens = [(seq[a], seq[b]) for b in range(N) for a in range(b + 1, N)]
+        if order.reverse:
+            gens.reverse()
         gens += [(seq[a], seq[b]) for a in range(N) for b in range(a + 1, N)]
         self.G = G = len(gens)
         self.code = _Table(partial(_outside, alg))
@@ -362,8 +379,8 @@ class _Codes:
 
 
 @lru_cache(maxsize=None)
-def _codes(alg, word):
-    return _Codes(alg, word)
+def _codes(alg, order):
+    return _Codes(alg, order)
 
 
 def _add(acc, key, v, c):
@@ -457,11 +474,11 @@ def _nf_atoms(alg: GLAlgebra, atoms, *, order: PBWOrder = DISTINGUISHED) -> Mapp
     The atoms act on 1 from the right over the order's codes (_apply).
     Every word is cached, a Poly being a hashable value; the cache holds the
     read-only views it hands out, so no caller can change a later one."""
-    key = (alg.m, alg.n, order.word, tuple(atoms))
+    key = (alg.m, alg.n, order, tuple(atoms))
     hit = _NF_CACHE.get(key)
     if hit is not None:
         return hit
-    codes = _codes(alg, order.word)
+    codes = _codes(alg, order)
     terms = _apply(codes, [a if isinstance(a, Poly) else codes.code[a] for a in key[3]], {((), ()): Poly.one()})
     return _NF_CACHE.setdefault(key, MappingProxyType(_decoded(codes, terms)))
 
@@ -549,7 +566,7 @@ class UEAElement:
         for key, h in (*self.terms.items(), *other.terms.items()):
             if not isinstance(h, Poly):  # _apply would read an int as a generator code
                 raise TypeError(f"the Cartan part {h!r} of {key} is not a Poly")
-        codes = _codes(self.alg, None)
+        codes = _codes(self.alg, DISTINGUISHED)
         half, encode, lowered, one, ys = codes.G // 2, codes.encode, codes.lowered, {((), ()): Poly.one()}, {}
         for (n, p), h in other.terms.items():
             try:

@@ -77,7 +77,7 @@ class VermaVector:
     def __init__(self, alg: GLAlgebra, lam: Weight, terms=None, order: PBWOrder = DISTINGUISHED):
         terms = dict(terms) if terms else {}
         den = lcm(*(c.denominator for c in terms.values() if isinstance(c, Fraction)))
-        encode = _codes(alg, order.word).encode
+        encode = _codes(alg, order).encode
         nums = {encode(k): c.numerator * (den // c.denominator) if isinstance(c, Fraction) else c * den
                 for k, c in terms.items() if c}
         self._set(alg, lam, nums, den, order)
@@ -106,7 +106,7 @@ class VermaVector:
         t = self._terms
         if t is None:
             den = self.den
-            decode = _codes(self.alg, self.order.word).decode
+            decode = _codes(self.alg, self.order).decode
             t = self._terms = MappingProxyType({
                 decode(k): (n if den == 1 else n * Fraction(1, den)) if isinstance(n, Poly) else Fraction(n, den)
                 for k, n in self.nums.items()})
@@ -153,7 +153,7 @@ class VermaVector:
     def weight(self):
         """Weight of the vector (lambda plus the common monomial weight), or
         None if it is zero or inhomogeneous."""
-        found = set(map(_codes(self.alg, self.order.word).offsets, self.nums))
+        found = set(map(_codes(self.alg, self.order).offsets, self.nums))
         if len(found) != 1:
             return None
         return self.lam + Weight(self.alg.m, self.alg.n, found.pop())
@@ -208,7 +208,7 @@ def act(x, v: VermaVector) -> VermaVector:
     they are added to the result.
     """
     alg, lam, order = v.alg, v.lam, v.order
-    codes = _codes(alg, order.word)
+    codes = _codes(alg, order)
     code, half = codes.code, codes.G // 2
     D, point = lam.scaled()
     at = (D,) + point
@@ -319,7 +319,7 @@ def weight_basis(alg: GLAlgebra, drop: Weight):
     c = list(accumulate(x.numerator for x in drop.coords))
     if c.pop() or any(x < 0 for x in c):
         return []
-    codes = _codes(alg, None)
+    codes = _codes(alg, DISTINGUISHED)
     gens = codes.gens[:codes.G // 2]
     out = []
 
@@ -351,7 +351,7 @@ def is_highest_weight(v: VermaVector, raising=None) -> bool:
     if v.is_zero():
         raise ValueError("the zero vector is not a highest weight vector")
     if raising is None:
-        raising = _codes(v.alg, v.order.word).raising
+        raising = _codes(v.alg, v.order).raising
     for g in raising:
         if not act([g], v).is_zero():
             return False

@@ -17,7 +17,17 @@ from shapovalov.exact_algebra import (
     sample_hyperplane,
 )
 from shapovalov.hessenberg import build_A_rs, build_B_rs, build_D, det_lr
-from shapovalov.pbw import GLAlgebra, PBWOrder, UEAElement, _codes, gl, normal_order, sbracket_gens
+from shapovalov.pbw import (
+    DISTINGUISHED,
+    GLAlgebra,
+    PBWOrder,
+    UEAElement,
+    _codes,
+    _expand_key,
+    gl,
+    normal_order,
+    sbracket_gens,
+)
 from shapovalov.shuffles import Shuffle, diagram_data, enumerate_shuffles
 from shapovalov.verma import VermaVector, act, is_highest_weight, vacuum, weight_basis
 from shapovalov.construct import (
@@ -38,6 +48,7 @@ from shapovalov.construct import (
     verify_highest_weight,
     verify_highest_weight_symbolic,
 )
+from test_pbw import reference_straightener
 
 
 def h_alpha(m, n):
@@ -93,6 +104,7 @@ class TestElementFields:
         a, b = theta_gl(3), theta_gl(3)
         assert a is not b and a == b
         assert not a.body.is_zero() and a._body is not None and b._body is None
+        assert verify_highest_weight(a, 2)["all_passed"] and a._adapted is not None and b._adapted is None
         assert a == b and b == a
         assert not b.body.is_zero() and a == b
         assert a != theta_gl(4)
@@ -717,7 +729,7 @@ def _start_vectors(alg, lam, order, theta):
     """The vacuum, theta v_lambda, two lowering letters on v_lambda, their
     inhomogeneous sum and the zero vector, all in the given order."""
     vac = vacuum(alg, lam, order)
-    codes = _codes(alg, order.word)
+    codes = _codes(alg, order)
     neg = codes.gens[:codes.G // 2]
     lowered = act([neg[-1], neg[0]], vac)
     image = act(theta.body, vac)
@@ -737,6 +749,85 @@ class TestApply:
                     assert t.apply(v) == act(t.body, v), (label, v)
                     count += 1
         assert count == 2560
+
+
+class TestAdaptedNumbering:
+    """_is_singular builds theta v_lambda in the numbering _adapted_order
+    picks, which may differ from the element's own order only in the order
+    of its negative factors."""
+
+    def test_matches_the_element_order(self):
+        """Every root and ordering with m+n <= 6 and every endpoint-fixed
+        shuffle Borel with m+n <= 6, at a sampled point and one unit off:
+        each monomial of the adapted theta v_lambda, re-straightened into
+        the element's own order by the reference straightener (which shares
+        no code with pbw), sums to verma_vector(lam), and the verdicts
+        agree."""
+        straighteners = {}
+        seen = set()
+        for t in _chain_cases(shuffle_rank=6):
+            alg = t.alg
+            order = construct._adapted_order(t)
+            assert order.word == t.pbw_order().word
+            code = _codes(alg, order).code
+            steps = {(a, b) for word, _ in t.terms for a, b in zip(word, word[1:])}
+            # the reverse order when it puts more of the path words' step
+            # pairs in order than the element's own, which wins a tie
+            own = _codes(alg, t.pbw_order()).code
+            assert order.reverse is (sum(1 if own[a] < own[b] else -1 for a, b in steps) < 0)
+            if steps:
+                seen.add((t.ordering, order.reverse))
+            if t.ordering not in ("odd-first", "odd-last"):  # every path word is canonical
+                assert all(code[a] < code[b] for a, b in steps), (alg, t.eta, t.ordering, t.borel)
+            key = (alg.m, order.word or tuple(range(1, alg.N + 1)))
+            if key not in straighteners:
+                straighteners[key] = reference_straightener(*key)
+            straighten = straighteners[key]
+            lam = sample_hyperplane(t.hyperplane(), 0, 1)[0]
+            off = lam + alg.basis_weight(alg.root_from_weight(t.eta)[0])
+            assert not t.hyperplane().member(off)
+            for point, singular in ((lam, True), (off, False)):
+                adapted = t.apply(vacuum(alg, point, order))
+                assert adapted.order == order
+                total = {}
+                for mono, c in adapted.terms.items():
+                    for (neg, pos), h in straighten(tuple(_expand_key(mono))).items():
+                        assert not pos and h.is_constant()
+                        total[neg] = total.get(neg, 0) + c * h.constant_value()
+                v = t.verma_vector(point)
+                label = (alg, root_to_str(alg, t.eta), t.ordering, str(t.borel), point)
+                assert {k: c for k, c in total.items() if c} == v.terms, label
+                assert construct._is_singular(t, point) is singular is (not v.is_zero() and is_highest_weight(v)), label
+        # with two letters or more on a path, bform keeps the element's
+        # order, standard, middle and the Borels take the reverse one, and
+        # odd-first and odd-last take both
+        assert seen == {("standard", True), ("middle", True), ("borel", True), ("bform", False),
+                        ("odd-first", False), ("odd-first", True), ("odd-last", False), ("odd-last", True)}
+
+    def test_at_most_two_numberings_per_word(self, monkeypatch):
+        """Checking the standard, bform and odd-first elements of gl(4,2)
+        makes one numbering per order it uses, and two orders of gl(4,2)'s
+        one word: the distinguished order and its reverse."""
+        made = []
+
+        class Recording(pbw._Codes):
+            __slots__ = ()
+
+            def __init__(self, alg, order):
+                made.append((alg, order))
+                super().__init__(alg, order)
+
+        alg = gl(4, 2)
+        monkeypatch.setattr(pbw, "_Codes", Recording)
+        pbw._codes.cache_clear()
+        try:
+            for root, (i, j) in alg.positive_roots():
+                for o in ("standard", "bform", "odd-first") if i <= alg.m < j else ("standard", "bform"):
+                    assert verify_highest_weight(theta_for_root(alg, root, o), 2, 0)["all_passed"]
+        finally:
+            pbw._codes.cache_clear()
+        assert len(made) == len(set(made)) == 2
+        assert set(made) == {(alg, DISTINGUISHED), (alg, PBWOrder(reverse=True))}
 
 
 class TestOddSquare:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shapovalov import exact_algebra
 from shapovalov.construct import theta_borel
 from shapovalov.exact_algebra import (
     Hyperplane,
@@ -274,6 +275,33 @@ class TestCartanPolynomials:
         p = Poly.x(1) + Poly.const(1)
         assert p ** 2 == Poly.x(1) * Poly.x(1) + 2 * Poly.x(1) + Poly.const(1)
         assert p.shifted({1: -1}) == Poly.x(1)
+
+    def test_equal_values_hash_equally(self):
+        # a constant Poly equals its value, so it must hash as the value does:
+        # a dict keyed by one finds the other
+        for c in (0, 1, -7, Fraction(1, 3), Fraction(6, 3)):
+            p = Poly.const(c)
+            assert p == c and hash(p) == hash(c)
+            assert {p: "poly"}.get(c) == "poly" and {c: "value"}.get(p) == "value"
+        assert hash(Poly.x(1) - Poly.x(1)) == hash(Poly.zero()) == hash(0)
+        assert hash(Poly.x(1) + 2) == hash(2 + Poly.x(1)) and Poly.x(1) + 2 in {Poly.x(1) + 2}
+
+    def test_hash_is_kept(self, monkeypatch):
+        # the hash of a Poly is computed once: a second call builds no
+        # frozenset of its terms
+        p = (Poly.x(1) + Poly.x(2) * 3 - 1) ** 3
+        built = []
+
+        def counting(items):
+            built.append(1)
+            return frozenset(items)
+
+        monkeypatch.setattr(exact_algebra, "frozenset", counting, raising=False)
+        h = hash(p)
+        assert hash(p) == h and hash(p) == h
+        assert len(built) == 1
+        monkeypatch.undo()
+        assert h == hash((Poly.x(1) + Poly.x(2) * 3 - 1) ** 3)  # a fresh, equal Poly
 
 
 class TestHyperplane:

@@ -170,17 +170,18 @@ class TestNormalOrder:
         assert len(pbw._NF_CACHE) == size
 
 
-def reference_straightener(m, posword):
+def reference_straightener(m, posword, reverse=False):
     """A normal-form function for free words of generator pairs and Cartan
     Polys in U(gl(m,n)), sharing no code with the pbw kernel.
 
     It applies the two rules of the pbw docstring to the first pair out of
     place and recurses on each word that results.  posword lists 1..m+n in
     the Borel's order: e_ij is negative iff i comes after j.  Ordered words
-    are negatives by (place of j, place of i), one Cartan atom, then
-    positives by (place of i, place of j).
+    are negatives by (place of j, place of i), descending with reverse, one
+    Cartan atom, then positives by (place of i, place of j).
     """
     place = {v: k for k, v in enumerate(posword)}
+    down = -1 if reverse else 1
 
     def odd(g):
         return (g[0] > m) != (g[1] > m)
@@ -192,7 +193,7 @@ def reference_straightener(m, posword):
         if isinstance(a, Poly):
             return (1,)
         i, j = a
-        return (0, place[j], place[i]) if place[i] > place[j] else (2, place[i], place[j])
+        return (0, down * place[j], down * place[i]) if place[i] > place[j] else (2, place[i], place[j])
 
     def shift(h, g, sign):  # h(x + sign wt e_ij), wt e_ij = +1 at i, -1 at j
         i, j = g
@@ -267,10 +268,42 @@ class TestOrder:
         pos = sorted((g for g in gens if place[g[0]] < place[g[1]]), key=lambda g: (place[g[0]], place[g[1]]))
         if word is None:
             assert neg == [(i, j) for j in range(1, alg.N + 1) for i in range(j + 1, alg.N + 1)]
-        codes = _codes(alg, PBWOrder(word).word)
+        codes = _codes(alg, PBWOrder(word))
         assert sorted(codes.code) == sorted(gens)
         assert sorted(gens, key=codes.code.get) == neg + pos == codes.gens
         assert [g for g in gens if codes.code[g] < codes.G // 2] == [g for g in gens if g in neg]
+
+    @pytest.mark.parametrize("alg, word", order_cases())
+    def test_reverse_order_reverses_the_negatives(self, alg, word):
+        """A reverse order numbers the negative generators in the reverse
+        of the word's factor order and the positive ones as the word does;
+        its raising generators are the word's."""
+        codes, rev = _codes(alg, PBWOrder(word)), _codes(alg, PBWOrder(word, reverse=True))
+        half = codes.G // 2
+        assert rev.gens == codes.gens[half - 1::-1] + codes.gens[half:]
+        assert rev.raising == codes.raising
+
+    def test_one_numbering_per_order(self):
+        """_codes is keyed on the order value, so every spelling of one
+        order shares one numbering, and the reverse order has its own."""
+        alg = gl(3, 1)
+        assert _codes(alg, PBWOrder()) is _codes(alg, DISTINGUISHED) is _codes(alg, PBWOrder((1, 2, 3, 4)))
+        rev = _codes(alg, PBWOrder(reverse=True))
+        assert rev is _codes(alg, PBWOrder([1, 2, 3, 4], reverse=1)) and rev is not _codes(alg, DISTINGUISHED)
+
+    def test_reverse_is_part_of_the_value(self):
+        # one instance per word and flag: equal orders are one object, also
+        # after a copy or a pickle round trip
+        rev = PBWOrder((1, 3, 2, 4), reverse=True)
+        assert rev != PBWOrder((1, 3, 2, 4)) and rev is PBWOrder([1, 3, 2, 4], True)
+        assert rev.reverse and not DISTINGUISHED.reverse and rev.word == (1, 3, 2, 4)
+        assert PBWOrder((1, 2, 3), reverse=True) is PBWOrder(reverse=True) != DISTINGUISHED
+        assert PBWOrder((1, 2, 3)) is DISTINGUISHED and rev != ((1, 3, 2, 4), True)
+        assert repr(rev) == "PBWOrder(word=(1, 3, 2, 4), reverse=True)"
+        with pytest.raises(AttributeError):
+            rev.reverse = False
+        for copied in (copy.copy(rev), copy.deepcopy(rev), pickle.loads(pickle.dumps(rev))):
+            assert copied is rev
 
     def test_identity_word_normalises(self):
         assert PBWOrder((1, 2, 3)) == DISTINGUISHED == PBWOrder()
@@ -294,22 +327,25 @@ class TestOrder:
 
 
 class TestReference:
-    @pytest.mark.parametrize("m, n, posword, pure", [
-        pytest.param(m, n, w, False, id=f"gl({m},{n})-{''.join(map(str, w))}")
+    @pytest.mark.parametrize("m, n, posword, pure, reverse", [
+        pytest.param(m, n, w, False, rev, id=f"gl({m},{n})-{''.join(map(str, w))}" + ("-reverse" if rev else ""))
+        for rev in (False, True)
         for m, n, w in [(2, 2, (1, 2, 3, 4)), (3, 1, (1, 2, 3, 4)), (2, 1, (1, 2, 3)),
                         (2, 2, (1, 3, 2, 4)), (2, 1, (3, 1, 2)), (3, 2, (1, 4, 2, 5, 3)),
                         (2, 2, (1, 3, 4, 2)), (2, 2, (3, 1, 2, 4)), (2, 2, (3, 1, 4, 2)),
                         (2, 2, (3, 4, 1, 2)), (2, 1, (1, 3, 2))]
-    ] + [pytest.param(3, 2, (1, 4, 2, 5, 3), True, id="gl(3,2)-14253-pure")])
-    def test_matches_normal_order(self, m, n, posword, pure):
+    ] + [pytest.param(3, 2, (1, 4, 2, 5, 3), True, rev, id="gl(3,2)-14253-pure" + ("-reverse" if rev else ""))
+         for rev in (False, True)])
+    def test_matches_normal_order(self, m, n, posword, pure, reverse):
         """200 random words of length at most 6, about 40 % of them with a
         Cartan atom (a polynomial or a diagonal unit e_kk); every shuffle
-        order of gl(2,1) and gl(2,2).  A pure case passes words of
-        generators alone, of length at most 8, straight to _nf_atoms."""
+        order of gl(2,1) and gl(2,2), each also with its negative factors in
+        reverse order.  A pure case passes words of generators alone, of
+        length at most 8, straight to _nf_atoms."""
         alg = gl(m, n)
-        order = PBWOrder(posword)
-        reference = reference_straightener(m, posword)
-        rng = random.Random(f"{m},{n},{posword}" + (",pure" if pure else ""))
+        order = PBWOrder(posword, reverse)
+        reference = reference_straightener(m, posword, reverse)
+        rng = random.Random(f"{m},{n},{posword}" + (",pure" if pure else "") + (",reverse" if reverse else ""))
         gens = gens_of(alg)
         carts = [Poly.x(k) for k in range(1, alg.N + 1)] + [(k, k) for k in range(1, alg.N + 1)]
         carts += [Poly.x(1) * Poly.x(alg.N) - 2, Poly.x(2) ** 2 + Fraction(1, 3)]

@@ -139,10 +139,11 @@ def order_seq(alg, order):
 
 def order_gens(alg, order):
     """The order's negative generators in its canonical factor order, from
-    the word alone: e_ij with i after j, by (place of j, place of i)."""
+    the word alone: e_ij with i after j, by (place of j, place of i),
+    descending for a reverse order."""
     place = {v: k for k, v in enumerate(order_seq(alg, order))}
     return sorted(((i, j) for i in place for j in place if place[i] > place[j]),
-                  key=lambda g: (place[g[1]], place[g[0]]))
+                  key=lambda g: (place[g[1]], place[g[0]]), reverse=order.reverse)
 
 
 def monomial(alg, combo):
@@ -304,7 +305,7 @@ class TestActOnElements:
             lam = generic_point(alg.m, alg.n, [theta.hyperplane().constraint_poly()])
         else:
             lam = rand_weight(rng, alg.m, alg.n)
-        results = pbw._codes(alg, order.word).results
+        results = pbw._codes(alg, order).results
         for v in (vacuum(alg, lam, order), theta.apply(vacuum(alg, lam, order))):
             want = free_word_route(x, v)
             assert act(x, v) == want
@@ -316,7 +317,7 @@ class TestActOnElements:
         # entry per (word, monomial), the same at every weight
         pbw._codes.cache_clear()
         power = theta_power(4, 2)
-        results = pbw._codes(gl(4), None).results
+        results = pbw._codes(gl(4), DISTINGUISHED).results
         rng = random.Random(3)
         act(power, vacuum(gl(4), rand_weight(rng, 4, 0)))
         words = {k: res for k, res in results.items() if type(k[0]) is tuple}
@@ -429,11 +430,11 @@ class TestActWork:
 
         def acts(lam):
             w = act(body, vacuum(theta.alg, lam))
-            return [w, act(power, v)] + [act([g], w) for g in pbw._codes(theta.alg, None).raising]
+            return [w, act(power, v)] + [act([g], w) for g in pbw._codes(theta.alg, DISTINGUISHED).raising]
 
         kernel = len(pbw._NF_CACHE)
         first = acts(lam)
-        results = pbw._codes(theta.alg, None).results
+        results = pbw._codes(theta.alg, DISTINGUISHED).results
         assert results
         size = len(results)
         assert acts(lam) == first
@@ -457,20 +458,22 @@ class TestActWork:
 
         monkeypatch.setattr(Poly, "__mul__", checked)
         monkeypatch.setattr(Poly, "__rmul__", checked)
-        for g in pbw._codes(theta.alg, None).raising:
+        for g in pbw._codes(theta.alg, DISTINGUISHED).raising:
             assert act([g], v).is_zero()
         assert seen
 
 
 def prepend_cases(size_cap=5):
     """Every gl(m,n) with m+n <= size_cap in the distinguished order, and every
-    shuffle Borel of gl(2,2) and, for size_cap 5, gl(3,2)."""
-    for size in range(2, size_cap + 1):
-        for m in range(1, size + 1):
-            yield pytest.param(gl(m, size - m), DISTINGUISHED, id=f"gl({m},{size - m})")
-    for m, n in [(2, 2), (3, 2)][:size_cap - 3]:
-        for sh in enumerate_shuffles(m, n, fixed_endpoints=False):
-            yield pytest.param(gl(m, n), PBWOrder(sh.word), id=f"gl({m},{n})-{sh}")
+    shuffle Borel of gl(2,2) and, for size_cap 5, gl(3,2); then each of
+    these with its negative factors in reverse order."""
+    cases = [(gl(m, size - m), None, f"gl({m},{size - m})")
+             for size in range(2, size_cap + 1) for m in range(1, size + 1)]
+    cases += [(gl(m, n), sh.word, f"gl({m},{n})-{sh}") for m, n in [(2, 2), (3, 2)][:size_cap - 3]
+              for sh in enumerate_shuffles(m, n, fixed_endpoints=False)]
+    for reverse in (False, True):
+        for alg, word, name in cases:
+            yield pytest.param(alg, PBWOrder(word, reverse), id=name + ("-reverse" if reverse else ""))
 
 
 def prepend(straighten, g, mono):
@@ -482,14 +485,14 @@ def prepend(straighten, g, mono):
 def reference(alg, order):
     """The reference straightener of tests/test_pbw.py, which shares no code
     with pbw, for the order."""
-    return reference_straightener(alg.m, tuple(order_seq(alg, order)))
+    return reference_straightener(alg.m, tuple(order_seq(alg, order)), order.reverse)
 
 
 def leibniz(alg, order, g, mono):
     """The recursion's result for g mono as a dict, each linear form
     (c0, c1, ..., cN) written as the Poly c0 + sum c_i x_i.  g and mono are
     encoded for the order, and the result's monomials decoded."""
-    codes = pbw._codes(alg, order.word)
+    codes = pbw._codes(alg, order)
     out = {}
     for neg, v in codes.step(codes.code[g], codes.encode(mono)):
         if type(v) is not int:
@@ -693,7 +696,7 @@ class TestWeightBasis:
 
     def test_counts_match_brute_force(self):
         for alg in (gl(3, 0), gl(2, 2)):
-            simples = [alg.gen_weight(*g) for g in pbw._codes(alg, None).raising]
+            simples = [alg.gen_weight(*g) for g in pbw._codes(alg, DISTINGUISHED).raising]
             seen = 0
             for ht in range(1, 6):
                 for combo in combinations_with_replacement(range(len(simples)), ht):
